@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.stats import norm as _norm_dist
+from scipy.special import ndtri
 
 from .errors import DomainExitError, InvalidCenterError
 from .solvers import fd_jacobian
@@ -143,6 +143,53 @@ def iterate(map_fn: StateMap, x0, steps: int) -> list[Vector]:
     return out
 
 
+def iterate_tail(map_fn: StateMap, x0, steps: int,
+                 keep: int = 1) -> tuple[Vector, Optional[tuple[int, int]]]:
+    """The last ``keep`` states of [X0, map(X0), ..., map^steps(X0)].
+
+    Returns ``(tail, repeat)``: ``tail`` is a (keep, dim) array equal bit for
+    bit to the last ``keep`` rows of the full orbit segment.  Up to the
+    tail's first row, Brent's cycle detection (R. P. Brent, BIT 20, 1980)
+    compares each state with one saved at step 2**n - 1; ``repeat`` is the
+    ``(step, period)`` of the first match, else None.  From a match on, the
+    orbit is periodic, so whole periods are skipped and only the final
+    stretch is computed.  Bytes, not ``==``, decide a match: -0.0 and 0.0
+    differ, and a NaN matches only a NaN with the same bits.  ``map_fn``
+    must be deterministic and return numpy arrays.
+    """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if not 1 <= keep <= steps + 1:
+        raise ValueError("keep must lie in [1, steps + 1]")
+    x = np.asarray(x0, dtype=float)
+    first = steps + 1 - keep  # step of the tail's first row
+    t = mark = 0
+    next_mark = 1
+    tortoise = x.tobytes()
+    repeat = None
+    for t in range(1, first + 1):
+        x = map_fn(x)
+        key = x.tobytes()
+        if key == tortoise:
+            repeat = (t, t - mark)
+            break
+        if t == next_mark:
+            mark, next_mark, tortoise = t, 2 * t + 1, key
+    if repeat is not None:
+        # the state of step t recurs every period: resume from its last
+        # recurrence at or before the tail's first row
+        period = repeat[1]
+        t += (first - t) // period * period
+    for _ in range(first - t):
+        x = map_fn(x)
+    tail = np.empty((keep, x.size))
+    tail[0] = x
+    for i in range(1, keep):
+        x = map_fn(x)
+        tail[i] = x
+    return tail, repeat
+
+
 def reduced_map(sys: TwoScaleSystem) -> StateMap:
     """The aggregated map Hbar = G o T on R^q."""
     return lambda y: sys.projection(sys.lift(y))
@@ -213,7 +260,7 @@ def _kronecker_sphere_mesh(count: int, dim: int) -> Vector:
     alpha = (1.0 / phi) ** np.arange(1, dim + 1)
     idx = np.arange(1, count + 1)[:, None]
     u = np.mod(0.5 + idx * alpha[None, :], 1.0)
-    g = _norm_dist.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 

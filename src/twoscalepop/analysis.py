@@ -19,6 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import threestage
+from .aggregation import iterate_tail
 from .errors import (
     CollapsedToEquilibriumError,
     InhomogeneousParamsError,
@@ -122,7 +123,10 @@ def find_two_cycle(map_fn: ScalarMap, y0, burn_in: int = DEFAULT_BURN_IN) -> Orb
 
     If Newton lands on a fixed point of map_fn itself the burn-in is retried
     ten times longer once; a second collapse raises
-    CollapsedToEquilibriumError carrying the equilibrium's report.
+    CollapsedToEquilibriumError carrying the equilibrium's report.  Both
+    burn-ins run through ``aggregation.iterate_tail``, so a start point whose
+    orbit repeats bit for bit (a trajectory endpoint already on its cycle)
+    costs a few steps instead of ``burn_in``, with the same end state.
     """
     y0 = np.asarray(y0, dtype=float)
     if not _in_orthant(y0):
@@ -134,9 +138,7 @@ def find_two_cycle(map_fn: ScalarMap, y0, burn_in: int = DEFAULT_BURN_IN) -> Orb
     collapsed_point = None
     collapsed_residual = 0.0
     for rounds in (burn_in, 10 * burn_in):
-        z = y0
-        for _ in range(rounds):
-            z = map_fn(z)
+        z = iterate_tail(map_fn, y0, rounds)[0][-1]
         p1, residual = newton_fixed_point(doubled, z)
         p2 = np.asarray(map_fn(p1), dtype=float)
         separation = float(np.linalg.norm(p1 - p2))

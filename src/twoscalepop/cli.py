@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analysis, metapop, scenarios, spectral, threestage
-from .aggregation import ConvergenceTable, convergence_table
+from .aggregation import ConvergenceTable, convergence_table, iterate_tail
 from .analysis import OrbitReport
 from .errors import (
     CollapsedToEquilibriumError,
@@ -233,19 +233,25 @@ class RunSummary:
     orbit_notes: dict[str, str]
     scalars: dict[str, float]
     convergence: ConvergenceTable
+    # series ("reduced", "k=<k>", "local_<patch>") -> (step, period) of the
+    # first exact repeat, None when the run computed every step
+    repeats: dict[str, Optional[tuple[int, int]]]
 
 
-def _run_trajectory(step: Callable, x0, horizon: int) -> np.ndarray:
-    x = np.asarray(x0, dtype=float)
-    out = np.empty((horizon + 1, x.size))
-    out[0] = x
-    for t in range(1, horizon + 1):
-        x = np.asarray(step(x), dtype=float)
-        out[t] = x
-    if not np.all(np.isfinite(x)):
+def _run_trajectory(step: Callable, x0, horizon: int,
+                    keep: int) -> tuple[np.ndarray, Optional[tuple[int, int]]]:
+    """Last ``keep`` states of a ``horizon``-step run and its exact repeat.
+
+    Returns ``(tail, repeat)`` as ``aggregation.iterate_tail`` does: the
+    tail is bit-identical to the end of the full trajectory, and a run whose
+    state repeats bit for bit stops computing at the repeat, so its cost is
+    set by the repeat step, not by the horizon.
+    """
+    tail, repeat = iterate_tail(step, x0, horizon, keep)
+    if not np.all(np.isfinite(tail[-1])):
         raise DomainExitError("trajectory left the admissible box",
-                              step=horizon, state=x)
-    return out
+                              step=horizon, state=tail[-1])
+    return tail, repeat
 
 
 def _cycle_seed(params: ThreeStageParams, variant: str):
@@ -325,15 +331,17 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
     y0 = metapop.aggregate(x0, config.patches)
     tail = config.tail
 
-    reduced_traj = _run_trajectory(reduced_step, y0, config.horizon)
+    repeats: dict[str, Optional[tuple[int, int]]] = {}
+    reduced_tail, repeats["reduced"] = _run_trajectory(
+        reduced_step, y0, config.horizon, tail)
     complete_tails = {}
     for k in config.k_list:
-        traj = _run_trajectory(system.complete(k), x0, config.horizon)
-        complete_tails[k] = traj[-tail:]
+        complete_tails[k], repeats[f"k={k}"] = _run_trajectory(
+            system.complete(k), x0, config.horizon, tail)
 
     orbit_reports: dict[str, Optional[OrbitReport]] = {}
     orbit_notes: dict[str, str] = {}
-    report, note = detect_orbit(reduced_step, reduced_traj[-1],
+    report, note = detect_orbit(reduced_step, reduced_tail[-1],
                                 _cycle_seed(params, variant))
     orbit_reports["reduced"] = report
     orbit_notes["reduced"] = note
@@ -342,9 +350,9 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
     if include_local:
         for patch in (0, 1):
             local_step = threestage.local_map(params, patch)
-            traj = _run_trajectory(local_step, x0[patch::2], config.horizon)
-            local_tails[patch] = traj[-tail:]
-            report, note = detect_orbit(local_step, traj[-1],
+            local_tails[patch], repeats[f"local_{patch + 1}"] = _run_trajectory(
+                local_step, x0[patch::2], config.horizon, tail)
+            report, note = detect_orbit(local_step, local_tails[patch][-1],
                                         _local_cycle_seed(params, patch))
             orbit_reports[f"local_{patch + 1}"] = report
             orbit_notes[f"local_{patch + 1}"] = note
@@ -357,13 +365,14 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
     return RunSummary(
         config=config,
         tail_start=config.horizon - tail + 1,
-        reduced_tail=reduced_traj[-tail:],
+        reduced_tail=reduced_tail,
         complete_tails=complete_tails,
         local_tails=local_tails,
         orbit_reports=orbit_reports,
         orbit_notes=orbit_notes,
         scalars=_scalar_table(params, variant),
         convergence=convergence,
+        repeats=repeats,
     )
 
 
@@ -724,9 +733,7 @@ def run_check() -> int:
     params = scenarios.fig2_params()
     system = threestage.make_system(params, VARIANT_SLOW)
     reduced_step = threestage.reduced_map(params, VARIANT_SLOW)
-    y = np.array([0.04, 0.1, 0.04])
-    for _ in range(20_000):
-        y = reduced_step(y)
+    y = iterate_tail(reduced_step, np.array([0.04, 0.1, 0.04]), 20_000)[0][-1]
     eq = analysis.find_equilibrium(reduced_step, y)
     y_star = eq.points[0]
     x_star = system.lift(y_star)

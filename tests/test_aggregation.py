@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoscalepop import aggregation, threestage
+from twoscalepop import aggregation, metapop, scenarios, threestage
 from twoscalepop.aggregation import TrapSpec, TwoScaleSystem
 from twoscalepop.errors import DomainExitError
 
@@ -50,6 +50,87 @@ def test_iterate_raises_on_orthant_exit():
 def test_iterate_raises_on_box_exit():
     with pytest.raises(DomainExitError):
         aggregation.iterate(lambda x: 2.0 * x, np.full(1, 6e8), 3)
+
+
+_X0 = np.array(scenarios.DEFAULT_INITIAL_STATE)
+_Y0 = metapop.aggregate(_X0, 2)
+
+
+def _tail_case(name):
+    """(map, start) pairs: shipped maps, plus toys with a known period."""
+    if name == "fig2":
+        return threestage.reduced_map(scenarios.fig2_params(), "slow_survival"), _Y0
+    if name == "fig3":
+        return threestage.reduced_map(scenarios.fig3_params(), "slow_survival"), _Y0
+    if name == "fig10":
+        return threestage.reduced_map(scenarios.fig10_params(), "rescaled"), _Y0
+    if name == "H_5":
+        sys = threestage.make_system(scenarios.fig2_params(), "slow_survival")
+        return sys.complete(5), _X0
+    if name == "constant":
+        return (lambda x: np.array([0.25, 4.0])), np.array([1.0, 2.0])
+    return (lambda x: np.roll(x, 1)), np.array([1.0, 2.0, 3.0])
+
+
+def _plain_orbit(map_fn, x0, steps):
+    x = np.asarray(x0, dtype=float)
+    out = [x]
+    for _ in range(steps):
+        x = np.asarray(map_fn(x), dtype=float)
+        out.append(x)
+    return np.array(out)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig10", "H_5", "constant", "roll"])
+def test_iterate_tail_matches_plain_orbit_bit_for_bit(name):
+    map_fn, x0 = _tail_case(name)
+    orbit = _plain_orbit(map_fn, x0, 9000)
+    for steps in (0, 1, 2, 7, 1000, 9000):
+        for keep in sorted({1, 2, steps + 1}):
+            if keep > steps + 1:
+                continue
+            tail, _ = aggregation.iterate_tail(map_fn, x0, steps, keep)
+            assert _same_bits(tail, orbit[steps + 1 - keep:steps + 1]), (steps, keep)
+
+
+def test_iterate_tail_reports_repeat_step_and_period():
+    # Brent saves the states of steps 0, 1, 3, 7, ...; the period-3 roll
+    # is first caught when step 6 matches the state saved at step 3
+    _, repeat = aggregation.iterate_tail(*_tail_case("roll"), 100)
+    assert repeat == (6, 3)
+    _, repeat = aggregation.iterate_tail(*_tail_case("constant"), 100)
+    assert repeat == (2, 1)
+    _, repeat = aggregation.iterate_tail(*_tail_case("fig3"), 2000)
+    assert repeat is None
+
+
+def test_iterate_tail_tells_signed_zeros_apart():
+    # flipping the sign of a zero coordinate has bitwise period 2, while ==
+    # sees period 1 and would fast-forward to a state with the wrong sign
+    def flip(x):
+        return x * np.array([-1.0, 1.0])
+
+    x0 = np.array([0.0, 1.0])
+    orbit = _plain_orbit(flip, x0, 1001)
+    for steps in (2, 3, 8, 9, 1000, 1001):
+        for keep in (1, 3):
+            tail, repeat = aggregation.iterate_tail(flip, x0, steps, keep)
+            assert _same_bits(tail, orbit[steps + 1 - keep:steps + 1]), (steps, keep)
+    assert repeat == (3, 2)
+    tail, repeat = aggregation.iterate_tail(lambda x: -x, x0, 1001)
+    assert _same_bits(tail[-1], np.array([-0.0, -1.0])) and repeat == (3, 2)
+
+
+def test_iterate_tail_rejects_bad_sizes():
+    with pytest.raises(ValueError):
+        aggregation.iterate_tail(lambda x: x, np.ones(2), -1)
+    for keep in (0, 5):
+        with pytest.raises(ValueError):
+            aggregation.iterate_tail(lambda x: x, np.ones(2), 3, keep)
 
 
 def test_default_radius_scales_with_center():

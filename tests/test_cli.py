@@ -241,6 +241,46 @@ def test_run_sec42_compare_fast(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _fast_summaries(name):
+    scenario = scenarios.builtin(name)
+    return {cfg.variant: cli.run_scenario(cfg.with_overrides(fast=True),
+                                          include_local=scenario.include_local)
+            for cfg in scenario.configs}
+
+
+def test_run_records_exact_repeats_sec42_fast():
+    runs = _fast_summaries("sec42_compare")
+    slow, resc = runs["slow_survival"], runs["rescaled"]
+    assert set(slow.repeats) == {"reduced", "k=1", "k=10"}
+    # slow-survival series settle on exact cycles of periods 4, 1 and 2
+    # within the 1000-step horizon
+    periods = {name: rep[1] for name, rep in slow.repeats.items()}
+    assert periods == {"reduced": 4, "k=1": 1, "k=10": 2}
+    assert all(rep[0] <= slow.config.horizon for rep in slow.repeats.values())
+    # the rescaled reduced run first repeats only at t = 4579
+    assert resc.repeats["reduced"] is None
+
+
+def test_run_records_no_repeats_fig3_fast():
+    summary = _fast_summaries("fig3")["slow_survival"]
+    names = {"reduced", "local_1", "local_2"} | {f"k={k}" for k in summary.config.k_list}
+    assert summary.repeats == dict.fromkeys(names)
+
+
+@pytest.mark.parametrize("name", ["fig2", "sec42_compare"])
+def test_run_full_horizon_verdicts_pass(name, tmp_path, capsys):
+    # every series of these scenarios repeats a state exactly, so the 1e6
+    # and 1e5 step horizons cost only the steps up to the repeats
+    code = cli.main(["run", name, "--out", str(tmp_path)])
+    text = (tmp_path / name / "summary.txt").read_text()
+    assert code == 0, text
+    assert "horizons: full" in text
+    verdicts = text.split("verdicts:\n", 1)[1].splitlines()[:-1]
+    assert verdicts and all(": PASS (" in line for line in verdicts), text
+    assert text.endswith("result: PASS\n")
+    capsys.readouterr()
+
+
 # --- list and check ---------------------------------------------------------
 
 def test_list_names_each_scenario_once(capsys):
