@@ -687,14 +687,14 @@ def run_check() -> int:
     )
     for label, params, variant in instances:
         system = threestage.make_system(params, variant)
+        reduced_step = threestage.reduced_map(params, variant)
         model = threestage.make_model(params)
         states = rng.uniform(0.0, 0.1, size=(200, 6))
 
         gap = 0.0
         for x in states:
             left = system.projection(system.limit_map(x))
-            right = threestage.reduced_step(params, variant,
-                                            system.projection(x))
+            right = reduced_step(system.projection(x))
             gap = max(gap, float(np.max(np.abs(left - right))))
         _check(results, f"{label}: aggregation commutes with the limit map",
                gap <= 1e-10, f"max gap {gap:.3e}")
@@ -704,7 +704,7 @@ def run_check() -> int:
             for n in (1, 2, 3):
                 y = system.projection(x)
                 for _ in range(n - 1):
-                    y = threestage.reduced_step(params, variant, y)
+                    y = reduced_step(y)
                 lifted = system.lift(y)
                 direct = x
                 for _ in range(n):
@@ -719,7 +719,7 @@ def run_check() -> int:
         else:
             reduced_ref = metapop.reduced_step_rescaled
         for y in rng.uniform(0.0, 0.2, size=(200, 3)):
-            left = threestage.reduced_step(params, variant, y)
+            left = reduced_step(y)
             right = reduced_ref(model, y)
             gap = max(gap, float(np.max(np.abs(left - right))))
         _check(results, f"{label}: closed-form reduced step matches the "

@@ -111,7 +111,13 @@ def factorization_gap(model: MetapopModel, x) -> float:
     return float(np.max(np.abs(d - dt * s.ravel()[None, :])))
 
 
-def _check_finite(x: Vector) -> Vector:
+def _apply_demography(model: MetapopModel, z: Vector, variant: str) -> Vector:
+    """D(Z) Z (slow survival) or Dt(Z) Z (rescaled), checked for finiteness."""
+    if variant == VARIANT_SLOW:
+        d = np.asarray(model.demography(z), dtype=float)
+    else:
+        _, d = demography_factored(model, z)
+    x = d @ z
     if not np.all(np.isfinite(x)):
         raise DomainExitError("step produced a non-finite state", state=x)
     return x
@@ -130,8 +136,7 @@ def complete_step_slow(model: MetapopModel, x, k: int) -> Vector:
     z = x
     for _ in range(k):
         z = b @ z
-    d = np.asarray(model.demography(z), dtype=float)
-    return _check_finite(d @ z)
+    return _apply_demography(model, z, VARIANT_SLOW)
 
 
 def complete_step_rescaled(model: MetapopModel, x, k: int) -> Vector:
@@ -151,8 +156,7 @@ def complete_step_rescaled(model: MetapopModel, x, k: int) -> Vector:
     z = x
     for _ in range(k):
         z = a @ z
-    _, dt = demography_factored(model, z)
-    return _check_finite(dt @ z)
+    return _apply_demography(model, z, VARIANT_RESCALED)
 
 
 def lift_slow(model: MetapopModel, y) -> Vector:
@@ -178,16 +182,13 @@ def lift_rescaled(model: MetapopModel, y) -> Vector:
 
 def reduced_step_slow(model: MetapopModel, y) -> Vector:
     """Aggregated slow-survival dynamics: Y' = U D(V(Y)Y) V(Y)Y."""
-    x = lift_slow(model, y)
-    d = np.asarray(model.demography(x), dtype=float)
-    return model.aggregate(_check_finite(d @ x))
+    return model.aggregate(_apply_demography(model, lift_slow(model, y), VARIANT_SLOW))
 
 
 def reduced_step_rescaled(model: MetapopModel, y) -> Vector:
     """Aggregated rescaled dynamics: Y' = U Dt(Vt(Y)Y) Vt(Y)Y."""
-    x = lift_rescaled(model, y)
-    _, dt = demography_factored(model, x)
-    return model.aggregate(_check_finite(dt @ x))
+    return model.aggregate(
+        _apply_demography(model, lift_rescaled(model, y), VARIANT_RESCALED))
 
 
 def _limit_dispersal(model: MetapopModel, y: Vector, variant: str) -> NDArray[np.float64]:
@@ -206,11 +207,7 @@ def limit_step(model: MetapopModel, x, variant: str) -> Vector:
     """The k -> infinity limit of one complete slow step."""
     x = np.asarray(x, dtype=float)
     z = _limit_dispersal(model, model.aggregate(x), variant) @ x
-    if variant == VARIANT_SLOW:
-        d = np.asarray(model.demography(z), dtype=float)
-        return _check_finite(d @ z)
-    _, dt = demography_factored(model, z)
-    return _check_finite(dt @ z)
+    return _apply_demography(model, z, variant)
 
 
 def make_system(model: MetapopModel, variant: str) -> TwoScaleSystem:
@@ -231,11 +228,7 @@ def make_system(model: MetapopModel, variant: str) -> TwoScaleSystem:
 
     def lift(y):
         x = lift_slow(model, y) if slow else lift_rescaled(model, y)
-        if slow:
-            d = np.asarray(model.demography(x), dtype=float)
-            return _check_finite(d @ x)
-        _, dt = demography_factored(model, x)
-        return _check_finite(dt @ x)
+        return _apply_demography(model, x, variant)
 
     def limit_map(x):
         return limit_step(model, x, variant)
@@ -255,12 +248,7 @@ def make_system(model: MetapopModel, variant: str) -> TwoScaleSystem:
                 else:
                     a = np.linalg.matrix_power(np.exp(np.log(s) / k)[:, None] * base, k)
                 powers[k] = a
-            z = a @ np.asarray(x, dtype=float)
-            if slow:
-                d = np.asarray(model.demography(z), dtype=float)
-                return _check_finite(d @ z)
-            _, dt = demography_factored(model, z)
-            return _check_finite(dt @ z)
+            return _apply_demography(model, a @ np.asarray(x, dtype=float), variant)
     else:
         def complete_map(k: int, x):
             if slow:

@@ -21,15 +21,18 @@ survival onto the fast scale and produces weighted geometric means.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import metapop
+from scipy.linalg import block_diag
+
+from . import metapop, spectral
 from .aggregation import TwoScaleSystem
-from .errors import NegativeDensityError
+from .errors import DomainExitError, NegativeDensityError
 from .metapop import VARIANT_RESCALED, VARIANT_SLOW, VARIANTS
 
 Vector = NDArray[np.float64]
@@ -190,8 +193,101 @@ def make_model(params: ThreeStageParams) -> metapop.MetapopModel:
     )
 
 
+def _closed_form_demography(params: ThreeStageParams, variant: str) -> Callable[[list], Vector]:
+    """Closed-form Z -> D(Z) Z (slow survival) or Dt(Z) Z (rescaled).
+
+    Takes the six coordinates of Z as floats and returns the checked image.
+    Every entry is formed as ``metapop`` forms it from ``demography_matrix``
+    -- (f s2), (g s3), ((1-g) s3), each divided by its column's survival in
+    the rescaled variant -- and each row adds its two products in column
+    order; the tests hold the result to the matrix product bit for bit.
+    """
+    (s1a, s1b), (s2a, s2b), (s3a, s3b) = params.survivals.tolist()
+    if variant == VARIANT_RESCALED:
+        (u1a, u1b), (u2a, u2b), (u3a, u3b) = params.survivals.tolist()
+    else:
+        u1a = u1b = u2a = u2b = u3a = u3b = 1.0  # x / 1.0 == x exactly
+    e1a, e1b, e2a, e2b = s1a / u1a, s1b / u1b, s2a / u2a, s2b / u2b
+    phi_a, phi_b = params.fertilities.tolist()
+    c_a, c_b = params.crowding_c.tolist()
+    d_a, d_b = params.crowding_d.tolist()
+
+    def apply(z: list) -> Vector:
+        z1a, z1b, z2a, z2b, z3a, z3b = z
+        f_a = fertility_response(phi_a, c_a, z2a)
+        g_a = recovery_response(d_a, z2a)
+        f_b = fertility_response(phi_b, c_b, z2b)
+        g_b = recovery_response(d_b, z2b)
+        out = [
+            (f_a * s2a) / u2a * z2a,
+            (f_b * s2b) / u2b * z2b,
+            e1a * z1a + (g_a * s3a) / u3a * z3a,
+            e1b * z1b + (g_b * s3b) / u3b * z3b,
+            e2a * z2a + ((1.0 - g_a) * s3a) / u3a * z3a,
+            e2b * z2b + ((1.0 - g_b) * s3b) / u3b * z3b,
+        ]
+        if not all(map(math.isfinite, out)):
+            raise DomainExitError("step produced a non-finite state", state=np.array(out))
+        return np.array(out)
+
+    return apply
+
+
 def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
-    return metapop.make_system(make_model(params), variant)
+    """The complete family H_k, its limit H and the lift T of one variant.
+
+    Everything constant is built once here: the validated dispersal blocks,
+    the powered dispersal matrix per k (on first use), the limit dispersal
+    operator and the Perron spread vectors (times gamma_i when rescaled).
+    Each step is one dispersal product followed by the closed-form
+    demography over its ten structural nonzeros; no 6x6 demography matrix
+    is built.  Outputs equal ``metapop.make_system(make_model(params),
+    variant)`` bit for bit, and that generic matrix pipeline is kept as the
+    test oracle.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    mats = [spectral.ensure_primitive(m) for m in dispersal_matrices(params)]
+    base = block_diag(*mats)
+    survivals = params.survivals.ravel()  # (stage, patch) matches the state order
+    if variant == VARIANT_SLOW:
+        limit_blocks = [spectral.power_limit(m) for m in mats]
+    else:
+        limit_blocks = [spectral.rescaled_power_limit(params.survivals[i], m).limit_matrix
+                        for i, m in enumerate(mats)]
+    limit = block_diag(*limit_blocks)
+    # each column of a limit block is v_i (gamma_i v_i when rescaled)
+    sp1a, sp1b, sp2a, sp2b, sp3a, sp3b = np.concatenate(
+        [block[:, 0] for block in limit_blocks]).tolist()
+    demography = _closed_form_demography(params, variant)
+    powers: dict[int, NDArray[np.float64]] = {}
+
+    def complete_map(k: int, x) -> Vector:
+        a = powers.get(k)
+        if a is None:
+            if variant == VARIANT_SLOW:
+                a = np.linalg.matrix_power(base, k)
+            else:
+                a = np.linalg.matrix_power(np.exp(np.log(survivals) / k)[:, None] * base, k)
+            powers[k] = a
+        return demography((a @ np.asarray(x, dtype=float)).tolist())
+
+    def limit_map(x) -> Vector:
+        return demography((limit @ np.asarray(x, dtype=float)).tolist())
+
+    def lift(y) -> Vector:
+        y1, y2, y3 = np.asarray(y, dtype=float).tolist()
+        return demography([sp1a * y1, sp1b * y1, sp2a * y2, sp2b * y2,
+                           sp3a * y3, sp3b * y3])
+
+    return TwoScaleSystem(
+        state_dim=STAGES * PATCHES,
+        reduced_dim=STAGES,
+        complete_map=complete_map,
+        limit_map=limit_map,
+        projection=lambda x: metapop.aggregate(x, PATCHES),
+        lift=lift,
+    )
 
 
 @dataclass(frozen=True)
@@ -203,22 +299,29 @@ class ReducedCoefficients:
     s2: float
     s3: float
     b: float
-    h1: Callable[[float], float]
-    h2: Callable[[float], float]
+    # (w_1, w_2, slope_1, slope_2) with h(y2) = sum_a w_a / (1 + slope_a y2)
+    h1_terms: tuple[float, float, float, float]
+    h2_terms: tuple[float, float, float, float]
     h1_prime0: float
     h2_prime0: float
 
+    def h1(self, y2: float) -> float:
+        return _response_sum(self.h1_terms, y2)
 
-def _h_closure(weights: NDArray[np.float64], slopes: NDArray[np.float64],
-               scale: float) -> Callable[[float], float]:
-    # sum_a (weights_a / scale) / (1 + slopes_a * y2)
+    def h2(self, y2: float) -> float:
+        return _response_sum(self.h2_terms, y2)
+
+
+def _h_terms(weights: NDArray[np.float64], slopes: NDArray[np.float64],
+             scale: float) -> tuple[float, float, float, float]:
     w = weights / scale
+    return float(w[0]), float(w[1]), float(slopes[0]), float(slopes[1])
 
-    def h(y2: float) -> float:
-        return float(w[0] * _guarded_reciprocal(1.0 + slopes[0] * y2)
-                     + w[1] * _guarded_reciprocal(1.0 + slopes[1] * y2))
 
-    return h
+def _response_sum(terms: tuple[float, float, float, float], y2: float) -> float:
+    w1, w2, slope1, slope2 = terms
+    return (w1 * _guarded_reciprocal(1.0 + slope1 * y2)
+            + w2 * _guarded_reciprocal(1.0 + slope2 * y2))
 
 
 def coefficients_from_fractions(survivals, fertilities, crowding_c, crowding_d,
@@ -246,8 +349,8 @@ def coefficients_from_fractions(survivals, fertilities, crowding_c, crowding_d,
         h1_slopes = c * s2 * v[1]
         h2_w = v[2]
         h2_slopes = d * s2 * v[1]
-        h1 = _h_closure(birth_w, h1_slopes, b)
-        h2 = _h_closure(h2_w, h2_slopes, 1.0)
+        h1 = _h_terms(birth_w, h1_slopes, b)
+        h2 = _h_terms(h2_w, h2_slopes, 1.0)
         h1p = -float((birth_w * h1_slopes).sum()) / b
         h2p = -float((h2_w * h2_slopes).sum())
     else:
@@ -257,12 +360,12 @@ def coefficients_from_fractions(survivals, fertilities, crowding_c, crowding_d,
         h1_slopes = c * v[1]
         h2_w = s[2] * v[2]
         h2_slopes = d * v[1]
-        h1 = _h_closure(birth_w, h1_slopes, b)
-        h2 = _h_closure(h2_w, h2_slopes, s3)
+        h1 = _h_terms(birth_w, h1_slopes, b)
+        h2 = _h_terms(h2_w, h2_slopes, s3)
         h1p = -float((birth_w * h1_slopes).sum()) / b
         h2p = -float((h2_w * h2_slopes).sum()) / s3
     return ReducedCoefficients(variant=variant, s1=s1, s2=s2, s3=s3, b=b,
-                               h1=h1, h2=h2, h1_prime0=h1p, h2_prime0=h2p)
+                               h1_terms=h1, h2_terms=h2, h1_prime0=h1p, h2_prime0=h2p)
 
 
 def reduced_coefficients(params: ThreeStageParams, variant: str) -> ReducedCoefficients:
@@ -286,16 +389,16 @@ def reduced_map(params: ThreeStageParams, variant: str) -> Callable[[Vector], Ve
     """Fast closure for the 3-dimensional reduced dynamics."""
     co = reduced_coefficients(params, variant)
     s1, s2, s3, b = co.s1, co.s2, co.s3, co.b
-    h1, h2 = co.h1, co.h2
+    h1_terms, h2_terms = co.h1_terms, co.h2_terms
 
     def step(y):
-        y = np.asarray(y, dtype=float)
-        y2 = float(y[1])
-        hh2 = h2(y2)
+        y1, y2, y3 = np.asarray(y, dtype=float).tolist()
+        hh1 = _response_sum(h1_terms, y2)
+        hh2 = _response_sum(h2_terms, y2)
         return np.array([
-            b * h1(y2) * y2,
-            s1 * y[0] + s3 * hh2 * y[2],
-            s2 * y2 + s3 * (1.0 - hh2) * y[2],
+            b * hh1 * y2,
+            s1 * y1 + s3 * hh2 * y3,
+            s2 * y2 + s3 * (1.0 - hh2) * y3,
         ])
 
     return step
@@ -313,20 +416,19 @@ def inherent_R0(params: ThreeStageParams, variant: str) -> float:
 
 def local_map(params: ThreeStageParams, patch: int) -> Callable[[Vector], Vector]:
     """Single-patch dynamics with dispersal switched off."""
-    s1, s2, s3 = params.survivals[:, patch]
+    s1, s2, s3 = params.survivals[:, patch].tolist()
     phi = float(params.fertilities[patch])
     c = float(params.crowding_c[patch])
     d = float(params.crowding_d[patch])
 
     def step(y):
-        y = np.asarray(y, dtype=float)
-        y2 = float(y[1])
+        y1, y2, y3 = np.asarray(y, dtype=float).tolist()
         f = fertility_response(phi, c, y2)
         g = recovery_response(d, y2)
         return np.array([
             s2 * f * y2,
-            s1 * y[0] + s3 * g * y[2],
-            s2 * y2 + s3 * (1.0 - g) * y[2],
+            s1 * y1 + s3 * g * y3,
+            s2 * y2 + s3 * (1.0 - g) * y3,
         ])
 
     return step

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoscalepop import threestage
+from twoscalepop import metapop, scenarios, threestage
+from twoscalepop.errors import DomainExitError, NegativeDensityError
 from twoscalepop.threestage import ThreeStageParams
+
+ORACLE_KS = (1, 2, 5, 10, 50, 200)
 
 
 def _homog(survivals=(0.5, 0.5, 0.5), phi=3.1, c=1.0, d=10.0,
@@ -153,6 +156,57 @@ def test_make_system_dimensions(fig2_params):
     assert (sys.state_dim, sys.reduced_dim) == (6, 3)
     with pytest.raises(ValueError):
         threestage.make_system(fig2_params, "bogus")
+
+
+def _closed_form_and_oracle(name, variant):
+    params = getattr(scenarios, f"{name}_params")()
+    return (threestage.make_system(params, variant),
+            metapop.make_system(threestage.make_model(params), variant))
+
+
+def _assert_same_bits(label, fast, oracle, inputs):
+    for i, x in enumerate(inputs):
+        left, right = fast(x), oracle(x)
+        assert left.tobytes() == right.tobytes(), (label, i, x, left - right)
+
+
+@pytest.mark.parametrize("variant", ("slow_survival", "rescaled"))
+@pytest.mark.parametrize("name", ("fig2", "fig3", "fig10"))
+def test_make_system_matches_matrix_oracle_bit_for_bit(name, variant):
+    # the closed-form demography must reproduce D(Z) Z / Dt(Z) Z of the
+    # generic pipeline exactly, not just to rounding
+    fast, oracle = _closed_form_and_oracle(name, variant)
+    states = np.random.default_rng(11).uniform(0.0, 2.0, (2000, 6))
+    for k in ORACLE_KS:
+        _assert_same_bits(f"H_{k}", fast.complete(k), oracle.complete(k), states)
+    _assert_same_bits("limit", fast.limit_map, oracle.limit_map, states)
+    totals = [oracle.projection(x) for x in states]
+    _assert_same_bits("lift", fast.lift, oracle.lift, totals)
+
+    x = np.array(scenarios.DEFAULT_INITIAL_STATE)
+    h10_fast, h10_oracle = fast.complete(10), oracle.complete(10)
+    for t in range(5000):
+        nxt = h10_fast(x)
+        assert nxt.tobytes() == h10_oracle(x).tobytes(), ("H_10 orbit", t)
+        x = nxt
+
+
+@pytest.mark.parametrize("variant", ("slow_survival", "rescaled"))
+def test_make_system_raises_as_the_oracle_does(variant):
+    fast, oracle = _closed_form_and_oracle("fig10", variant)
+    nan_state = np.array([0.1, np.nan, 0.1, 0.1, 0.1, 0.1])
+    # stage-2 densities far below -1/c put 1 + c z2 past the response pole
+    pole_state = np.array([0.1, 0.1, -1e6, -1e6, 0.1, 0.1])
+    for system in (fast, oracle):
+        for state, error in ((nan_state, DomainExitError),
+                             (pole_state, NegativeDensityError)):
+            for k in ORACLE_KS:
+                with pytest.raises(error):
+                    system.complete_map(k, state)
+            with pytest.raises(error):
+                system.limit_map(state)
+            with pytest.raises(error):
+                system.lift(metapop.aggregate(state, 2))
 
 
 @settings(max_examples=80, deadline=None)
