@@ -14,7 +14,9 @@ balls, and lifted repellers push boundary points out.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,10 +52,20 @@ class TwoScaleSystem:
             raise ValueError("reduced dimension must be smaller than state dimension")
 
     def complete(self, k: int) -> StateMap:
-        """The map H_k with k bound."""
+        """The map H_k with k bound.
+
+        When ``complete_map`` carries a float kernel (``.kernel``, taking
+        ``(k, x)`` with x a tuple of floats), H_k carries it too, with k
+        bound; a wrapper that replaces ``complete_map`` drops it.
+        """
         if k < 1:
             raise ValueError("k must be a positive integer")
-        return lambda x: self.complete_map(k, x)
+        complete_map = self.complete_map
+        step = lambda x: complete_map(k, x)
+        kernel = getattr(complete_map, "kernel", None)
+        if kernel is not None:
+            step.kernel = partial(kernel, k)
+        return step
 
 
 @dataclass(frozen=True)
@@ -143,6 +155,22 @@ def iterate(map_fn: StateMap, x0, steps: int) -> list[Vector]:
     return out
 
 
+def _float_kernel(map_fn: StateMap) -> Callable[[tuple], tuple]:
+    """The kernel ``map_fn`` carries as ``.kernel``, else one over its array form."""
+    kernel = getattr(map_fn, "kernel", None)
+    if kernel is not None:
+        return kernel
+    return lambda x: tuple(np.asarray(map_fn(np.array(x)), dtype=float).tolist())
+
+
+def _bits(x: tuple) -> bytes:
+    return array("d", x).tobytes()
+
+
+def _has_nan(x: tuple) -> bool:
+    return any(v != v for v in x)
+
+
 def iterate_tail(map_fn: StateMap, x0, steps: int,
                  keep: int = 1) -> tuple[Vector, Optional[tuple[int, int]]]:
     """The last ``keep`` states of [X0, map(X0), ..., map^steps(X0)].
@@ -154,40 +182,47 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
     ``(step, period)`` of the first match, else None.  From a match on, the
     orbit is periodic, so whole periods are skipped and only the final
     stretch is computed.  Bytes, not ``==``, decide a match: -0.0 and 0.0
-    differ, and a NaN matches only a NaN with the same bits.  ``map_fn``
-    must be deterministic and return numpy arrays.
+    differ, and a NaN matches only a NaN with the same bits.
+
+    The orbit runs on tuples of floats, through the float kernel
+    ``map_fn.kernel`` when the map carries one (the ``threestage`` maps do)
+    and through ``map_fn`` itself, called once per computed step on a fresh
+    float array, otherwise.  Only the tail rows become a numpy array.
+    ``map_fn`` must be deterministic and return float arrays.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if not 1 <= keep <= steps + 1:
         raise ValueError("keep must lie in [1, steps + 1]")
-    x = np.asarray(x0, dtype=float)
+    step = _float_kernel(map_fn)
+    x = tuple(np.asarray(x0, dtype=float).tolist())
     first = steps + 1 - keep  # step of the tail's first row
     t = mark = 0
     next_mark = 1
-    tortoise = x.tobytes()
+    # == is a cheap filter that every bitwise match passes, except when
+    # the saved state holds a NaN: then the bytes decide every step
+    tortoise, tortoise_bits, tortoise_nan = x, _bits(x), _has_nan(x)
     repeat = None
     for t in range(1, first + 1):
-        x = map_fn(x)
-        key = x.tobytes()
-        if key == tortoise:
+        x = step(x)
+        if (x == tortoise or tortoise_nan) and _bits(x) == tortoise_bits:
             repeat = (t, t - mark)
             break
         if t == next_mark:
-            mark, next_mark, tortoise = t, 2 * t + 1, key
+            mark, next_mark = t, 2 * t + 1
+            tortoise, tortoise_bits, tortoise_nan = x, _bits(x), _has_nan(x)
     if repeat is not None:
         # the state of step t recurs every period: resume from its last
         # recurrence at or before the tail's first row
         period = repeat[1]
         t += (first - t) // period * period
     for _ in range(first - t):
-        x = map_fn(x)
-    tail = np.empty((keep, x.size))
-    tail[0] = x
-    for i in range(1, keep):
-        x = map_fn(x)
-        tail[i] = x
-    return tail, repeat
+        x = step(x)
+    rows = [x]
+    for _ in range(1, keep):
+        x = step(x)
+        rows.append(x)
+    return np.array(rows, dtype=float), repeat
 
 
 def reduced_map(sys: TwoScaleSystem) -> StateMap:

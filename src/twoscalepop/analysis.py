@@ -121,12 +121,14 @@ def _synchronous_support(p1: Vector, p2: Vector, tol: float = COINCIDENCE_TOL) -
 def find_two_cycle(map_fn: ScalarMap, y0, burn_in: int = DEFAULT_BURN_IN) -> OrbitReport:
     """Locate a 2-cycle: burn-in simulation, then Newton on the doubled map.
 
-    If Newton lands on a fixed point of map_fn itself the burn-in is retried
-    ten times longer once; a second collapse raises
-    CollapsedToEquilibriumError carrying the equilibrium's report.  Both
-    burn-ins run through ``aggregation.iterate_tail``, so a start point whose
-    orbit repeats bit for bit (a trajectory endpoint already on its cycle)
-    costs a few steps instead of ``burn_in``, with the same end state.
+    If Newton lands on a fixed point of map_fn itself the burn-in is
+    extended once, from the first round's end state by ``9 * burn_in``
+    steps, so the retry starts from the state ``10 * burn_in`` steps past
+    y0; a second collapse raises CollapsedToEquilibriumError carrying the
+    equilibrium's report.  Both burn-ins run through
+    ``aggregation.iterate_tail``, so a start point whose orbit repeats bit
+    for bit (a trajectory endpoint already on its cycle) costs a few steps
+    instead of ``burn_in``, with the same end state.
     """
     y0 = np.asarray(y0, dtype=float)
     if not _in_orthant(y0):
@@ -137,8 +139,9 @@ def find_two_cycle(map_fn: ScalarMap, y0, burn_in: int = DEFAULT_BURN_IN) -> Orb
 
     collapsed_point = None
     collapsed_residual = 0.0
-    for rounds in (burn_in, 10 * burn_in):
-        z = iterate_tail(map_fn, y0, rounds)[0][-1]
+    z = y0
+    for rounds in (burn_in, 9 * burn_in):
+        z = iterate_tail(map_fn, z, rounds)[0][-1]
         p1, residual = newton_fixed_point(doubled, z)
         p2 = np.asarray(map_fn(p1), dtype=float)
         separation = float(np.linalg.norm(p1 - p2))

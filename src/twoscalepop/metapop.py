@@ -213,9 +213,10 @@ def limit_step(model: MetapopModel, x, variant: str) -> Vector:
 def make_system(model: MetapopModel, variant: str) -> TwoScaleSystem:
     """Wrap a model as a TwoScaleSystem for the generic harnesses.
 
-    With constant_rates the powered dispersal operator for each requested k
-    is computed once and cached; otherwise every call powers the dispersal
-    at the current state, matching the literal step functions.
+    With constant_rates the limit dispersal operator and the lift's spread
+    vectors are built once, and the powered dispersal operator for each
+    requested k on first use; otherwise every call rebuilds them at the
+    current state, matching the literal step functions.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -234,11 +235,31 @@ def make_system(model: MetapopModel, variant: str) -> TwoScaleSystem:
         return limit_step(model, x, variant)
 
     if model.constant_rates:
+        # every operator is built once, each entry formed as the per-call
+        # steps form it: the limit dispersal and the lift spreads (Perron
+        # vectors, times gamma_i when rescaled) as well as the powers
         y0 = np.zeros(q)
-        base = block_diag(*_dispersal_blocks(model, y0))
-        if not slow:
-            s = _survival_table(model, y0).ravel()
+        mats = _dispersal_blocks(model, y0)
+        base = block_diag(*mats)
+        limit = _limit_dispersal(model, y0, variant)
+        if slow:
+            spreads = [spectral.perron_vector(m).vector for m in mats]
+        else:
+            s_table = _survival_table(model, y0)
+            s = s_table.ravel()
+            spreads = []
+            for i, m in enumerate(mats):
+                v = spectral.perron_vector(m).vector
+                spreads.append(float(np.exp(np.log(s_table[i]) @ v)) * v)
         powers: dict[int, NDArray[np.float64]] = {}
+
+        def lift(y):
+            y = np.asarray(y, dtype=float)
+            x = np.concatenate([v * y[i] for i, v in enumerate(spreads)])
+            return _apply_demography(model, x, variant)
+
+        def limit_map(x):
+            return _apply_demography(model, limit @ np.asarray(x, dtype=float), variant)
 
         def complete_map(k: int, x):
             a = powers.get(k)

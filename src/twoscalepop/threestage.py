@@ -193,14 +193,15 @@ def make_model(params: ThreeStageParams) -> metapop.MetapopModel:
     )
 
 
-def _closed_form_demography(params: ThreeStageParams, variant: str) -> Callable[[list], Vector]:
+def _closed_form_demography(params: ThreeStageParams, variant: str) -> Callable:
     """Closed-form Z -> D(Z) Z (slow survival) or Dt(Z) Z (rescaled).
 
-    Takes the six coordinates of Z as floats and returns the checked image.
-    Every entry is formed as ``metapop`` forms it from ``demography_matrix``
-    -- (f s2), (g s3), ((1-g) s3), each divided by its column's survival in
-    the rescaled variant -- and each row adds its two products in column
-    order; the tests hold the result to the matrix product bit for bit.
+    Takes the six coordinates of Z as floats and returns the checked image
+    as a tuple of floats.  Every entry is formed as ``metapop`` forms it
+    from ``demography_matrix`` -- (f s2), (g s3), ((1-g) s3), each divided
+    by its column's survival in the rescaled variant -- and each row adds
+    its two products in column order; the tests hold the result to the
+    matrix product bit for bit.
     """
     (s1a, s1b), (s2a, s2b), (s3a, s3b) = params.survivals.tolist()
     if variant == VARIANT_RESCALED:
@@ -212,25 +213,36 @@ def _closed_form_demography(params: ThreeStageParams, variant: str) -> Callable[
     c_a, c_b = params.crowding_c.tolist()
     d_a, d_b = params.crowding_d.tolist()
 
-    def apply(z: list) -> Vector:
+    def apply(z) -> tuple[float, ...]:
         z1a, z1b, z2a, z2b, z3a, z3b = z
         f_a = fertility_response(phi_a, c_a, z2a)
         g_a = recovery_response(d_a, z2a)
         f_b = fertility_response(phi_b, c_b, z2b)
         g_b = recovery_response(d_b, z2b)
-        out = [
+        out = (
             (f_a * s2a) / u2a * z2a,
             (f_b * s2b) / u2b * z2b,
             e1a * z1a + (g_a * s3a) / u3a * z3a,
             e1b * z1b + (g_b * s3b) / u3b * z3b,
             e2a * z2a + ((1.0 - g_a) * s3a) / u3a * z3a,
             e2b * z2b + ((1.0 - g_b) * s3b) / u3b * z3b,
-        ]
-        if not all(map(math.isfinite, out)):
+        )
+        # a non-finite entry makes the sum non-finite, so the entries are
+        # checked one by one only then (or when a finite sum overflows)
+        if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
             raise DomainExitError("step produced a non-finite state", state=np.array(out))
-        return np.array(out)
+        return out
 
     return apply
+
+
+def _with_kernel(kernel: Callable) -> Callable[[Vector], Vector]:
+    """The array map over a float kernel; the kernel rides along as ``.kernel``."""
+    def step(x) -> Vector:
+        return np.array(kernel(tuple(np.asarray(x, dtype=float).tolist())))
+
+    step.kernel = kernel
+    return step
 
 
 def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
@@ -244,6 +256,13 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     is built.  Outputs equal ``metapop.make_system(make_model(params),
     variant)`` bit for bit, and that generic matrix pipeline is kept as the
     test oracle.
+
+    Every map carries its float kernel as ``.kernel`` (tuple of floats in,
+    tuple of floats out; ``complete_map.kernel`` takes ``(k, x)``), which
+    ``TwoScaleSystem.complete`` and ``aggregation.iterate_tail`` pick up.
+    The dispersal products stay numpy matrix-vector products: BLAS fuses
+    multiply-adds, so plain Python row sums would not reproduce them bit
+    for bit.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -262,23 +281,39 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     demography = _closed_form_demography(params, variant)
     powers: dict[int, NDArray[np.float64]] = {}
 
-    def complete_map(k: int, x) -> Vector:
+    def power(k: int) -> NDArray[np.float64]:
+        if variant == VARIANT_SLOW:
+            a = np.linalg.matrix_power(base, k)
+        else:
+            a = np.linalg.matrix_power(np.exp(np.log(survivals) / k)[:, None] * base, k)
+        powers[k] = a
+        return a
+
+    # a.dot(x) reaches the same BLAS gemv as a @ x, with less call overhead;
+    # either input form (array or tuple of floats) goes through it alike
+    def complete_kernel(k: int, x) -> tuple[float, ...]:
         a = powers.get(k)
         if a is None:
-            if variant == VARIANT_SLOW:
-                a = np.linalg.matrix_power(base, k)
-            else:
-                a = np.linalg.matrix_power(np.exp(np.log(survivals) / k)[:, None] * base, k)
-            powers[k] = a
-        return demography((a @ np.asarray(x, dtype=float)).tolist())
+            a = power(k)
+        return demography(a.dot(np.asarray(x, dtype=float)).tolist())
+
+    def complete_map(k: int, x) -> Vector:
+        return np.array(complete_kernel(k, x))
+
+    complete_map.kernel = complete_kernel
+
+    def limit_kernel(x) -> tuple[float, ...]:
+        return demography(limit.dot(np.asarray(x, dtype=float)).tolist())
 
     def limit_map(x) -> Vector:
-        return demography((limit @ np.asarray(x, dtype=float)).tolist())
+        return np.array(limit_kernel(x))
 
-    def lift(y) -> Vector:
-        y1, y2, y3 = np.asarray(y, dtype=float).tolist()
-        return demography([sp1a * y1, sp1b * y1, sp2a * y2, sp2b * y2,
-                           sp3a * y3, sp3b * y3])
+    limit_map.kernel = limit_kernel
+
+    def lift_kernel(y) -> tuple[float, ...]:
+        y1, y2, y3 = y
+        return demography((sp1a * y1, sp1b * y1, sp2a * y2, sp2b * y2,
+                           sp3a * y3, sp3b * y3))
 
     return TwoScaleSystem(
         state_dim=STAGES * PATCHES,
@@ -286,7 +321,7 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
         complete_map=complete_map,
         limit_map=limit_map,
         projection=lambda x: metapop.aggregate(x, PATCHES),
-        lift=lift,
+        lift=_with_kernel(lift_kernel),
     )
 
 
@@ -386,22 +421,22 @@ def reduced_matrix(co: ReducedCoefficients, y2: float) -> NDArray[np.float64]:
 
 
 def reduced_map(params: ThreeStageParams, variant: str) -> Callable[[Vector], Vector]:
-    """Fast closure for the 3-dimensional reduced dynamics."""
+    """Fast closure for the 3-dimensional reduced dynamics; float kernel as ``.kernel``."""
     co = reduced_coefficients(params, variant)
     s1, s2, s3, b = co.s1, co.s2, co.s3, co.b
     h1_terms, h2_terms = co.h1_terms, co.h2_terms
 
-    def step(y):
-        y1, y2, y3 = np.asarray(y, dtype=float).tolist()
+    def kernel(y) -> tuple[float, float, float]:
+        y1, y2, y3 = y
         hh1 = _response_sum(h1_terms, y2)
         hh2 = _response_sum(h2_terms, y2)
-        return np.array([
+        return (
             b * hh1 * y2,
             s1 * y1 + s3 * hh2 * y3,
             s2 * y2 + s3 * (1.0 - hh2) * y3,
-        ])
+        )
 
-    return step
+    return _with_kernel(kernel)
 
 
 def reduced_step(params: ThreeStageParams, variant: str, y) -> Vector:
@@ -415,23 +450,23 @@ def inherent_R0(params: ThreeStageParams, variant: str) -> float:
 
 
 def local_map(params: ThreeStageParams, patch: int) -> Callable[[Vector], Vector]:
-    """Single-patch dynamics with dispersal switched off."""
+    """Single-patch dynamics with dispersal switched off; float kernel as ``.kernel``."""
     s1, s2, s3 = params.survivals[:, patch].tolist()
     phi = float(params.fertilities[patch])
     c = float(params.crowding_c[patch])
     d = float(params.crowding_d[patch])
 
-    def step(y):
-        y1, y2, y3 = np.asarray(y, dtype=float).tolist()
+    def kernel(y) -> tuple[float, float, float]:
+        y1, y2, y3 = y
         f = fertility_response(phi, c, y2)
         g = recovery_response(d, y2)
-        return np.array([
+        return (
             s2 * f * y2,
             s1 * y1 + s3 * g * y3,
             s2 * y2 + s3 * (1.0 - g) * y3,
-        ])
+        )
 
-    return step
+    return _with_kernel(kernel)
 
 
 def local_quantities(params: ThreeStageParams, patch: int) -> tuple[float, float]:

@@ -1,3 +1,6 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +126,118 @@ def test_iterate_tail_tells_signed_zeros_apart():
     assert repeat == (3, 2)
     tail, repeat = aggregation.iterate_tail(lambda x: -x, x0, 1001)
     assert _same_bits(tail[-1], np.array([-0.0, -1.0])) and repeat == (3, 2)
+
+
+def _quiet_nan(payload):
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+_NAN_A, _NAN_B = _quiet_nan(1), _quiet_nan(2)
+
+
+def _nan_swap(x):
+    # a NaN with payload 1 becomes one with payload 2 and back; any other
+    # first coordinate becomes the payload-1 NaN
+    is_a = np.float64(x[0]).tobytes() == np.float64(_NAN_A).tobytes()
+    return np.array([_NAN_B if is_a else _NAN_A, x[1]])
+
+
+def _with_kernel(map_fn, kernel):
+    """``map_fn``'s array form, refusing calls, carrying ``kernel``."""
+    def step(x):
+        raise AssertionError("iterate_tail must step through the kernel")
+
+    step.kernel = kernel
+    return step
+
+
+def _nan_cases():
+    yield "array", _nan_swap
+    yield "kernel", _with_kernel(_nan_swap, lambda x: tuple(_nan_swap(np.array(x)).tolist()))
+
+
+@pytest.mark.parametrize("form", ["array", "kernel"])
+def test_iterate_tail_matches_nan_only_by_bits(form):
+    # == never sees a NaN equal to another NaN object, so only the bytes
+    # find these repeats: the payloads alternate with bitwise period 2
+    map_fn = dict(_nan_cases())[form]
+    assert np.float64(_NAN_A).tobytes() != np.float64(_NAN_B).tobytes()
+    x0 = np.array([0.0, 1.0])
+    orbit = _plain_orbit(_nan_swap, x0, 1001)
+    for steps in (2, 3, 8, 9, 1000, 1001):
+        for keep in (1, 3):
+            tail, repeat = aggregation.iterate_tail(map_fn, x0, steps, keep)
+            assert _same_bits(tail, orbit[steps + 1 - keep:steps + 1]), (steps, keep)
+    assert repeat == (3, 2)
+    # a constant NaN state repeats with period 1
+    const = lambda x: np.array([_NAN_B, 1.0])
+    tail, repeat = aggregation.iterate_tail(const, x0, 1000)
+    assert repeat == (2, 1) and _same_bits(tail[-1], np.array([_NAN_B, 1.0]))
+
+
+class _Spy:
+    """A plain wrapper of a map, as a tracer wraps it: counts every call."""
+
+    def __init__(self, map_fn):
+        self.map_fn = map_fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.map_fn(*args)
+
+
+def _computed_steps(steps, keep, repeat):
+    if repeat is None:
+        return steps
+    t, period = repeat
+    return t + (steps + 1 - keep - t) % period + keep - 1
+
+
+def _shipped_maps(name, variant):
+    """(label, map, start, steps) for every threestage map of one system."""
+    params = getattr(scenarios, f"{name}_params")()
+    system = threestage.make_system(params, variant)
+    # fig2's orbits repeat bit for bit within 16 385 steps, so its runs
+    # also cover the fast-forward; fig3 and fig10 never repeat
+    steps = 20_000 if name == "fig2" else 2_000
+    yield "reduced", threestage.reduced_map(params, variant), _Y0, steps
+    for patch in (0, 1):
+        yield f"local_{patch + 1}", threestage.local_map(params, patch), _X0[patch::2], steps
+    for k in (1, 10, 100):
+        yield f"H_{k}", system.complete(k), _X0, steps
+    yield "limit", system.limit_map, _X0, steps
+    yield "lift", system.lift, _Y0, 1  # 3 -> 6 coordinates: one step only
+
+
+@pytest.mark.parametrize("variant", ("slow_survival", "rescaled"))
+@pytest.mark.parametrize("name", ("fig2", "fig3", "fig10"))
+def test_kernel_orbits_match_array_form_bit_for_bit(name, variant):
+    for label, map_fn, x0, steps in _shipped_maps(name, variant):
+        assert callable(map_fn.kernel), label
+        keep = 3 if steps > 1 else 1
+        spy = _Spy(lambda x: map_fn(x))
+        tail, repeat = aggregation.iterate_tail(map_fn, x0, steps, keep)
+        spy_tail, spy_repeat = aggregation.iterate_tail(spy, x0, steps, keep)
+        assert _same_bits(tail, spy_tail) and repeat == spy_repeat, label
+        assert spy.calls == _computed_steps(steps, keep, repeat), label
+        if label == "H_10":
+            # the kernel's rows are the array map's rows, step by step
+            assert _same_bits(tail, _plain_orbit(map_fn, x0, steps)[-keep:]), label
+
+
+def test_replaced_complete_map_drops_the_kernel(fig2_params):
+    # a wrapper that replaces complete_map, as the tracer does, is called
+    # on every computed step of H_k
+    system = threestage.make_system(fig2_params, "slow_survival")
+    spy = _Spy(system.complete_map)
+    traced = dataclasses.replace(system, complete_map=spy)
+    assert callable(system.complete(5).kernel)
+    assert not hasattr(traced.complete(5), "kernel")
+    tail, repeat = aggregation.iterate_tail(traced.complete(5), _X0, 20_000, 2)
+    assert repeat is not None and spy.calls == _computed_steps(20_000, 2, repeat)
+    expected, _ = aggregation.iterate_tail(system.complete(5), _X0, 20_000, 2)
+    assert _same_bits(tail, expected)
 
 
 def test_iterate_tail_rejects_bad_sizes():

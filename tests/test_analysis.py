@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twoscalepop import analysis, threestage
+from twoscalepop import analysis, metapop, scenarios, solvers, threestage
 from twoscalepop.analysis import (
     NONHYPERBOLIC, STABLE, UNSTABLE,
     TARGET_EXTINGUISH, TARGET_NEGATIVE, TARGET_POSITIVE, TARGET_RESCUE,
@@ -69,6 +69,49 @@ def test_find_two_cycle_reports_collapse_near_period_doubling(fig3_params):
     assert report.classification == STABLE
     assert report.residual < 1e-12
     assert report.spectral_radius == pytest.approx(0.9999983592, abs=1e-9)
+
+
+def _collapse_report_from_y0(step, y0, burn_in):
+    """find_two_cycle's collapse report with both burn-ins run from y0.
+
+    This is the procedure before the retry continued the first burn-in:
+    round one iterates ``burn_in`` steps from y0, round two ``10 * burn_in``
+    steps from y0 again; each round lands on a fixed point of ``step``.
+    """
+    def doubled(z):
+        return step(step(z))
+
+    for rounds in (burn_in, 10 * burn_in):
+        z = np.asarray(y0, dtype=float)
+        for _ in range(rounds):
+            z = step(z)
+        p1, residual = solvers.newton_fixed_point(doubled, z)
+        jac2 = solvers.fd_jacobian(doubled, p1)
+        sigma_min = np.linalg.svd(np.eye(3) - jac2, compute_uv=False)[-1]
+        allowance = max(analysis.COINCIDENCE_TOL, 10.0 * residual / max(sigma_min, 1e-12))
+        assert np.linalg.norm(p1 - step(p1)) <= allowance
+        point, residual = solvers.newton_fixed_point(step, p1)
+    rho = analysis.spectral_radius(solvers.fd_jacobian(step, point))
+    return analysis.OrbitReport(kind=analysis.KIND_EQUILIBRIUM, points=(point,),
+                                residual=residual, spectral_radius=rho,
+                                classification=analysis.classify(rho))
+
+
+def test_find_two_cycle_retry_continues_the_first_burn_in(fig10_params):
+    # the retry extends round one's orbit instead of restarting from y0;
+    # the collapse report must not move by a single bit
+    step = threestage.reduced_map(fig10_params, "rescaled")
+    y0 = metapop.aggregate(np.array(scenarios.DEFAULT_INITIAL_STATE), 2)
+    for _ in range(10_000):
+        y0 = step(y0)
+    with pytest.raises(CollapsedToEquilibriumError) as err:
+        analysis.find_two_cycle(step, y0)
+    report = err.value.report
+    expected = _collapse_report_from_y0(step, y0, analysis.DEFAULT_BURN_IN)
+    assert report.kind == expected.kind and report.classification == expected.classification
+    assert report.points[0].tobytes() == expected.points[0].tobytes()
+    assert repr(report.residual) == repr(expected.residual)
+    assert repr(report.spectral_radius) == repr(expected.spectral_radius)
 
 
 def test_find_two_cycle_on_coupled_map(fig3_params):
