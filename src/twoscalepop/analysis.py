@@ -44,7 +44,7 @@ HYPERBOLIC_BAND = 1e-6
 
 RESIDUAL_BOUND = 1e-8
 COINCIDENCE_TOL = 1e-8
-DEFAULT_BURN_IN = 10**4
+BURN_IN = 10**4  # map steps before each Newton round of find_two_cycle
 GRID_RESOLUTION = 1.0 / 64.0
 
 
@@ -118,17 +118,17 @@ def _synchronous_support(p1: Vector, p2: Vector, tol: float = COINCIDENCE_TOL) -
     return bool((active_only(p1) and rest_only(p2)) or (active_only(p2) and rest_only(p1)))
 
 
-def find_two_cycle(map_fn: ScalarMap, y0, burn_in: int = DEFAULT_BURN_IN) -> OrbitReport:
-    """Locate a 2-cycle: burn-in simulation, then Newton on the doubled map.
+def find_two_cycle(map_fn: ScalarMap, y0) -> OrbitReport:
+    """Locate a 2-cycle: ``BURN_IN`` map steps, then Newton on the doubled map.
 
     If Newton lands on a fixed point of map_fn itself the burn-in is
-    extended once, from the first round's end state by ``9 * burn_in``
-    steps, so the retry starts from the state ``10 * burn_in`` steps past
+    extended once, from the first round's end state by ``9 * BURN_IN``
+    steps, so the retry starts from the state ``10 * BURN_IN`` steps past
     y0; a second collapse raises CollapsedToEquilibriumError carrying the
     equilibrium's report.  Both burn-ins run through
     ``aggregation.iterate_tail``, so a start point whose orbit repeats bit
     for bit (a trajectory endpoint already on its cycle) costs a few steps
-    instead of ``burn_in``, with the same end state.
+    instead of ``BURN_IN``, with the same end state.
     """
     y0 = np.asarray(y0, dtype=float)
     if not _in_orthant(y0):
@@ -140,7 +140,7 @@ def find_two_cycle(map_fn: ScalarMap, y0, burn_in: int = DEFAULT_BURN_IN) -> Orb
     collapsed_point = None
     collapsed_residual = 0.0
     z = y0
-    for rounds in (burn_in, 9 * burn_in):
+    for rounds in (BURN_IN, 9 * BURN_IN):
         z = iterate_tail(map_fn, z, rounds)[0][-1]
         p1, residual = newton_fixed_point(doubled, z)
         p2 = np.asarray(map_fn(p1), dtype=float)
@@ -187,12 +187,12 @@ def find_two_cycle(map_fn: ScalarMap, y0, burn_in: int = DEFAULT_BURN_IN) -> Orb
 def persistence_minimum(map_fn: ScalarMap, y0, steps: int = 10**5,
                         window: int = 10**3) -> float:
     """Smallest total population over the last ``window`` of ``steps`` iterates."""
-    y = np.asarray(y0, dtype=float)
     lowest = math.inf
-    for t in range(steps):
-        y = map_fn(y)
-        if t >= steps - window:
-            lowest = min(lowest, float(np.sum(y)))
+    if steps <= 0 or window <= 0:
+        return lowest
+    tail, _ = iterate_tail(map_fn, y0, steps, keep=min(window, steps))
+    for y in tail:
+        lowest = min(lowest, float(np.sum(y)))
     return lowest
 
 

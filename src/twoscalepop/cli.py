@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import analysis, metapop, scenarios, spectral, threestage
+from . import aggregation, analysis, metapop, scenarios, spectral, threestage
 from .aggregation import ConvergenceTable, convergence_table, iterate_tail
 from .analysis import OrbitReport
 from .errors import (
@@ -276,8 +276,7 @@ def _local_cycle_seed(params: ThreeStageParams, patch: int):
     return np.array([0.0, eps * s[0], 0.0])
 
 
-def detect_orbit(step: Callable, endpoint, cycle_seed=None,
-                 burn_in: int = 10_000):
+def detect_orbit(step: Callable, endpoint, cycle_seed=None):
     """Identify the orbit a run settled on; returns (report, note).
 
     A 2-cycle search that collapses onto an equilibrium is retried once
@@ -286,11 +285,11 @@ def detect_orbit(step: Callable, endpoint, cycle_seed=None,
     drifting toward on a near-critical slow time scale.
     """
     try:
-        return analysis.find_two_cycle(step, endpoint, burn_in=burn_in), ""
+        return analysis.find_two_cycle(step, endpoint), ""
     except CollapsedToEquilibriumError as err:
         if cycle_seed is not None:
             try:
-                retry = analysis.find_two_cycle(step, cycle_seed, burn_in=burn_in)
+                retry = analysis.find_two_cycle(step, cycle_seed)
             except TwoScalePopError:
                 retry = None
             if retry is not None and retry.classification == analysis.STABLE:
@@ -689,6 +688,7 @@ def run_check() -> int:
         system = threestage.make_system(params, variant)
         reduced_step = threestage.reduced_map(params, variant)
         model = threestage.make_model(params)
+        reduced_ref = aggregation.reduced_map(metapop.make_system(model, variant))
         states = rng.uniform(0.0, 0.1, size=(200, 6))
 
         gap = 0.0
@@ -714,13 +714,9 @@ def run_check() -> int:
                gap <= 1e-8, f"max gap over n <= 3: {gap:.3e}")
 
         gap = 0.0
-        if variant == VARIANT_SLOW:
-            reduced_ref = metapop.reduced_step_slow
-        else:
-            reduced_ref = metapop.reduced_step_rescaled
         for y in rng.uniform(0.0, 0.2, size=(200, 3)):
             left = reduced_step(y)
-            right = reduced_ref(model, y)
+            right = reduced_ref(y)
             gap = max(gap, float(np.max(np.abs(left - right))))
         _check(results, f"{label}: closed-form reduced step matches the "
                         "matrix pipeline", gap <= 1e-12, f"max gap {gap:.3e}")

@@ -190,10 +190,6 @@ def _builtins() -> dict[str, Scenario]:
 SCENARIO_ORDER = ("fig2", "fig3", "fig10", "sec42_compare", "custom")
 
 
-def scenario_names() -> tuple[str, ...]:
-    return SCENARIO_ORDER
-
-
 def builtin(name: str) -> Scenario:
     table = _builtins()
     if name not in table:

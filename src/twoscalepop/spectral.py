@@ -62,13 +62,10 @@ class PerronData:
     """Perron eigendata of a primitive stochastic matrix.
 
     ``vector`` is the unique positive right eigenvector for eigenvalue 1,
-    normalized to sum 1.  ``subdominant_modulus`` is the second-largest
-    eigenvalue modulus; it controls the geometric decay rate of M^k toward
-    its rank-one limit.
+    normalized to sum 1.
     """
 
     vector: NDArray[np.float64]
-    subdominant_modulus: float
 
 
 @dataclass(frozen=True)
@@ -117,8 +114,12 @@ def ensure_primitive(matrix) -> NDArray[np.float64]:
     return m
 
 
-def _subdominant_modulus(m: NDArray[np.float64]) -> float:
-    mods = np.sort(np.abs(np.linalg.eigvals(m)))
+def subdominant_modulus(matrix) -> float:
+    """Second-largest eigenvalue modulus of a primitive stochastic matrix.
+
+    It controls the geometric decay rate of M^k toward its rank-one limit.
+    """
+    mods = np.sort(np.abs(np.linalg.eigvals(ensure_primitive(matrix))))
     return float(mods[-2]) if mods.size > 1 else 0.0
 
 
@@ -142,7 +143,7 @@ def perron_vector(matrix) -> PerronData:
         p = m[1, 0]
         q = m[0, 1]
         v = np.array([q / (p + q), p / (p + q)])
-        return PerronData(vector=v, subdominant_modulus=_subdominant_modulus(m))
+        return PerronData(vector=v)
     v = np.full(r, 1.0 / r)
     for _ in range(POWER_ITERATION_MAX):
         nxt = m @ v
@@ -153,7 +154,7 @@ def perron_vector(matrix) -> PerronData:
         v = nxt
     else:
         raise NonConvergenceError("power iteration did not converge", best=v)
-    return PerronData(vector=v, subdominant_modulus=_subdominant_modulus(m))
+    return PerronData(vector=v)
 
 
 def power_limit(matrix) -> NDArray[np.float64]:

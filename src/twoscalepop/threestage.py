@@ -146,17 +146,8 @@ def dispersal_matrices(params: ThreeStageParams) -> list[NDArray[np.float64]]:
     return out
 
 
-@dataclass(frozen=True)
-class DemographyFactors:
-    """Demography matrix D, its survival-free residual, and the survival diagonal."""
-
-    full: NDArray[np.float64]
-    residual: NDArray[np.float64]
-    survival_diagonal: NDArray[np.float64]
-
-
-def demography_matrix(params: ThreeStageParams, x) -> DemographyFactors:
-    """The 6x6 demography at state X, factored as full = residual * diag(survival).
+def demography_matrix(params: ThreeStageParams, x) -> NDArray[np.float64]:
+    """The 6x6 demography D at state X, formed as residual * diag(survival).
 
     State order is (x1^1, x1^2, x2^1, x2^2, x3^1, x3^2); the matrix has
     exactly ten structurally nonzero entries.
@@ -164,7 +155,6 @@ def demography_matrix(params: ThreeStageParams, x) -> DemographyFactors:
     x = np.asarray(x, dtype=float)
     if x.shape != (STAGES * PATCHES,):
         raise ValueError("state must have six coordinates")
-    s = params.survivals
     dt = np.zeros((6, 6))
     for a in range(PATCHES):
         x2 = float(x[2 + a])
@@ -175,21 +165,18 @@ def demography_matrix(params: ThreeStageParams, x) -> DemographyFactors:
         dt[2 + a, 4 + a] = g
         dt[4 + a, 2 + a] = 1.0
         dt[4 + a, 4 + a] = 1.0 - g
-    diag = s.ravel()  # column order (stage, patch) matches the state order
-    full = dt * diag[None, :]
-    return DemographyFactors(full=full, residual=dt, survival_diagonal=diag)
+    # column order (stage, patch) matches the state order
+    return dt * params.survivals.ravel()[None, :]
 
 
 def make_model(params: ThreeStageParams) -> metapop.MetapopModel:
     """Constant-rate stage-patch model for the generic machinery."""
-    mats = dispersal_matrices(params)
     return metapop.MetapopModel(
         stages=STAGES,
         patches=PATCHES,
-        dispersal=lambda y: mats,
-        demography=lambda x: demography_matrix(params, x).full,
-        survival=lambda y: params.survivals,
-        constant_rates=True,
+        dispersal=dispersal_matrices(params),
+        demography=lambda x: demography_matrix(params, x),
+        survival=params.survivals,
     )
 
 

@@ -218,15 +218,14 @@ def test_criterion_8_oracle_equivalence():
     # closed-form reduced step against the matrix pipeline
     rng = np.random.default_rng(3)
     worst = 0.0
-    steps = {"slow_survival": metapop.reduced_step_slow,
-             "rescaled": metapop.reduced_step_rescaled}
     for params in (scenarios.fig10_params(), scenarios.fig2_params()):
         model = threestage.make_model(params)
-        for variant, oracle in steps.items():
+        for variant in VARIANTS:
+            oracle = aggregation.reduced_map(metapop.make_system(model, variant))
             for _ in range(250):
                 y = rng.uniform(0.0, 0.5, 3)
                 gap = np.max(np.abs(threestage.reduced_step(params, variant, y)
-                                    - oracle(model, y)))
+                                    - oracle(y)))
                 worst = max(worst, float(gap))
     assert worst < 1e-12, f"reduced-step mismatch {worst:.3e}"
 

@@ -107,7 +107,7 @@ def test_find_two_cycle_retry_continues_the_first_burn_in(fig10_params):
     with pytest.raises(CollapsedToEquilibriumError) as err:
         analysis.find_two_cycle(step, y0)
     report = err.value.report
-    expected = _collapse_report_from_y0(step, y0, analysis.DEFAULT_BURN_IN)
+    expected = _collapse_report_from_y0(step, y0, analysis.BURN_IN)
     assert report.kind == expected.kind and report.classification == expected.classification
     assert report.points[0].tobytes() == expected.points[0].tobytes()
     assert repr(report.residual) == repr(expected.residual)

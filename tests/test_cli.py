@@ -1,4 +1,5 @@
 import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import twoscalepop
 from twoscalepop import cli, scenarios
 from twoscalepop.errors import ConfigError, IOFailureError
 
@@ -329,7 +331,12 @@ def test_bad_variant_value_exits_2(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # the child process imports the same twoscalepop as this one, installed
+    # or not
+    src = str(Path(twoscalepop.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "twoscalepop.cli", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "sec42_compare" in proc.stdout

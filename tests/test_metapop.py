@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoscalepop import aggregation, metapop, threestage
-from twoscalepop.errors import DomainExitError
+from scipy.linalg import block_diag
+
+from twoscalepop import aggregation, metapop, scenarios, threestage
+from twoscalepop.errors import DomainExitError, NonpositiveSurvivalError, ReducibleOrPeriodicError
 
 
 def test_aggregate_sums_patches_stage_major():
@@ -68,51 +70,131 @@ def test_lifted_reduced_iterates_match_complete_limit(fig10_params):
             assert np.max(np.abs(sys.lift(y) - direct)) < 1e-8
 
 
+def _literal_demography(params, z, variant):
+    # D(Z) Z, or Dt(Z) Z with each column of D divided by its survival
+    d = threestage.demography_matrix(params, z)
+    if variant == "rescaled":
+        d = d / params.survivals.ravel()[None, :]
+    return d @ z
+
+
+def _spreads(params, variant):
+    # Perron vector per stage, times gamma_i = exp(log(s_i) . v_i) when rescaled
+    v = params.fraction_table()
+    if variant == "rescaled":
+        gamma = np.exp(np.sum(np.log(params.survivals) * v, axis=1))
+        v = gamma[:, None] * v
+    return v
+
+
 def test_reduced_steps_agree_with_projection_of_lift(fig10_params):
+    # the oracle's reduced map is U D(V Y) V Y (slow) and U Dt(Vt Y) Vt Y
+    # (rescaled), spelled out here from the Perron fractions
     model = threestage.make_model(fig10_params)
     rng = np.random.default_rng(6)
-    steps = {"slow_survival": metapop.reduced_step_slow,
-             "rescaled": metapop.reduced_step_rescaled}
-    for variant, step in steps.items():
-        sys = metapop.make_system(model, variant)
-        reduced = aggregation.reduced_map(sys)
+    for variant in metapop.VARIANTS:
+        reduced = aggregation.reduced_map(metapop.make_system(model, variant))
+        spreads = _spreads(fig10_params, variant)
         for _ in range(5):
             y = rng.uniform(0.0, 0.4, 3)
-            assert np.max(np.abs(step(model, y) - reduced(y))) < 1e-12
+            lifted = (spreads * y[:, None]).ravel()
+            literal = metapop.aggregate(_literal_demography(fig10_params, lifted, variant), 2)
+            assert np.max(np.abs(literal - reduced(y))) < 1e-12
 
 
-def test_complete_step_preserves_nonnegativity(fig2_params):
+@pytest.mark.parametrize("variant", ("slow_survival", "rescaled"))
+@pytest.mark.parametrize("name", ("fig2", "fig3", "fig10"))
+def test_complete_map_matches_repeated_products(name, variant):
+    # H_k from cached matrix powers against the literal Z = M^k X or
+    # (S^(1/k) M)^k X, multiplied out k times, then D(Z) Z / Dt(Z) Z
+    params = getattr(scenarios, f"{name}_params")()
+    system = metapop.make_system(threestage.make_model(params), variant)
+    base = block_diag(*threestage.dispersal_matrices(params))
+    states = np.random.default_rng(12).uniform(0.0, 2.0, (50, 6))
+    for k in (1, 2, 5, 10, 50, 200):
+        if variant == "rescaled":
+            step = np.exp(np.log(params.survivals.ravel()) / k)[:, None] * base
+        else:
+            step = base
+        h_k = system.complete(k)
+        for x in states:
+            z = x
+            for _ in range(k):
+                z = step @ z
+            literal = _literal_demography(params, z, variant)
+            gap = np.max(np.abs(h_k(x) - literal))
+            assert gap <= 1e-13 * np.max(np.abs(literal)), (k, x)
+
+
+def test_complete_map_preserves_nonnegativity(fig2_params):
     model = threestage.make_model(fig2_params)
     rng = np.random.default_rng(7)
+    steps = [metapop.make_system(model, variant).complete(7)
+             for variant in metapop.VARIANTS]
     for _ in range(20):
         x = rng.uniform(0.0, 1.0, 6)
-        assert np.all(metapop.complete_step_slow(model, x, 7) >= 0.0)
-        assert np.all(metapop.complete_step_rescaled(model, x, 7) >= 0.0)
+        for step in steps:
+            assert np.all(step(x) >= 0.0)
 
 
 def test_nonfinite_state_raises(fig2_params):
     model = threestage.make_model(fig2_params)
     bad = np.array([0.1, np.nan, 0.1, 0.1, 0.1, 0.1])
-    with pytest.raises(DomainExitError):
-        metapop.complete_step_slow(model, bad, 3)
+    for variant in metapop.VARIANTS:
+        with pytest.raises(DomainExitError):
+            metapop.make_system(model, variant).complete(3)(bad)
+
+
+def _bare_lift(params, variant):
+    # identity demography (slow) or diag(s) demography (rescaled, whose
+    # Dt = diag(s) / s is the identity) leaves the lift as the bare spread
+    s = params.survivals
+    demography = np.eye(6) if variant == "slow_survival" else np.diag(s.ravel())
+    model = metapop.MetapopModel(
+        stages=3, patches=2, dispersal=threestage.dispersal_matrices(params),
+        demography=lambda x: demography, survival=s)
+    return metapop.make_system(model, variant).lift
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_slow_lift_splits_totals_exactly(seed, fig10_params):
-    model = threestage.make_model(fig10_params)
+    lift = _bare_lift(fig10_params, "slow_survival")
     rng = np.random.default_rng(seed)
     y = rng.uniform(0.0, 2.0, 3)
-    lifted = metapop.lift_slow(model, y)
-    assert np.max(np.abs(metapop.aggregate(lifted, 2) - y)) < 1e-12
+    assert np.max(np.abs(metapop.aggregate(lift(y), 2) - y)) < 1e-12
 
 
 def test_rescaled_lift_contracts_by_survival_mean(fig2_params):
     # aggregating the rescaled lift returns gamma_i y_i with gamma the
     # v-weighted geometric survival mean
-    model = threestage.make_model(fig2_params)
     y = np.array([0.2, 0.05, 0.11])
     v = fig2_params.fraction_table()
     gamma = np.exp(np.sum(np.log(fig2_params.survivals) * v, axis=1))
-    got = metapop.aggregate(metapop.lift_rescaled(model, y), 2)
+    got = metapop.aggregate(_bare_lift(fig2_params, "rescaled")(y), 2)
     assert np.max(np.abs(got - gamma * y)) < 1e-12
+
+
+def _model(dispersal, survival):
+    return metapop.MetapopModel(stages=2, patches=2, dispersal=dispersal,
+                                demography=lambda x: np.eye(4), survival=survival)
+
+
+def test_model_validates_rates_at_construction():
+    mixing = np.array([[0.7, 0.4], [0.3, 0.6]])
+    survival = np.full((2, 2), 0.5)
+    _model((mixing, mixing), survival)
+    with pytest.raises(ReducibleOrPeriodicError):
+        _model((mixing, np.array([[0.0, 1.0], [1.0, 0.0]])), survival)
+    with pytest.raises(ValueError):
+        _model((mixing, np.full((3, 3), 1.0 / 3.0)), survival)
+    with pytest.raises(ValueError):
+        _model((mixing,), survival)
+    with pytest.raises(ValueError):
+        _model((mixing, mixing), np.full((3, 2), 0.5))
+    with pytest.raises(NonpositiveSurvivalError):
+        _model((mixing, mixing), np.array([[0.5, 0.0], [0.5, 0.5]]))
+    with pytest.raises(NonpositiveSurvivalError):
+        _model((mixing, mixing), np.array([[0.5, -0.2], [0.5, 0.5]]))
+    with pytest.raises(ValueError):
+        _model((mixing, mixing), np.array([[0.5, 1.2], [0.5, 0.5]]))
