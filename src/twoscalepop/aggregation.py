@@ -17,7 +17,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -137,6 +137,34 @@ def _require_admissible(x: Vector, step: int) -> None:
         raise DomainExitError("state exceeded the box bound", step=step, state=x)
 
 
+def _float_kernel(map_fn: StateMap) -> Callable[[tuple], tuple]:
+    """The kernel ``map_fn`` carries as ``.kernel``, else one over its array form."""
+    kernel = getattr(map_fn, "kernel", None)
+    if kernel is not None:
+        return kernel
+    return lambda x: tuple(np.asarray(map_fn(np.array(x)), dtype=float).tolist())
+
+
+def _as_floats(x) -> tuple:
+    return tuple(np.asarray(x, dtype=float).tolist())
+
+
+def _checked_orbit(step: Callable[[tuple], tuple], x: tuple, steps: int) -> Iterator[tuple]:
+    """X_1, ..., X_steps of the float kernel ``step`` from X_0 = ``x``.
+
+    Raises DomainExitError at the first iterate outside the admissible set
+    (finite, nonnegative, coordinates at most BOX_BOUND).  The float test
+    fails exactly when ``_require_admissible`` raises -- a finite sum means
+    finite coordinates, and coordinates at most BOX_BOUND cannot overflow
+    it -- so the array check runs only then, to raise its message.
+    """
+    for t in range(1, steps + 1):
+        x = step(x)
+        if not (math.isfinite(sum(x)) and min(x) >= 0.0 and max(x) <= BOX_BOUND):
+            _require_admissible(np.array(x), t)
+        yield x
+
+
 def iterate(map_fn: StateMap, x0, steps: int) -> list[Vector]:
     """Orbit segment [X0, map(X0), ..., map^steps(X0)].
 
@@ -147,20 +175,8 @@ def iterate(map_fn: StateMap, x0, steps: int) -> list[Vector]:
         raise ValueError("steps must be nonnegative")
     x = np.asarray(x0, dtype=float)
     _require_admissible(x, 0)
-    out = [x]
-    for t in range(steps):
-        x = np.asarray(map_fn(x), dtype=float)
-        _require_admissible(x, t + 1)
-        out.append(x)
-    return out
-
-
-def _float_kernel(map_fn: StateMap) -> Callable[[tuple], tuple]:
-    """The kernel ``map_fn`` carries as ``.kernel``, else one over its array form."""
-    kernel = getattr(map_fn, "kernel", None)
-    if kernel is not None:
-        return kernel
-    return lambda x: tuple(np.asarray(map_fn(np.array(x)), dtype=float).tolist())
+    orbit = _checked_orbit(_float_kernel(map_fn), _as_floats(x), steps)
+    return [x, *map(np.array, orbit)]
 
 
 def _bits(x: tuple) -> bytes:
@@ -195,7 +211,7 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
     if not 1 <= keep <= steps + 1:
         raise ValueError("keep must lie in [1, steps + 1]")
     step = _float_kernel(map_fn)
-    x = tuple(np.asarray(x0, dtype=float).tolist())
+    x = _as_floats(x0)
     first = steps + 1 - keep  # step of the tail's first row
     t = mark = 0
     next_mark = 1
@@ -230,10 +246,13 @@ def reduced_map(sys: TwoScaleSystem) -> StateMap:
     return lambda y: sys.projection(sys.lift(y))
 
 
-def _compose(map_fn: StateMap, x: Vector, m: int) -> Vector:
+def _compose(map_fn: StateMap, x, m: int) -> Vector:
+    """map^m(x), stepped on the map's float kernel; unchecked."""
+    step = _float_kernel(map_fn)
+    x = _as_floats(x)
     for _ in range(m):
-        x = map_fn(x)
-    return x
+        x = step(x)
+    return np.array(x)
 
 
 def convergence_table(sys: TwoScaleSystem, samples, m: int, k_values) -> ConvergenceTable:
@@ -243,17 +262,15 @@ def convergence_table(sys: TwoScaleSystem, samples, m: int, k_values) -> Converg
     reported in ``skipped`` and excluded from every column, so the per-k
     maxima range over a common set.
     """
-    pts = [np.asarray(s, dtype=float) for s in samples]
+    pts = [_as_floats(s) for s in samples]
     if not pts:
         raise ValueError("samples must be nonempty")
     ks = [int(k) for k in k_values]
 
-    def _guarded(map_fn, x):
-        y = x
-        for step in range(m):
-            y = np.asarray(map_fn(y), dtype=float)
-            _require_admissible(y, step + 1)
-        return y
+    def _guarded(map_fn, x: tuple) -> Vector:
+        for x in _checked_orbit(_float_kernel(map_fn), x, m):
+            pass
+        return np.array(x)
 
     skipped: set[int] = set()
     limit_images: dict[int, Vector] = {}
@@ -362,16 +379,14 @@ def attraction_check(sys: TwoScaleSystem, trap: TrapSpec, x0,
     _check_center(sys, trap)
     m = trap.period
     out: dict[int, AttractionVerdict] = {}
+    x0 = np.asarray(x0, dtype=float)
+    _require_admissible(x0, 0)
     for k in trap.k_values:
-        hk = sys.complete(k)
-        x = np.asarray(x0, dtype=float)
-        _require_admissible(x, 0)
+        orbit = _checked_orbit(_float_kernel(sys.complete(k)), _as_floats(x0), horizon)
         dists: list[float] = []
-        for t in range(1, horizon + 1):
-            x = np.asarray(hk(x), dtype=float)
-            _require_admissible(x, t)
+        for t, x in enumerate(orbit, 1):
             if (t - 1) % m == 0:
-                dists.append(float(np.linalg.norm(x - trap.center)))
+                dists.append(float(np.linalg.norm(np.array(x) - trap.center)))
         entry: Optional[int] = None
         for n in range(len(dists) - 1, -1, -1):
             if dists[n] >= trap.radius:

@@ -120,11 +120,14 @@ class ThreeStageParams:
         )
 
 
+_POLE = "density argument at or beyond the response pole"
+
+
 def _guarded_reciprocal(den: float) -> float:
     # rational responses stay smooth for small negative densities; only a
     # nonpositive denominator (at or beyond the pole) is a caller error
     if den <= 0.0:
-        raise NegativeDensityError("density argument at or beyond the response pole")
+        raise NegativeDensityError(_POLE)
     return 1.0 / den
 
 
@@ -202,10 +205,17 @@ def _closed_form_demography(params: ThreeStageParams, variant: str) -> Callable:
 
     def apply(z) -> tuple[float, ...]:
         z1a, z1b, z2a, z2b, z3a, z3b = z
-        f_a = fertility_response(phi_a, c_a, z2a)
-        g_a = recovery_response(d_a, z2a)
-        f_b = fertility_response(phi_b, c_b, z2b)
-        g_b = recovery_response(d_b, z2b)
+        # fertility_response and recovery_response inlined, same expression order
+        den_fa = 1.0 + c_a * z2a
+        den_ga = 1.0 + d_a * z2a
+        den_fb = 1.0 + c_b * z2b
+        den_gb = 1.0 + d_b * z2b
+        if den_fa <= 0.0 or den_ga <= 0.0 or den_fb <= 0.0 or den_gb <= 0.0:
+            raise NegativeDensityError(_POLE)
+        f_a = phi_a * (1.0 / den_fa)
+        g_a = 1.0 / den_ga
+        f_b = phi_b * (1.0 / den_fb)
+        g_b = 1.0 / den_gb
         out = (
             (f_a * s2a) / u2a * z2a,
             (f_b * s2b) / u2b * z2b,
@@ -411,12 +421,20 @@ def reduced_map(params: ThreeStageParams, variant: str) -> Callable[[Vector], Ve
     """Fast closure for the 3-dimensional reduced dynamics; float kernel as ``.kernel``."""
     co = reduced_coefficients(params, variant)
     s1, s2, s3, b = co.s1, co.s2, co.s3, co.b
-    h1_terms, h2_terms = co.h1_terms, co.h2_terms
+    w11, w12, slope11, slope12 = co.h1_terms
+    w21, w22, slope21, slope22 = co.h2_terms
 
     def kernel(y) -> tuple[float, float, float]:
         y1, y2, y3 = y
-        hh1 = _response_sum(h1_terms, y2)
-        hh2 = _response_sum(h2_terms, y2)
+        # co.h1(y2) and co.h2(y2) inlined, same expression order
+        d11 = 1.0 + slope11 * y2
+        d12 = 1.0 + slope12 * y2
+        d21 = 1.0 + slope21 * y2
+        d22 = 1.0 + slope22 * y2
+        if d11 <= 0.0 or d12 <= 0.0 or d21 <= 0.0 or d22 <= 0.0:
+            raise NegativeDensityError(_POLE)
+        hh1 = w11 * (1.0 / d11) + w12 * (1.0 / d12)
+        hh2 = w21 * (1.0 / d21) + w22 * (1.0 / d22)
         return (
             b * hh1 * y2,
             s1 * y1 + s3 * hh2 * y3,
@@ -445,8 +463,13 @@ def local_map(params: ThreeStageParams, patch: int) -> Callable[[Vector], Vector
 
     def kernel(y) -> tuple[float, float, float]:
         y1, y2, y3 = y
-        f = fertility_response(phi, c, y2)
-        g = recovery_response(d, y2)
+        # fertility_response and recovery_response inlined, same expression order
+        den_f = 1.0 + c * y2
+        den_g = 1.0 + d * y2
+        if den_f <= 0.0 or den_g <= 0.0:
+            raise NegativeDensityError(_POLE)
+        f = phi * (1.0 / den_f)
+        g = 1.0 / den_g
         return (
             s2 * f * y2,
             s1 * y1 + s3 * g * y3,

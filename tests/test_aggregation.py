@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from twoscalepop import aggregation, metapop, scenarios, threestage
 from twoscalepop.aggregation import TrapSpec, TwoScaleSystem
 from twoscalepop.errors import DomainExitError
+from twoscalepop.solvers import newton_fixed_point
 
 
 def _scaling_system(factor):
@@ -353,3 +354,122 @@ def test_convergence_table_gaps_nonincreasing(fig2_params):
     # roundoff-sized wiggle
     assert all(a + 1e-14 >= b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-6
+
+
+def _exact(value):
+    """A verdict as comparable data: floats by repr, arrays by their bytes."""
+    if dataclasses.is_dataclass(value):
+        return _exact(vars(value))
+    if isinstance(value, dict):
+        return {key: _exact(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return repr(value)
+
+
+def _without_kernels(system):
+    """The system behind plain wrappers, which carry no float kernel."""
+    return dataclasses.replace(system,
+                               complete_map=lambda k, x: system.complete_map(k, x),
+                               limit_map=lambda x: system.limit_map(x))
+
+
+def _harness_case(name):
+    """(system, trap spec, attraction start) around a located limit-map centre."""
+    if name == "fig2":
+        system = threestage.make_system(scenarios.fig2_params(), "slow_survival")
+        period, k_values, entry = 50, (1, 2, 10), 1.25
+    else:
+        system = threestage.make_system(scenarios.fig10_params(), "rescaled")
+        period, k_values, entry = 2, (1, 10, 50), 1.01
+    tail, _ = aggregation.iterate_tail(system.limit_map, _X0, 20_000)
+    center, _ = newton_fixed_point(system.limit_map, tail[-1])
+    trap = TrapSpec(center, aggregation.default_radius(center), period=period,
+                    sample_count=8, k_values=k_values)
+    return system, trap, entry * center
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig10"])
+def test_harnesses_agree_with_and_without_kernels(name):
+    system, trap, start = _harness_case(name)
+    plain = _without_kernels(system)
+    assert callable(system.complete(1).kernel) and callable(system.limit_map.kernel)
+    assert not hasattr(plain.complete(1), "kernel") and not hasattr(plain.limit_map, "kernel")
+    samples = np.random.default_rng(5).uniform(0.0, 0.1, (6, 6))
+    harnesses = {
+        "trapping": lambda s: aggregation.trapping_check(s, trap),
+        "attraction": lambda s: aggregation.attraction_check(s, trap, start, horizon=600),
+        "instability": lambda s: aggregation.instability_check(s, trap),
+        "convergence": lambda s: aggregation.convergence_table(
+            s, samples, m=3, k_values=trap.k_values),
+    }
+    for label, harness in harnesses.items():
+        assert _exact(harness(system)) == _exact(harness(plain)), label
+
+
+_BAD_STATES = {
+    "negative": ((-1.0, 2.0), "state left the nonnegative orthant"),
+    "nan": ((float("nan"), 2.0), "state has a non-finite coordinate"),
+    # min and max skip a NaN that is not the first coordinate
+    "nan_last": ((2.0, float("nan")), "state has a non-finite coordinate"),
+    "nan_and_negative": ((-1.0, float("nan")), "state has a non-finite coordinate"),
+    "infinite": ((float("inf"), 2.0), "state has a non-finite coordinate"),
+    "box": ((2e9, 2.0), "state exceeded the box bound"),
+    # finite coordinates whose float sum overflows
+    "overflowing_sum": ((1e308, 1e308), "state exceeded the box bound"),
+}
+
+
+def _bad_at_step_three(bad, with_kernel):
+    """x -> x + 1 below x[0] = 2, into ``bad`` for 2 <= x[0] < 3, fixed
+    beyond: from x[0] in [0, 1) the orbit leaves the admissible set at
+    step 3, and from x[0] >= 3 it never moves."""
+    def kernel(x):
+        if x[0] < 2.0:
+            return tuple(v + 1.0 for v in x)
+        return bad if x[0] < 3.0 else x
+
+    def step(x):
+        return np.array(kernel(tuple(np.asarray(x, dtype=float).tolist())))
+
+    def complete(k, x):
+        return step(x)
+
+    if with_kernel:
+        step.kernel = kernel
+        complete.kernel = lambda k, x: kernel(x)
+    return TwoScaleSystem(
+        state_dim=2, reduced_dim=1, complete_map=complete, limit_map=step,
+        projection=lambda x: np.asarray(x, dtype=float)[:1],
+        lift=lambda y: np.array([y[0], y[0]]),
+    )
+
+
+@pytest.mark.parametrize("with_kernel", [False, True])
+@pytest.mark.parametrize("case", sorted(_BAD_STATES))
+def test_harnesses_report_domain_exits_at_their_step(case, with_kernel):
+    bad, message = _BAD_STATES[case]
+    system = _bad_at_step_three(bad, with_kernel)
+    assert hasattr(system.complete(1), "kernel") == with_kernel
+    for run in (lambda: aggregation.iterate(system.limit_map, np.zeros(2), 5),
+                lambda: aggregation.iterate(system.complete(1), np.zeros(2), 5),
+                lambda: aggregation.attraction_check(
+                    system, TrapSpec(np.full(2, 1e3), radius=1.0, k_values=(1, 2)),
+                    np.zeros(2), horizon=5)):
+        with pytest.raises(DomainExitError) as err:
+            run()
+        assert str(err.value) == message and err.value.step == 3
+        assert err.value.state.tobytes() == np.array(bad).tobytes()
+    # samples 0 and 1 leave at step 3 under both maps, 2 and 3 never do
+    samples = np.array([[0.0, 0.0], [0.5, 7.0], [3.0, 3.0], [10.0, 0.0]])
+    table = aggregation.convergence_table(system, samples, m=5, k_values=(1, 4))
+    assert table.skipped == (0, 1) and table.gaps == {1: 0.0, 4: 0.0}
+    table = aggregation.convergence_table(system, samples, m=2, k_values=(1,))
+    assert table.skipped == ()
+
+
+def test_attraction_check_rejects_an_inadmissible_start():
+    with pytest.raises(DomainExitError) as err:
+        aggregation.attraction_check(_scaling_system(0.5), TrapSpec(np.zeros(2), 1.0),
+                                     np.array([1.0, -1.0]), horizon=5)
+    assert str(err.value) == "state left the nonnegative orthant" and err.value.step == 0

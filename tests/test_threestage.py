@@ -113,6 +113,106 @@ def test_reduced_map_matches_reduced_step(fig10_params):
             assert np.array_equal(step(y), threestage.reduced_step(fig10_params, variant, y))
 
 
+KERNEL_STATES = 20_000
+
+
+def _outcome(step, y):
+    """The bytes of step(y), or the type and message of what it raised."""
+    try:
+        return np.array(step(y)).tobytes()
+    except NegativeDensityError as err:
+        return type(err), str(err)
+
+
+def _kernel_states(seed, slopes):
+    """KERNEL_STATES random 3-vectors over eight decades, zeros included,
+    then y2 just before and just past the pole -1/slope of each slope."""
+    rng = np.random.default_rng(seed)
+    states = (rng.uniform(0.0, 2.0, (KERNEL_STATES, 3))
+              * 10.0 ** rng.uniform(-7.0, 1.0, (KERNEL_STATES, 3)))
+    states[::97] = 0.0
+    states[1::10, 1] *= -1e-3  # small negative densities stay admissible
+    y1, _, y3 = states[0]
+    near_poles = [(y1, -f / slope, y3) for slope in slopes if slope > 0.0
+                  for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 1e6)]
+    return [tuple(y) for y in states.tolist()] + near_poles
+
+
+def _reduced_by_old_formula(co):
+    def step(y):
+        y1, y2, y3 = y
+        hh1 = co.h1(y2)
+        hh2 = co.h2(y2)
+        return (co.b * hh1 * y2, co.s1 * y1 + co.s3 * hh2 * y3,
+                co.s2 * y2 + co.s3 * (1.0 - hh2) * y3)
+
+    return step
+
+
+def _local_by_old_formula(params, patch):
+    s1, s2, s3 = params.survivals[:, patch].tolist()
+    phi = float(params.fertilities[patch])
+    c = float(params.crowding_c[patch])
+    d = float(params.crowding_d[patch])
+
+    def step(y):
+        y1, y2, y3 = y
+        f = threestage.fertility_response(phi, c, y2)
+        g = threestage.recovery_response(d, y2)
+        return s2 * f * y2, s1 * y1 + s3 * g * y3, s2 * y2 + s3 * (1.0 - g) * y3
+
+    return step
+
+
+def _assert_same_outcomes(kernel, old, states):
+    raised = 0
+    for y in states:
+        got = _outcome(kernel, y)
+        assert got == _outcome(old, y), y
+        raised += isinstance(got, tuple)
+    # the random states are admissible; only states near a pole raise
+    assert 0 < raised <= len(states) - KERNEL_STATES
+    with pytest.raises(NegativeDensityError):
+        kernel((0.1, -1e6, 0.1))
+
+
+@pytest.mark.parametrize("variant", ("slow_survival", "rescaled"))
+@pytest.mark.parametrize("name", ("fig2", "fig3", "fig10"))
+def test_reduced_kernel_matches_old_formula_bit_for_bit(name, variant):
+    params = getattr(scenarios, f"{name}_params")()
+    co = threestage.reduced_coefficients(params, variant)
+    slopes = co.h1_terms[2:] + co.h2_terms[2:]
+    _assert_same_outcomes(threestage.reduced_map(params, variant).kernel,
+                          _reduced_by_old_formula(co), _kernel_states(21, slopes))
+
+
+@pytest.mark.parametrize("patch", (0, 1))
+@pytest.mark.parametrize("name", ("fig2", "fig3", "fig10"))
+def test_local_kernel_matches_old_formula_bit_for_bit(name, patch):
+    params = getattr(scenarios, f"{name}_params")()
+    slopes = (float(params.crowding_c[patch]), float(params.crowding_d[patch]))
+    _assert_same_outcomes(threestage.local_map(params, patch).kernel,
+                          _local_by_old_formula(params, patch), _kernel_states(22, slopes))
+
+
+@pytest.mark.parametrize("variant", ("slow_survival", "rescaled"))
+def test_complete_kernel_raises_past_either_patch_pole(variant):
+    params = scenarios.fig10_params()
+    kernel = threestage.make_system(params, variant).complete_map.kernel
+    oracle = metapop.make_system(threestage.make_model(params), variant).complete_map
+    for patch in (0, 1):
+        # one patch's stage-2 density at a time, from admissible to far
+        # past the pole; the oracle's matrix demography decides each case
+        for z2 in (0.5, 0.0, -1e-3, -0.1, -0.3, -1.0, -1e6):
+            x = [0.1] * 6
+            x[2 + patch] = z2
+            for k in (1, 10):
+                assert (_outcome(lambda v: kernel(k, v), tuple(x))
+                        == _outcome(lambda v: oracle(k, np.array(v)), tuple(x))), (patch, z2, k)
+        with pytest.raises(NegativeDensityError):
+            kernel(10, tuple(x))
+
+
 def test_extinction_is_fixed(fig10_params):
     step = threestage.reduced_map(fig10_params, "rescaled")
     assert np.array_equal(step(np.zeros(3)), np.zeros(3))
