@@ -21,7 +21,6 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import ndtri
 
 from .errors import DomainExitError, InvalidCenterError
 from .solvers import fd_jacobian
@@ -302,6 +301,73 @@ def convergence_table(sys: TwoScaleSystem, samples, m: int, k_values) -> Converg
     return ConvergenceTable(gaps=gaps, skipped=tuple(sorted(skipped)))
 
 
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989): rational approximations in y - 1/2 on the central
+# interval and in 1/sqrt(-2 log y) on the tails, highest degree first.
+# Each denominator has leading coefficient 1 (Cephes' p1evl); 1.0 * x == x,
+# so _polevl over the full tuple rounds as p1evl does.
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242E0
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y: float) -> float:
+    """Standard normal quantile of y in the open interval (0, 1).
+
+    Cephes ``ndtri`` operation for operation on Python floats with libm's
+    log and sqrt, so results equal the C routine bit for bit.
+    """
+    negate = True
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
 def _kronecker_sphere_mesh(count: int, dim: int) -> Vector:
     # Low-discrepancy direction set: a Kronecker sequence driven by the real
     # root of x**(dim+1) = x + 1, pushed through the normal quantile and
@@ -312,7 +378,8 @@ def _kronecker_sphere_mesh(count: int, dim: int) -> Vector:
     alpha = (1.0 / phi) ** np.arange(1, dim + 1)
     idx = np.arange(1, count + 1)[:, None]
     u = np.mod(0.5 + idx * alpha[None, :], 1.0)
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    clipped = np.clip(u, 1e-12, 1.0 - 1e-12).ravel().tolist()
+    g = np.array([_ndtri(v) for v in clipped]).reshape(u.shape)
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 

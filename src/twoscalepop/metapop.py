@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import block_diag
 
 from . import spectral
 from .aggregation import TwoScaleSystem
@@ -133,7 +132,7 @@ def make_system(model: MetapopModel, variant: str) -> TwoScaleSystem:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     slow = variant == VARIANT_SLOW
-    base = block_diag(*model.dispersal)
+    base = spectral.block_diag(*model.dispersal)
     s = model.survival.ravel()
     spreads = []
     for i, m in enumerate(model.dispersal):
@@ -142,7 +141,7 @@ def make_system(model: MetapopModel, variant: str) -> TwoScaleSystem:
             v = float(np.exp(np.log(model.survival[i]) @ v)) * v
         spreads.append(v)
     ones = np.ones(model.patches)
-    limit = block_diag(*[np.outer(v, ones) for v in spreads])
+    limit = spectral.block_diag(*[np.outer(v, ones) for v in spreads])
     powers: dict[int, NDArray[np.float64]] = {}
 
     def complete_map(k: int, x) -> Vector:

@@ -1,8 +1,9 @@
 """Perron-Frobenius machinery for column-stochastic matrices.
 
-Primitivity diagnosis, Perron vectors, limits of matrix powers, and the
-rank-one limit of survival-rescaled dispersal powers (S^(1/k) M)^k.  All
-convergence diagnostics use the 1-norm.
+Primitivity diagnosis, Perron vectors, limits of matrix powers, the
+rank-one limit of survival-rescaled dispersal powers (S^(1/k) M)^k, and the
+block-diagonal assembly of per-stage blocks.  All convergence diagnostics
+use the 1-norm.
 """
 from __future__ import annotations
 
@@ -161,6 +162,22 @@ def power_limit(matrix) -> NDArray[np.float64]:
     """lim M^k for primitive stochastic M: the rank-one matrix v * 1^T."""
     v = perron_vector(matrix).vector
     return np.outer(v, np.ones(v.size))
+
+
+def block_diag(*blocks) -> NDArray[np.float64]:
+    """Block-diagonal float matrix with ``blocks`` (2-D arrays) on its diagonal.
+
+    A zero matrix with each block copied into its slice, so entries equal
+    the inputs bit for bit.
+    """
+    arrays = [np.asarray(b, dtype=float) for b in blocks]
+    out = np.zeros((sum(a.shape[0] for a in arrays), sum(a.shape[1] for a in arrays)))
+    r = c = 0
+    for a in arrays:
+        out[r:r + a.shape[0], c:c + a.shape[1]] = a
+        r += a.shape[0]
+        c += a.shape[1]
+    return out
 
 
 def _survival_entries(survivals) -> NDArray[np.float64]:

@@ -28,8 +28,6 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from scipy.linalg import block_diag
-
 from . import metapop, spectral
 from .aggregation import TwoScaleSystem
 from .errors import DomainExitError, NegativeDensityError
@@ -264,14 +262,14 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     mats = [spectral.ensure_primitive(m) for m in dispersal_matrices(params)]
-    base = block_diag(*mats)
+    base = spectral.block_diag(*mats)
     survivals = params.survivals.ravel()  # (stage, patch) matches the state order
     if variant == VARIANT_SLOW:
         limit_blocks = [spectral.power_limit(m) for m in mats]
     else:
         limit_blocks = [spectral.rescaled_power_limit(params.survivals[i], m).limit_matrix
                         for i, m in enumerate(mats)]
-    limit = block_diag(*limit_blocks)
+    limit = spectral.block_diag(*limit_blocks)
     # each column of a limit block is v_i (gamma_i v_i when rescaled)
     sp1a, sp1b, sp2a, sp2b, sp3a, sp3b = np.concatenate(
         [block[:, 0] for block in limit_blocks]).tolist()

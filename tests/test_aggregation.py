@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -274,6 +275,26 @@ def test_ball_samples_stay_in_ball(seed):
     r = float(rng.uniform(0.01, 2.0))
     pts = aggregation.ball_samples(c, r, int(rng.integers(1, 40)), seed=seed)
     assert np.all(np.linalg.norm(pts - c, axis=1) <= r + 1e-12)
+
+
+# SHA-256 of ball_samples(...).tobytes(), recorded with scipy.special.ndtri
+# driving the mesh; they hold the sample sets where scipy is absent
+_SAMPLE_PINS = [
+    (6, 0, 0.01, 42, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (6, 1, 0.01, 42, "287809fa0a48efc85cb647617978c7823697888c94091aa0bbde96173bdcd842"),
+    (6, 2, 0.01, 42, "bbe1f128268c8ff2a490c14822fab104a1e091ae23dec9ea868f95c00fe78d3d"),
+    (6, 33, 0.01, 42, "736fc13daad6abf724c4ab85c2426111aae18f434551086ea60ecf7d8344761e"),
+    (6, 64, 0.01, 42, "50f6f029735dbd295451ae62af70d720c60ef0912f1bbb92660d3dbd59f0b7a3"),
+    (3, 32, 0.25, 7, "708c05957eb4f23fd79a14e7a4211395b2e553be6ee04f5aa00a6715825277ea"),
+]
+
+
+@pytest.mark.parametrize("dim, count, radius, seed, digest", _SAMPLE_PINS)
+def test_ball_samples_are_pinned(dim, count, radius, seed, digest):
+    center = [0.3, 0.2, 0.5, 0.4, 0.1, 0.6] if dim == 6 else [1.0, 2.0, 3.0]
+    pts = aggregation.ball_samples(center, radius, count, seed=seed)
+    assert pts.shape == (count, dim) and pts.dtype == np.float64
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
 
 
 def test_trap_spec_validation():

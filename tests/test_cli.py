@@ -340,3 +340,15 @@ def test_module_entry_point_runs():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "sec42_compare" in proc.stdout
+
+
+def test_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle
+    src = str(Path(twoscalepop.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, twoscalepop, twoscalepop.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
