@@ -192,12 +192,24 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
 
     Returns ``(tail, repeat)``: ``tail`` is a (keep, dim) array equal bit for
     bit to the last ``keep`` rows of the full orbit segment.  Up to the
-    tail's first row, Brent's cycle detection (R. P. Brent, BIT 20, 1980)
-    compares each state with one saved at step 2**n - 1; ``repeat`` is the
-    ``(step, period)`` of the first match, else None.  From a match on, the
-    orbit is periodic, so whole periods are skipped and only the final
-    stretch is computed.  Bytes, not ``==``, decide a match: -0.0 and 0.0
-    differ, and a NaN matches only a NaN with the same bits.
+    tail's first row, each state is compared with two saved states, or
+    tortoises: Brent's (R. P. Brent, BIT 20, 1980), saved at steps 2**n - 1,
+    and a fine one, re-saved at step t + 1 + t // 16 after each save at
+    step t.  ``repeat`` is the ``(step, period)`` at which the first match
+    was caught, else None.  The period is exact: a saved state is matched
+    first one period after its save.  From a match on, the orbit is
+    periodic, so whole periods are skipped and only the final stretch is
+    computed.  Bytes, not ``==``, decide a match: -0.0 and 0.0 differ, and
+    a NaN matches only a NaN with the same bits.
+
+    Lag bound: let the orbit's cycle start at step c, so that it first
+    repeats at step c + period.  Brent's tortoise alone catches that repeat
+    at step m + period, with m the first 2**n - 1 that is at least c and
+    at least period - 1: up to about twice as late.  The fine tortoise is
+    saved within c // 16 steps after c and, once c >= 16 * (period - 1),
+    keeps each save for at least a period, so the repeat is caught by step
+    c + period + c // 16.  Whichever tortoise matches first decides, so
+    the catch is never later than Brent's.
 
     The orbit runs on tuples of floats, through the float kernel
     ``map_fn.kernel`` when the map carries one (the ``threestage`` maps do)
@@ -212,20 +224,29 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
     step = _float_kernel(map_fn)
     x = _as_floats(x0)
     first = steps + 1 - keep  # step of the tail's first row
-    t = mark = 0
-    next_mark = 1
+    t = mark = fine_mark = 0
+    next_mark = next_fine = 1
     # == is a cheap filter that every bitwise match passes, except when
     # the saved state holds a NaN: then the bytes decide every step
     tortoise, tortoise_bits, tortoise_nan = x, _bits(x), _has_nan(x)
+    fine, fine_bits, fine_nan = tortoise, tortoise_bits, tortoise_nan
     repeat = None
-    for t in range(1, first + 1):
-        x = step(x)
-        if (x == tortoise or tortoise_nan) and _bits(x) == tortoise_bits:
-            repeat = (t, t - mark)
-            break
+    while repeat is None and t < first:
+        # no save falls inside a run, so its steps only compare
+        for t in range(t + 1, min(next_mark, next_fine, first) + 1):
+            x = step(x)
+            if (x == tortoise or tortoise_nan) and _bits(x) == tortoise_bits:
+                repeat = (t, t - mark)
+                break
+            if (x == fine or fine_nan) and _bits(x) == fine_bits:
+                repeat = (t, t - fine_mark)
+                break
         if t == next_mark:
             mark, next_mark = t, 2 * t + 1
             tortoise, tortoise_bits, tortoise_nan = x, _bits(x), _has_nan(x)
+        if t == next_fine:
+            fine_mark, next_fine = t, t + 1 + t // 16
+            fine, fine_bits, fine_nan = x, _bits(x), _has_nan(x)
     if repeat is not None:
         # the state of step t recurs every period: resume from its last
         # recurrence at or before the tail's first row

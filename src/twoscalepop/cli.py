@@ -233,8 +233,9 @@ class RunSummary:
     orbit_notes: dict[str, str]
     scalars: dict[str, float]
     convergence: ConvergenceTable
-    # series ("reduced", "k=<k>", "local_<patch>") -> (step, period) of the
-    # first exact repeat, None when the run computed every step
+    # series ("reduced", "k=<k>", "local_<patch>") -> the step at which an
+    # exact repeat was caught and its period, None when the run computed
+    # every step
     repeats: dict[str, Optional[tuple[int, int]]]
 
 
@@ -244,8 +245,8 @@ def _run_trajectory(step: Callable, x0, horizon: int,
 
     Returns ``(tail, repeat)`` as ``aggregation.iterate_tail`` does: the
     tail is bit-identical to the end of the full trajectory, and a run whose
-    state repeats bit for bit stops computing at the repeat, so its cost is
-    set by the repeat step, not by the horizon.
+    state repeats bit for bit stops computing where the repeat is caught,
+    so its cost is set by the repeat step, not by the horizon.
     """
     tail, repeat = iterate_tail(step, x0, horizon, keep)
     if not np.all(np.isfinite(tail[-1])):
@@ -274,6 +275,14 @@ def _local_cycle_seed(params: ThreeStageParams, patch: int):
     c_w = -gap * s[0] * params.crowding_c[patch]
     eps = (1.0 - r0) * gap / c_w
     return np.array([0.0, eps * s[0], 0.0])
+
+
+def _same_isolated_patches(params: ThreeStageParams, x0) -> bool:
+    """True when both isolated patches have the same rates and start, byte
+    for byte, so that their runs and orbit searches coincide."""
+    rates = [np.array(threestage.local_rates(params, patch)) for patch in (0, 1)]
+    return (rates[0].tobytes() == rates[1].tobytes()
+            and x0[0::2].tobytes() == x0[1::2].tobytes())
 
 
 def detect_orbit(step: Callable, endpoint, cycle_seed=None):
@@ -347,7 +356,8 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
 
     local_tails = {}
     if include_local:
-        for patch in (0, 1):
+        same = _same_isolated_patches(params, x0)
+        for patch in (0,) if same else (0, 1):
             local_step = threestage.local_map(params, patch)
             local_tails[patch], repeats[f"local_{patch + 1}"] = _run_trajectory(
                 local_step, x0[patch::2], config.horizon, tail)
@@ -355,6 +365,11 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
                                         _local_cycle_seed(params, patch))
             orbit_reports[f"local_{patch + 1}"] = report
             orbit_notes[f"local_{patch + 1}"] = note
+        if same:
+            # patch 2 would repeat patch 1's run and orbit search bit for bit
+            local_tails[1] = local_tails[0]
+            for results in (repeats, orbit_reports, orbit_notes):
+                results["local_2"] = results["local_1"]
 
     rng = np.random.default_rng(config.seed)
     high = max(0.1, 2.0 * float(np.max(x0)))

@@ -255,9 +255,13 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     Every map carries its float kernel as ``.kernel`` (tuple of floats in,
     tuple of floats out; ``complete_map.kernel`` takes ``(k, x)``), which
     ``TwoScaleSystem.complete`` and ``aggregation.iterate_tail`` pick up.
-    The dispersal products stay numpy matrix-vector products: BLAS fuses
-    multiply-adds, so plain Python row sums would not reproduce them bit
-    for bit.
+    The dispersal products stay numpy matrix-vector products, whose
+    rounding is the BLAS kernel's.  On OpenBLAS's SkylakeX kernels, rows
+    0-3 of ``a.dot(x)`` equal the plain sums ``a0*x0 + a1*x1`` of their two
+    structural nonzeros, and rows 4-5 equal ``fma(a4, x4, a5*x5)`` with the
+    second product rounded first; non-FMA kernels give the plain sums on
+    every row.  A Python kernel could match the fused rows only through an
+    exact fused multiply-add, which ``math`` lacks before Python 3.13.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -452,12 +456,16 @@ def inherent_R0(params: ThreeStageParams, variant: str) -> float:
     return co.b * co.s1 / (1.0 - co.s2 * co.s3)
 
 
+def local_rates(params: ThreeStageParams, patch: int) -> tuple[float, ...]:
+    """(s1, s2, s3, phi, c, d) of one patch: all its isolated dynamics uses."""
+    s1, s2, s3 = params.survivals[:, patch].tolist()
+    return (s1, s2, s3, float(params.fertilities[patch]),
+            float(params.crowding_c[patch]), float(params.crowding_d[patch]))
+
+
 def local_map(params: ThreeStageParams, patch: int) -> Callable[[Vector], Vector]:
     """Single-patch dynamics with dispersal switched off; float kernel as ``.kernel``."""
-    s1, s2, s3 = params.survivals[:, patch].tolist()
-    phi = float(params.fertilities[patch])
-    c = float(params.crowding_c[patch])
-    d = float(params.crowding_d[patch])
+    s1, s2, s3, phi, c, d = local_rates(params, patch)
 
     def kernel(y) -> tuple[float, float, float]:
         y1, y2, y3 = y
@@ -483,10 +491,7 @@ def local_quantities(params: ThreeStageParams, patch: int) -> tuple[float, float
     a_minus = -(1 - s2 s3) s1 c + s1 s2 s3 (1 - s3) d; its sign separates
     single-patch equilibrium stability from synchronous-cycle stability.
     """
-    s1, s2, s3 = (float(t) for t in params.survivals[:, patch])
-    phi = float(params.fertilities[patch])
-    c = float(params.crowding_c[patch])
-    d = float(params.crowding_d[patch])
+    s1, s2, s3, phi, c, d = local_rates(params, patch)
     r0 = phi * s1 * s2 / (1.0 - s2 * s3)
     a_minus = -(1.0 - s2 * s3) * s1 * c + s1 * s2 * s3 * (1.0 - s3) * d
     return r0, a_minus

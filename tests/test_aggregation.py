@@ -103,14 +103,68 @@ def test_iterate_tail_matches_plain_orbit_bit_for_bit(name):
 
 
 def test_iterate_tail_reports_repeat_step_and_period():
-    # Brent saves the states of steps 0, 1, 3, 7, ...; the period-3 roll
-    # is first caught when step 6 matches the state saved at step 3
+    # Brent's tortoise saves the states of steps 0, 1, 3, 7, ...; the fine
+    # tortoise saves every step up to step 16, so it catches only period 1
+    # there.  The period-3 roll is first caught when step 6 matches the
+    # state Brent's tortoise saved at step 3
     _, repeat = aggregation.iterate_tail(*_tail_case("roll"), 100)
     assert repeat == (6, 3)
     _, repeat = aggregation.iterate_tail(*_tail_case("constant"), 100)
     assert repeat == (2, 1)
     _, repeat = aggregation.iterate_tail(*_tail_case("fig3"), 2000)
     assert repeat is None
+
+
+def _first_repeat(kernel, x, limit):
+    """(step, period) of the first bitwise repeat, from every state's bytes."""
+    seen = {struct.pack("<%dd" % len(x), *x): 0}
+    for t in range(1, limit + 1):
+        x = kernel(x)
+        bits = struct.pack("<%dd" % len(x), *x)
+        if bits in seen:
+            return t, t - seen[bits]
+        seen[bits] = t
+    return None
+
+
+def _brent_catch(first, period):
+    """Step at which a tortoise saved at steps 2**n - 1 alone catches it."""
+    mark = 0
+    while mark < first - period or mark + 1 < period:
+        mark = 2 * mark + 1
+    return mark + period
+
+
+def _repeating_series():
+    """(label, map, start, horizon, tail) of every fig2 and sec42_compare run."""
+    for name in ("fig2", "sec42_compare"):
+        scenario = scenarios.builtin(name)
+        for cfg in scenario.configs:
+            params, variant, x0 = cfg.params, cfg.variant, cfg.initial_state
+            system = threestage.make_system(params, variant)
+            label = f"{name}:{variant}"
+            yield (f"{label}:reduced", threestage.reduced_map(params, variant),
+                   metapop.aggregate(x0, 2), cfg.horizon, cfg.tail)
+            for k in cfg.k_list:
+                yield f"{label}:k={k}", system.complete(k), x0, cfg.horizon, cfg.tail
+            if scenario.include_local:
+                for patch in (0, 1):
+                    yield (f"{label}:local_{patch + 1}", threestage.local_map(params, patch),
+                           x0[patch::2], cfg.horizon, cfg.tail)
+
+
+def test_iterate_tail_catches_repeats_near_their_onset():
+    for label, map_fn, x0, horizon, tail in _repeating_series():
+        start = tuple(np.asarray(x0, dtype=float).tolist())
+        first, period = _first_repeat(map_fn.kernel, start, horizon + 1 - tail)
+        _, repeat = aggregation.iterate_tail(map_fn, x0, horizon, tail)
+        assert repeat is not None and repeat[1] == period, label
+        caught = repeat[0]
+        assert first <= caught <= _brent_catch(first, period), label
+        assert caught <= first + period + (first + period) // 16 + 2 * period, label
+        onset = first - period  # step of the cycle's first state
+        if onset >= 16 * (period - 1):
+            assert caught <= first + onset // 16, label
 
 
 def test_iterate_tail_tells_signed_zeros_apart():

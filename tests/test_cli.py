@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import twoscalepop
-from twoscalepop import cli, scenarios
+from twoscalepop import cli, scenarios, threestage
+from twoscalepop.aggregation import iterate_tail
 from twoscalepop.errors import ConfigError, IOFailureError
 
 CONFIG_TEXT = """\
@@ -267,6 +269,63 @@ def test_run_records_no_repeats_fig3_fast():
     summary = _fast_summaries("fig3")["slow_survival"]
     names = {"reduced", "local_1", "local_2"} | {f"k={k}" for k in summary.config.k_list}
     assert summary.repeats == dict.fromkeys(names)
+
+
+def _report_bits(report):
+    if report is None:
+        return None
+    return (report.kind, [np.asarray(p).tobytes() for p in report.points],
+            float(report.residual).hex(), float(report.spectral_radius).hex(),
+            report.classification, report.synchronous)
+
+
+def test_identical_patches_reuse_patch_one(tmp_path):
+    cfg = scenarios.builtin("fig2").configs[0].with_overrides(fast=True)
+    summary = cli.run_scenario(cfg, include_local=True)
+    # patch 2 stepped and searched on its own
+    step = threestage.local_map(cfg.params, 1)
+    tail, repeat = iterate_tail(step, cfg.initial_state[1::2], cfg.horizon, cfg.tail)
+    report, note = cli.detect_orbit(step, tail[-1], cli._local_cycle_seed(cfg.params, 1))
+    assert summary.repeats["local_2"] == repeat
+    assert _report_bits(summary.orbit_reports["local_2"]) == _report_bits(report)
+    assert summary.orbit_notes["local_2"] == note
+    (tmp_path / "run").mkdir()
+    (tmp_path / "direct").mkdir()
+    cli.write_outputs(summary, tmp_path / "run")
+    direct = dataclasses.replace(summary, local_tails={**summary.local_tails, 1: tail})
+    cli.write_outputs(direct, tmp_path / "direct")
+    assert ((tmp_path / "run" / "local2.csv").read_bytes()
+            == (tmp_path / "direct" / "local2.csv").read_bytes())
+
+
+def _asymmetric_configs():
+    cfg = scenarios.builtin("fig2").configs[0].with_overrides(fast=True)
+    params = cfg.params
+    phi = params.fertilities
+    yield "rates", dataclasses.replace(cfg, params=dataclasses.replace(
+        params, fertilities=np.array([phi[0], np.nextafter(phi[1], np.inf)])))
+    x0 = cfg.initial_state.copy()
+    x0[1] = np.nextafter(x0[1], np.inf)  # stage 1 of patch 2
+    yield "start", dataclasses.replace(cfg, initial_state=x0)
+
+
+def test_identical_patches_step_once_else_both(monkeypatch):
+    stepped = []
+    local_map = threestage.local_map
+
+    def spy(params, patch):
+        stepped.append(patch)
+        return local_map(params, patch)
+
+    monkeypatch.setattr(threestage, "local_map", spy)
+    cfg = scenarios.builtin("fig2").configs[0].with_overrides(fast=True)
+    cli.run_scenario(cfg, include_local=True)
+    assert stepped == [0]
+    for label, cfg in _asymmetric_configs():
+        stepped.clear()
+        summary = cli.run_scenario(cfg, include_local=True)
+        assert stepped == [0, 1], label
+        assert set(summary.local_tails) == {0, 1}, label
 
 
 @pytest.mark.parametrize("name", ["fig2", "sec42_compare"])
