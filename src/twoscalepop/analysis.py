@@ -81,19 +81,18 @@ def _in_orthant(y: Vector) -> bool:
     return bool(np.all(np.isfinite(y)) and np.all(y >= 0.0))
 
 
-def find_equilibrium(map_fn: ScalarMap, y0, domain=None) -> OrbitReport:
+def find_equilibrium(map_fn: ScalarMap, y0) -> OrbitReport:
     """Newton-polish a fixed point of map_fn starting from y0.
 
-    ``domain`` is an optional membership predicate; the nonnegative orthant
-    is used when omitted.  Raises NonConvergenceError (with the best point
-    seen) or LeftDomainError.
+    Raises NonConvergenceError (with the best point seen), or
+    LeftDomainError when the guess or the solution lies outside the
+    nonnegative orthant.
     """
     y0 = np.asarray(y0, dtype=float)
-    inside = domain if domain is not None else _in_orthant
-    if not inside(y0):
+    if not _in_orthant(y0):
         raise LeftDomainError("initial guess lies outside the domain")
     point, residual = newton_fixed_point(map_fn, y0)
-    if not inside(point):
+    if not _in_orthant(point):
         raise LeftDomainError("solution left the domain")
     rho = spectral_radius(fd_jacobian(map_fn, point))
     return OrbitReport(
@@ -105,15 +104,15 @@ def find_equilibrium(map_fn: ScalarMap, y0, domain=None) -> OrbitReport:
     )
 
 
-def _synchronous_support(p1: Vector, p2: Vector, tol: float = COINCIDENCE_TOL) -> Optional[bool]:
+def _synchronous_support(p1: Vector, p2: Vector) -> Optional[bool]:
     if p1.size != 3:
         return None
 
     def active_only(p):
-        return abs(p[0]) <= tol and abs(p[2]) <= tol
+        return abs(p[0]) <= COINCIDENCE_TOL and abs(p[2]) <= COINCIDENCE_TOL
 
     def rest_only(p):
-        return abs(p[1]) <= tol
+        return abs(p[1]) <= COINCIDENCE_TOL
 
     return bool((active_only(p1) and rest_only(p2)) or (active_only(p2) and rest_only(p1)))
 
@@ -254,7 +253,7 @@ def dispersal_search_survival(params: ThreeStageParams, target: str,
             co = coefficients_from_fractions(
                 params.survivals, params.fertilities, params.crowding_c,
                 params.crowding_d, (v1, v2, v3), variant)
-            value = co.b * co.s1 / (1.0 - co.s2 * co.s3) - 1.0
+            value = bifurcation_from_coefficients(co).r0 - 1.0
             if (value > 0.0) if target == TARGET_RESCUE else (value < 0.0):
                 cells.append(((float(v1), float(v2)), float(value)))
     pick = max if target == TARGET_RESCUE else min

@@ -32,7 +32,7 @@ from .errors import (
 from .metapop import VARIANT_RESCALED, VARIANT_SLOW
 from .scenarios import Scenario, ScenarioConfig
 from .solvers import fd_jacobian
-from .threestage import ThreeStageParams
+from .threestage import ReducedCoefficients, ThreeStageParams
 
 EXIT_OK = 0
 EXIT_VERDICT_FAILED = 1
@@ -48,77 +48,21 @@ _PARAM_KEYS = ("s1_1", "s1_2", "s2_1", "s2_2", "s3_1", "s3_2",
 
 
 # ---------------------------------------------------------------------------
-# config ingestion (flat key-value + tables; TOML-compatible subset)
-
-def _split_comment(line: str) -> str:
-    quoted = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            return line[:i]
-    return line
-
-
-def _parse_scalar(text: str, where: str):
-    if text.startswith('"'):
-        if len(text) < 2 or not text.endswith('"') or '"' in text[1:-1]:
-            raise ConfigError(where, f"malformed string {text!r}")
-        return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(where, f"cannot parse value {text!r}") from None
-
-
-def _parse_value(text: str, where: str):
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError(where, "unterminated array")
-        body = text[1:-1].strip()
-        if not body:
-            return []
-        return [_parse_scalar(item.strip(), where) for item in body.split(",")]
-    return _parse_scalar(text, where)
-
+# config ingestion (TOML)
 
 def parse_config_text(text: str, source: str = "config") -> dict:
-    """Parse the supported config subset into {section: {key: value}}.
+    """Parse TOML config text into {section: {key: value}}."""
+    # imported here: the package import is part of every run's startup, and
+    # a module-level tomllib import would add ~4 ms to it
+    import tomllib
 
-    Supported: [section] headers, key = value lines, # comments, blank
-    lines; values are quoted strings, integers, floats, or flat arrays.
-    """
-    table: dict[str, dict] = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _split_comment(raw).strip()
-        if not line:
-            continue
-        where = f"{source}:{lineno}"
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(where, "malformed section header")
-            section = line[1:-1].strip()
-            if not section:
-                raise ConfigError(where, "empty section name")
-            table.setdefault(section, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(where, "expected key = value")
-        if section is None:
-            raise ConfigError(where, "key outside any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise ConfigError(where, "expected key = value")
-        if key in table[section]:
-            raise ConfigError(where, f"duplicate key {section}.{key}")
-        table[section][key] = _parse_value(value, f"{where} ({section}.{key})")
+    try:
+        table = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as err:
+        raise ConfigError(source, str(err)) from None
+    for key, value in table.items():
+        if not isinstance(value, dict):
+            raise ConfigError(f"{source} ({key})", "key outside any [section]")
     return table
 
 
@@ -255,26 +199,14 @@ def _run_trajectory(step: Callable, x0, horizon: int,
     return tail, repeat
 
 
-def _cycle_seed(params: ThreeStageParams, variant: str):
+def _cycle_seed(co: ReducedCoefficients):
     """First-order synchronous-cycle point, when the branch exists."""
-    data = threestage.bifurcation_data(params, variant)
+    data = threestage.bifurcation_from_coefficients(co)
     if data.a_minus <= 0.0 or data.r0 <= 1.0:
         return None
-    co = threestage.reduced_coefficients(params, variant)
     gap = 1.0 - co.s2 * co.s3
     eps = (1.0 - data.r0) * gap / data.c_w  # c_w < 0, so eps > 0 here
     return np.array([0.0, eps * co.s1, 0.0])
-
-
-def _local_cycle_seed(params: ThreeStageParams, patch: int):
-    r0, a_minus = threestage.local_quantities(params, patch)
-    if a_minus <= 0.0 or r0 <= 1.0:
-        return None
-    s = params.survivals[:, patch]
-    gap = 1.0 - s[1] * s[2]
-    c_w = -gap * s[0] * params.crowding_c[patch]
-    eps = (1.0 - r0) * gap / c_w
-    return np.array([0.0, eps * s[0], 0.0])
 
 
 def _same_isolated_patches(params: ThreeStageParams, x0) -> bool:
@@ -349,8 +281,8 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
 
     orbit_reports: dict[str, Optional[OrbitReport]] = {}
     orbit_notes: dict[str, str] = {}
-    report, note = detect_orbit(reduced_step, reduced_tail[-1],
-                                _cycle_seed(params, variant))
+    cycle_seed = _cycle_seed(threestage.reduced_coefficients(params, variant))
+    report, note = detect_orbit(reduced_step, reduced_tail[-1], cycle_seed)
     orbit_reports["reduced"] = report
     orbit_notes["reduced"] = note
 
@@ -361,8 +293,8 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
             local_step = threestage.local_map(params, patch)
             local_tails[patch], repeats[f"local_{patch + 1}"] = _run_trajectory(
                 local_step, x0[patch::2], config.horizon, tail)
-            report, note = detect_orbit(local_step, local_tails[patch][-1],
-                                        _local_cycle_seed(params, patch))
+            cycle_seed = _cycle_seed(threestage.local_coefficients(params, patch))
+            report, note = detect_orbit(local_step, local_tails[patch][-1], cycle_seed)
             orbit_reports[f"local_{patch + 1}"] = report
             orbit_notes[f"local_{patch + 1}"] = note
         if same:
@@ -646,8 +578,7 @@ def run_command(args) -> int:
     else:
         scenario = scenarios.builtin(target)
 
-    configs = [cfg.with_overrides(fast=args.fast, tail=args.tail,
-                                  seed=args.seed, out_dir=args.out)
+    configs = [cfg.with_overrides(fast=args.fast, tail=args.tail, seed=args.seed)
                for cfg in scenario.configs]
     out_root = Path(args.out) if args.out else Path("out")
     out_dir = out_root / scenario.name

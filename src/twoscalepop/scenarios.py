@@ -37,7 +37,6 @@ class ScenarioConfig:
     tail: int = DEFAULT_TAIL
     initial_state: NDArray[np.float64] = DEFAULT_INITIAL_STATE
     seed: int = DEFAULT_SEED
-    out_dir: Optional[str] = None
     stages: int = STAGES
     patches: int = PATCHES
 
@@ -68,8 +67,7 @@ class ScenarioConfig:
         object.__setattr__(self, "initial_state", x0)
 
     def with_overrides(self, fast: bool = False, tail: Optional[int] = None,
-                       seed: Optional[int] = None,
-                       out_dir: Optional[str] = None) -> "ScenarioConfig":
+                       seed: Optional[int] = None) -> "ScenarioConfig":
         horizon = self.horizon
         if fast:
             horizon = max(horizon // FAST_DIVISOR, self.tail + 1, 10)
@@ -78,7 +76,6 @@ class ScenarioConfig:
             horizon=horizon,
             tail=self.tail if tail is None else tail,
             seed=self.seed if seed is None else seed,
-            out_dir=self.out_dir if out_dir is None else out_dir,
         )
 
 

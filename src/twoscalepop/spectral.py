@@ -45,13 +45,8 @@ class StochasticMatrix:
     entries: NDArray[np.float64]
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
-        object.__setattr__(self, "entries", m)
-        diagnosis = is_primitive_stochastic(m)
-        if diagnosis == DIAGNOSIS_NOT_STOCHASTIC:
-            raise NotStochasticError("columns must sum to 1 with entries in [0, 1]")
-        if diagnosis == DIAGNOSIS_REDUCIBLE_OR_PERIODIC:
-            raise ReducibleOrPeriodicError("matrix is not primitive")
+        object.__setattr__(self, "entries",
+                           ensure_primitive(np.array(self.entries, dtype=float)))
 
     @property
     def dimension(self) -> int:
@@ -80,7 +75,7 @@ class RescaledLimit:
     limit_matrix: NDArray[np.float64]
 
 
-def is_primitive_stochastic(matrix, tol: float = COLUMN_SUM_TOL) -> str:
+def is_primitive_stochastic(matrix) -> str:
     """Diagnose whether a matrix is primitive column-stochastic.
 
     Returns one of ``"ok"``, ``"not_stochastic"``,
@@ -92,9 +87,9 @@ def is_primitive_stochastic(matrix, tol: float = COLUMN_SUM_TOL) -> str:
         raise ValueError("expected a square matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("entries must be finite")
-    if m.min() < 0.0 or m.max() > 1.0 + tol:
+    if m.min() < 0.0 or m.max() > 1.0 + COLUMN_SUM_TOL:
         return DIAGNOSIS_NOT_STOCHASTIC
-    if np.max(np.abs(m.sum(axis=0) - 1.0)) > tol:
+    if np.max(np.abs(m.sum(axis=0) - 1.0)) > COLUMN_SUM_TOL:
         return DIAGNOSIS_NOT_STOCHASTIC
     r = m.shape[0]
     wielandt = (r - 1) ** 2 + 1

@@ -72,15 +72,17 @@ class ThreeStageParams:
         object.__setattr__(self, "migration", mig)
         if s.shape != (STAGES, PATCHES):
             raise ValueError("survivals must be a (3, 2) table")
-        if np.any(s <= 0.0) or np.any(s >= 1.0):
+        # each check is written so that NaN fails it
+        if not np.all((s > 0.0) & (s < 1.0)):
             raise ValueError("survivals must lie strictly inside (0, 1)")
-        if np.any(self.fertilities <= 0.0):
-            raise ValueError("fertilities must be positive")
-        if np.any(self.crowding_c <= 0.0) or np.any(self.crowding_d <= 0.0):
-            raise ValueError("crowding coefficients must be positive")
+        if not np.all((self.fertilities > 0.0) & np.isfinite(self.fertilities)):
+            raise ValueError("fertilities must be positive and finite")
+        crowding = np.concatenate([self.crowding_c, self.crowding_d])
+        if not np.all((crowding > 0.0) & np.isfinite(crowding)):
+            raise ValueError("crowding coefficients must be positive and finite")
         if mig.shape != (STAGES, PATCHES):
             raise ValueError("migration must be a (3, 2) table of (p, q) rows")
-        if np.any(mig <= 0.0) or np.any(mig >= 1.0):
+        if not np.all((mig > 0.0) & (mig < 1.0)):
             raise ValueError("migration rates must lie strictly inside (0, 1)")
 
     @classmethod
@@ -94,7 +96,7 @@ class ThreeStageParams:
         v = np.asarray(fractions, dtype=float)
         if v.shape != (STAGES,):
             raise ValueError("fractions must give one patch-1 share per stage")
-        if np.any(v <= 0.0) or np.any(v >= 1.0):
+        if not np.all((v > 0.0) & (v < 1.0)):
             raise ValueError("fractions must lie strictly inside (0, 1)")
         if not 0.0 < mixing < 1.0:
             raise ValueError("mixing strength must lie strictly inside (0, 1)")
@@ -108,8 +110,10 @@ class ThreeStageParams:
         v1 = q / (p + q)
         return np.column_stack([v1, 1.0 - v1])
 
-    def is_patch_homogeneous(self, tol: float = 1e-12) -> bool:
-        """True when survivals, fertilities, and crowding match across patches."""
+    def is_patch_homogeneous(self) -> bool:
+        """True when survivals, fertilities, and crowding match across patches
+        within 1e-12."""
+        tol = 1e-12
         return bool(
             np.max(np.abs(self.survivals[:, 0] - self.survivals[:, 1])) <= tol
             and abs(self.fertilities[0] - self.fertilities[1]) <= tol
@@ -369,7 +373,7 @@ def coefficients_from_fractions(survivals, fertilities, crowding_c, crowding_d,
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     v1 = np.asarray(fractions, dtype=float)
-    if v1.shape != (STAGES,) or np.any(v1 < 0.0) or np.any(v1 > 1.0):
+    if v1.shape != (STAGES,) or not np.all((v1 >= 0.0) & (v1 <= 1.0)):
         raise ValueError("fractions must be three shares in [0, 1]")
     v = np.column_stack([v1, 1.0 - v1])
     s = np.asarray(survivals, dtype=float)
@@ -452,8 +456,7 @@ def reduced_step(params: ThreeStageParams, variant: str, y) -> Vector:
 
 def inherent_R0(params: ThreeStageParams, variant: str) -> float:
     """Net reproduction number b s1 / (1 - s2 s3) of the reduced map at 0."""
-    co = reduced_coefficients(params, variant)
-    return co.b * co.s1 / (1.0 - co.s2 * co.s3)
+    return bifurcation_data(params, variant).r0
 
 
 def local_rates(params: ThreeStageParams, patch: int) -> tuple[float, ...]:
@@ -485,16 +488,24 @@ def local_map(params: ThreeStageParams, patch: int) -> Callable[[Vector], Vector
     return _with_kernel(kernel)
 
 
+def local_coefficients(params: ThreeStageParams, patch: int) -> ReducedCoefficients:
+    """Coefficients of the isolated patch: the slow-survival reduced map with
+    every stage's Perron share on that patch."""
+    share = (1.0, 0.0)[patch]
+    return coefficients_from_fractions(
+        params.survivals, params.fertilities, params.crowding_c,
+        params.crowding_d, (share, share, share), VARIANT_SLOW,
+    )
+
+
 def local_quantities(params: ThreeStageParams, patch: int) -> tuple[float, float]:
     """(R0, a_minus) of the isolated patch.
 
     a_minus = -(1 - s2 s3) s1 c + s1 s2 s3 (1 - s3) d; its sign separates
     single-patch equilibrium stability from synchronous-cycle stability.
     """
-    s1, s2, s3, phi, c, d = local_rates(params, patch)
-    r0 = phi * s1 * s2 / (1.0 - s2 * s3)
-    a_minus = -(1.0 - s2 * s3) * s1 * c + s1 * s2 * s3 * (1.0 - s3) * d
-    return r0, a_minus
+    data = bifurcation_from_coefficients(local_coefficients(params, patch))
+    return data.r0, data.a_minus
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ def test_parse_config_strips_comments_outside_quotes():
 
 
 def test_parse_config_rejects_duplicate_keys():
-    with pytest.raises(ConfigError, match="duplicate"):
+    with pytest.raises(ConfigError, match="line 3"):
         cli.parse_config_text("[run]\ntail = 3\ntail = 4\n")
 
 
@@ -86,8 +86,69 @@ def test_parse_config_rejects_key_before_any_section():
 
 
 def test_parse_config_rejects_garbage_line():
-    with pytest.raises(ConfigError, match="config:2"):
+    with pytest.raises(ConfigError, match="line 2"):
         cli.parse_config_text("[run]\nwat\n")
+
+
+def test_parse_config_keeps_commas_inside_quoted_strings():
+    tables = cli.parse_config_text('[run]\nlabels = ["a, b", "c"]\n')
+    assert tables == {"run": {"labels": ["a, b", "c"]}}
+
+
+def test_load_config_reads_literal_strings_and_multiline_arrays(tmp_path):
+    text = (CONFIG_TEXT.replace('"slow_survival"', "'slow_survival'")
+            .replace("k_list = [1, 3]", "k_list = [\n  1,  # first\n  3,\n]"))
+    config = cli.load_config(write_config(tmp_path, text))
+    assert config.variant == "slow_survival"
+    assert config.k_list == (1, 3)
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("s1_1 = 0.5", "s1_1 = .5"),
+    ("phi_1 = 3.1", "phi_1 = 3."),
+    ("d_1 = 10.0", "d_1 = Infinity"),
+    ("seed = 42", "seed = 42\n[run]"),
+])
+def test_load_config_rejects_what_toml_rejects(tmp_path, line, replacement):
+    text = CONFIG_TEXT.replace(line, replacement)
+    with pytest.raises(ConfigError, match=r"myrun\.toml: .*\(at line \d+, column \d+\)"):
+        cli.load_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["s1_1", "phi_1", "c_1", "d_1", "v1_1"])
+def test_non_finite_rates_are_config_errors(tmp_path, capsys, key, value):
+    text = "".join(f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n"
+                   for line in CONFIG_TEXT.splitlines())
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError):
+        cli.load_config(path)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def _readme_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("## Config files", 1)[1].split("```toml\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_loads_and_shows_the_defaults(tmp_path):
+    text = _readme_config()
+    tables = cli.parse_config_text(text)
+    assert tables["dispersal"]["mixing"] == threestage.DEFAULT_MIXING
+    assert tuple(tables["run"]["k_list"]) == scenarios.DEFAULT_K_LIST
+    assert tables["run"]["tail"] == scenarios.DEFAULT_TAIL
+    assert tables["run"]["seed"] == scenarios.DEFAULT_SEED
+    assert tuple(tables["init"]["x"]) == scenarios.DEFAULT_INITIAL_STATE
+    shown = cli.load_config(write_config(tmp_path, text))
+    # the optional keys left out, so the loader's defaults apply
+    required = "\n".join(line for line in text.split("[run]")[0].splitlines()
+                         if not line.startswith("mixing"))
+    default = cli.load_config(write_config(tmp_path, required, name="defaults.toml"))
+    for field in ("k_list", "horizon", "tail", "seed"):
+        assert getattr(shown, field) == getattr(default, field), field
+    assert np.array_equal(shown.initial_state, default.initial_state)
+    assert np.array_equal(shown.params.migration, default.params.migration)
 
 
 def test_load_config_round_trip(tmp_path):
@@ -285,7 +346,8 @@ def test_identical_patches_reuse_patch_one(tmp_path):
     # patch 2 stepped and searched on its own
     step = threestage.local_map(cfg.params, 1)
     tail, repeat = iterate_tail(step, cfg.initial_state[1::2], cfg.horizon, cfg.tail)
-    report, note = cli.detect_orbit(step, tail[-1], cli._local_cycle_seed(cfg.params, 1))
+    seed = cli._cycle_seed(threestage.local_coefficients(cfg.params, 1))
+    report, note = cli.detect_orbit(step, tail[-1], seed)
     assert summary.repeats["local_2"] == repeat
     assert _report_bits(summary.orbit_reports["local_2"]) == _report_bits(report)
     assert summary.orbit_notes["local_2"] == note

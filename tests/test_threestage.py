@@ -104,6 +104,17 @@ def test_local_quantities(fig2_params, fig3_params):
     assert abs(a3 - (-0.03125)) < 1e-12
 
 
+def test_local_coefficients_give_the_isolated_patch_map(fig10_params):
+    # one-hot shares pick each patch's own rates out of heterogeneous ones
+    rng = np.random.default_rng(3)
+    for patch in (0, 1):
+        co = threestage.local_coefficients(fig10_params, patch)
+        step = threestage.local_map(fig10_params, patch)
+        for y in rng.uniform(0.0, 0.5, size=(50, 3)):
+            expected = threestage.reduced_matrix(co, y[1]) @ y
+            assert np.allclose(step(y), expected, rtol=1e-14, atol=1e-16)
+
+
 def test_reduced_map_matches_reduced_step(fig10_params):
     rng = np.random.default_rng(8)
     for variant in ("slow_survival", "rescaled"):
