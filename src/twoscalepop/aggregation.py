@@ -55,14 +55,19 @@ class TwoScaleSystem:
 
         When ``complete_map`` carries a float kernel (``.kernel``, taking
         ``(k, x)`` with x a tuple of floats), H_k carries it too, with k
-        bound; a wrapper that replaces ``complete_map`` drops it.
+        bound: the map's own per-k kernel when it offers one
+        (``.kernel_for(k)``), else ``.kernel`` with k bound by ``partial``.
+        A wrapper that replaces ``complete_map`` drops both.
         """
         if k < 1:
             raise ValueError("k must be a positive integer")
         complete_map = self.complete_map
         step = lambda x: complete_map(k, x)
+        kernel_for = getattr(complete_map, "kernel_for", None)
         kernel = getattr(complete_map, "kernel", None)
-        if kernel is not None:
+        if kernel_for is not None:
+            step.kernel = kernel_for(k)
+        elif kernel is not None:
             step.kernel = partial(kernel, k)
         return step
 

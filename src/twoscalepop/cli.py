@@ -152,7 +152,7 @@ def load_config(path) -> ScenarioConfig:
         variant=variant,
         params=params,
         k_list=k_list,
-        horizon=_as_int(run.get("horizon", 10_000), "run.horizon"),
+        horizon=_as_int(run.get("horizon", scenarios.DEFAULT_HORIZON), "run.horizon"),
         tail=_as_int(run.get("tail", scenarios.DEFAULT_TAIL), "run.tail"),
         initial_state=x,
         seed=_as_int(run.get("seed", scenarios.DEFAULT_SEED), "run.seed"),
@@ -707,11 +707,16 @@ def run_check() -> int:
     _check(results, "perron vectors match the dense eigensolver",
            worst <= 1e-8, f"max gap {worst:.3e}")
 
-    cfg = scenarios.builtin("fig10").configs[0].with_overrides(fast=True)
-    first = run_scenario(cfg)
-    second = run_scenario(cfg)
+    # deterministic code can differ between two runs in one process only
+    # through hidden state, so the other config runs in between to give
+    # such state a chance to act
+    probe, other = (c.with_overrides(fast=True)
+                    for c in scenarios.builtin("sec42_compare").configs[::-1])
+    first = run_scenario(probe)
+    run_scenario(other)
+    second = run_scenario(probe)
     repeat_gap = float(np.max(np.abs(first.reduced_tail - second.reduced_tail)))
-    for k in cfg.k_list:
+    for k in probe.k_list:
         repeat_gap = max(repeat_gap, float(np.max(np.abs(
             first.complete_tails[k] - second.complete_tails[k]))))
         repeat_gap = max(repeat_gap, abs(first.convergence.gaps[k]

@@ -12,6 +12,7 @@ from .metapop import VARIANT_RESCALED, VARIANT_SLOW, VARIANTS
 from .threestage import PATCHES, STAGES, ThreeStageParams
 
 DEFAULT_SEED = 42
+DEFAULT_HORIZON = 10_000
 DEFAULT_TAIL = 6
 DEFAULT_K_LIST = (1, 5, 10)
 DEFAULT_INITIAL_STATE = (0.02, 0.02, 0.05, 0.05, 0.02, 0.02)
@@ -33,7 +34,7 @@ class ScenarioConfig:
     variant: str
     params: ThreeStageParams
     k_list: tuple[int, ...] = DEFAULT_K_LIST
-    horizon: int = 10_000
+    horizon: int = DEFAULT_HORIZON
     tail: int = DEFAULT_TAIL
     initial_state: NDArray[np.float64] = DEFAULT_INITIAL_STATE
     seed: int = DEFAULT_SEED

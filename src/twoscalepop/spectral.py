@@ -178,10 +178,11 @@ def block_diag(*blocks) -> NDArray[np.float64]:
 def _survival_entries(survivals) -> NDArray[np.float64]:
     s = np.asarray(survivals, dtype=float)
     if s.ndim == 2:
-        if not np.array_equal(s, np.diag(np.diag(s))):
+        if not np.array_equal(s, np.diag(np.diag(s)), equal_nan=True):
             raise ValueError("survival matrix must be diagonal")
         s = np.diag(s)
-    if np.any(s <= 0.0):
+    # written so that a NaN survival fails it too
+    if not np.all(s > 0.0):
         raise NonpositiveSurvivalError("survival rates must be strictly positive")
     return s
 

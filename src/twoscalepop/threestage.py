@@ -282,28 +282,38 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     sp1a, sp1b, sp2a, sp2b, sp3a, sp3b = np.concatenate(
         [block[:, 0] for block in limit_blocks]).tolist()
     demography = _closed_form_demography(params, variant)
-    powers: dict[int, NDArray[np.float64]] = {}
+    kernels: dict[int, Callable[[tuple], tuple[float, ...]]] = {}
 
-    def power(k: int) -> NDArray[np.float64]:
+    def kernel_for(k: int) -> Callable[[tuple], tuple[float, ...]]:
+        """H_k's float kernel, built on first use and kept per k."""
+        step = kernels.get(k)
+        if step is not None:
+            return step
         if variant == VARIANT_SLOW:
             a = np.linalg.matrix_power(base, k)
         else:
             a = np.linalg.matrix_power(np.exp(np.log(survivals) / k)[:, None] * base, k)
-        powers[k] = a
-        return a
+        # a.dot(x, out) reaches the same BLAS gemv as a @ x, with less call
+        # overhead; the input and output arrays are reused on every step,
+        # and either input form (array or tuple of floats) is copied in alike
+        dot, xin, xout = a.dot, np.empty(STAGES * PATCHES), np.empty(STAGES * PATCHES)
 
-    # a.dot(x) reaches the same BLAS gemv as a @ x, with less call overhead;
-    # either input form (array or tuple of floats) goes through it alike
+        def step(x) -> tuple[float, ...]:
+            xin[:] = x
+            dot(xin, xout)
+            return demography(xout.tolist())
+
+        kernels[k] = step
+        return step
+
     def complete_kernel(k: int, x) -> tuple[float, ...]:
-        a = powers.get(k)
-        if a is None:
-            a = power(k)
-        return demography(a.dot(np.asarray(x, dtype=float)).tolist())
+        return kernel_for(k)(x)
 
     def complete_map(k: int, x) -> Vector:
-        return np.array(complete_kernel(k, x))
+        return np.array(kernel_for(k)(x))
 
     complete_map.kernel = complete_kernel
+    complete_map.kernel_for = kernel_for
 
     def limit_kernel(x) -> tuple[float, ...]:
         return demography(limit.dot(np.asarray(x, dtype=float)).tolist())

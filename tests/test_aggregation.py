@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import struct
 
@@ -280,6 +281,23 @@ def test_kernel_orbits_match_array_form_bit_for_bit(name, variant):
         if label == "H_10":
             # the kernel's rows are the array map's rows, step by step
             assert _same_bits(tail, _plain_orbit(map_fn, x0, steps)[-keep:]), label
+
+
+def test_complete_binds_each_k_kernel_once(fig2_params):
+    # H_k takes the map's own per-k kernel; a map with only ``.kernel``
+    # gets it with k bound by partial, and both give the same bytes
+    system = threestage.make_system(fig2_params, "slow_survival")
+    assert system.complete(5).kernel is system.complete(5).kernel
+    assert system.complete(5).kernel is not system.complete(10).kernel
+    kernel = system.complete_map.kernel
+    only_kernel = lambda k, x: system.complete_map(k, x)
+    only_kernel.kernel = kernel
+    plain = dataclasses.replace(system, complete_map=only_kernel)
+    assert isinstance(plain.complete(5).kernel, functools.partial)
+    for k in (1, 5, 10):
+        tail, repeat = aggregation.iterate_tail(system.complete(k), _X0, 3_000, 3)
+        expected, plain_repeat = aggregation.iterate_tail(plain.complete(k), _X0, 3_000, 3)
+        assert _same_bits(tail, expected) and repeat == plain_repeat, k
 
 
 def test_replaced_complete_map_drops_the_kernel(fig2_params):

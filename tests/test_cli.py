@@ -137,6 +137,7 @@ def test_readme_config_loads_and_shows_the_defaults(tmp_path):
     tables = cli.parse_config_text(text)
     assert tables["dispersal"]["mixing"] == threestage.DEFAULT_MIXING
     assert tuple(tables["run"]["k_list"]) == scenarios.DEFAULT_K_LIST
+    assert tables["run"]["horizon"] == scenarios.DEFAULT_HORIZON
     assert tables["run"]["tail"] == scenarios.DEFAULT_TAIL
     assert tables["run"]["seed"] == scenarios.DEFAULT_SEED
     assert tuple(tables["init"]["x"]) == scenarios.DEFAULT_INITIAL_STATE
@@ -167,7 +168,7 @@ def test_load_config_defaults(tmp_path):
     text = CONFIG_TEXT.split("[run]")[0]  # drop run and init sections
     config = cli.load_config(write_config(tmp_path, text))
     assert config.k_list == scenarios.DEFAULT_K_LIST
-    assert config.horizon == 10_000
+    assert config.horizon == scenarios.DEFAULT_HORIZON
     assert config.tail == scenarios.DEFAULT_TAIL
     assert config.seed == scenarios.DEFAULT_SEED
 
@@ -413,11 +414,48 @@ def test_list_names_each_scenario_once(capsys):
     assert names == ["fig2", "fig3", "fig10", "sec42_compare", "custom"]
 
 
-def test_check_battery_passes(capsys):
+def _spy_on_runs(monkeypatch, shift_call=None):
+    """Record each config ``cli.run_scenario`` runs; shift the reduced tail
+    of run number ``shift_call`` (1-based) by 1e-6."""
+    configs = []
+    run_scenario = cli.run_scenario
+
+    def spy(config, *args, **kwargs):
+        summary = run_scenario(config, *args, **kwargs)
+        configs.append(config)
+        if len(configs) == shift_call:
+            summary = dataclasses.replace(summary,
+                                          reduced_tail=summary.reduced_tail + 1e-6)
+        return summary
+
+    monkeypatch.setattr(cli, "run_scenario", spy)
+    return configs
+
+
+def test_check_battery_passes(capsys, monkeypatch):
+    configs = _spy_on_runs(monkeypatch)
     assert cli.main(["check"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+    # the lines that do not depend on the BLAS kernel's rounding
+    lines = out.splitlines()
+    assert lines[-2] == "check same seed reproduces a run: PASS (max repeat gap 0.000e+00)"
+    assert lines[-1] == "12/12 checks passed"
+    # the probe runs one config, another one, then the first again
+    first, middle, last = configs
+    same = lambda a, b: (a.variant, a.k_list, a.horizon, a.seed) == (
+        b.variant, b.k_list, b.horizon, b.seed)
+    assert same(first, last) and not same(first, middle)
+    assert np.array_equal(first.initial_state, last.initial_state)
+
+
+def test_check_fails_when_a_repeat_run_differs(capsys, monkeypatch):
+    _spy_on_runs(monkeypatch, shift_call=3)
+    assert cli.main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("check same seed reproduces a run: FAIL (max repeat gap 1.000e-06")
+    assert lines[-1] == "11/12 checks passed"
 
 
 # --- failure exits ----------------------------------------------------------

@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoscalepop import spectral
-from twoscalepop.errors import NotStochasticError, ReducibleOrPeriodicError
+from twoscalepop.errors import (
+    NonpositiveSurvivalError,
+    NotStochasticError,
+    ReducibleOrPeriodicError,
+)
 from conftest import random_stochastic
 
 
@@ -75,6 +79,20 @@ def test_rescaled_power_limit_structure():
     e2048 = np.linalg.norm(spectral.rescaled_power(s, m, 2048) - lim.limit_matrix, 1)
     assert e2048 < e128
     assert e2048 < 1e-2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -np.inf, 0.0])
+@pytest.mark.parametrize("position", [0, 1])
+def test_rescaled_powers_reject_nonpositive_or_nan_survival(bad, position):
+    m = np.array([[0.7, 0.4], [0.3, 0.6]])
+    s = [0.5, 0.5]
+    s[position] = bad
+    with pytest.raises(NonpositiveSurvivalError):
+        spectral.rescaled_power(s, m, 2)
+    with pytest.raises(NonpositiveSurvivalError):
+        spectral.rescaled_power_limit(s, m)
+    with pytest.raises(NonpositiveSurvivalError):
+        spectral.rescaled_power(np.diag(s), m, 2)
 
 
 def test_spectral_radius_known_values():
