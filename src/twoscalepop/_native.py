@@ -1,0 +1,278 @@
+"""Compiled stepping loop for the threestage maps, built on first use.
+
+``_native.c`` steps H_k, the reduced map and the isolated-patch map with
+the same IEEE operations, in the same order, as their Python float
+kernels, so both give the same bytes.  ``aggregation.iterate_tail`` runs
+an orbit through it when the map carries a ``.native`` spec (a ``Spec``)
+and ``select`` answers ``"native"``; otherwise, and as the test oracle, the
+Python kernel steps.
+
+Nothing happens at import.  On first use the C source is compiled with the
+system ``cc`` into ``$XDG_CACHE_HOME/twoscalepop/<sha256>.so`` (default
+``~/.cache``), keyed by the source and the flags, written to a temporary
+file and moved into place, then loaded with ``ctypes``.  When the cache
+cannot be written the library is built in a per-process temporary
+directory instead.  With no ``cc``, a failed build, or no writable place,
+every orbit steps in Python, and ``select`` says why.
+
+H_k's dispersal product is numpy's BLAS gemv in the Python kernel.  The C
+loop models it as plain two-term row sums on rows 0-3 and a fused
+multiply-add on rows 4-5, which is what OpenBLAS's FMA kernels compute
+here (see ``threestage.make_system``).  Once per process that model is
+probed against ``ndarray.dot``; on any mismatch H_k steps in Python.  The
+reduced and local maps involve no BLAS and need no probe.
+"""
+from __future__ import annotations
+
+import ctypes
+import math
+import os
+import shutil
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Optional
+
+import numpy as np
+
+COMPLETE, REDUCED, LOCAL = 0, 1, 2
+_SHAPES = {COMPLETE: (6, 30), REDUCED: (3, 12), LOCAL: (3, 6)}  # (state, constants)
+_RAN, _MATCHED_FIRST, _MATCHED_SECOND, _FAILS = 0, 1, 2, 3
+
+NATIVE = "native"
+SOURCE = Path(__file__).with_name("_native.c")
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+PROBE_PRODUCTS = 300
+
+# block-diagonal pattern of a 6x6 dispersal power: the (row, column) of its
+# twelve structural nonzeros, row by row, in the C loop's packing order
+_ROWS = np.repeat(np.arange(6), 2)
+_COLS = np.array([0, 1, 0, 1, 2, 3, 2, 3, 4, 5, 4, 5])
+_OFF_BLOCK = np.ones((6, 6), dtype=bool)
+_OFF_BLOCK[_ROWS, _COLS] = False
+
+
+@dataclass(frozen=True)
+class Spec:
+    """A map's compiled form: which C step it is and its packed constants."""
+
+    kind: int
+    constants: tuple[float, ...]
+
+    def __post_init__(self):
+        # the C loop reads a fixed number of constants per kind
+        shape = _SHAPES.get(self.kind)
+        if shape is None or shape[1] != len(self.constants):
+            raise ValueError("constants do not fit the map kind")
+
+
+def dispersal_entries(a: np.ndarray) -> Optional[list[float]]:
+    """The twelve structural nonzeros of a block-diagonal 6x6 power, row by
+    row; None when an entry off the three 2x2 blocks is not zero."""
+    if np.any(a[_OFF_BLOCK] != 0.0):
+        return None
+    return a[_ROWS, _COLS].tolist()
+
+
+# process-wide state, settled on first use: (library, path or reason) and
+# whether the BLAS probe agreed
+_library_state: Optional[tuple] = None
+_blas_state: Optional[bool] = None
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "twoscalepop"
+
+
+def _compile(cc: str, out: str) -> bool:
+    import subprocess  # here, not at import: only a build needs it
+
+    try:
+        proc = subprocess.run([cc, *FLAGS, "-o", out, str(SOURCE), "-lm"],
+                              capture_output=True, timeout=120)
+    except (OSError, subprocess.SubprocessError):
+        return False
+    return proc.returncode == 0
+
+
+def _open(path: str) -> tuple:
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None, "build failed"
+    doubles = ctypes.POINTER(ctypes.c_double)
+    lib.twoscale_advance.restype = ctypes.c_int64
+    lib.twoscale_advance.argtypes = (ctypes.c_int, doubles, doubles, ctypes.c_int64,
+                                     doubles, doubles, doubles,
+                                     ctypes.POINTER(ctypes.c_int))
+    lib.twoscale_dispersal.restype = None
+    lib.twoscale_dispersal.argtypes = (doubles, doubles, doubles)
+    return lib, path
+
+
+def _build_in_temp(cc: str) -> tuple:
+    """Build and load in a fresh temporary directory, removed once loaded."""
+    try:
+        tmp = tempfile.mkdtemp(prefix="twoscalepop-")
+    except OSError:
+        return None, "cache unwritable"
+    try:
+        out = os.path.join(tmp, "_native.so")
+        return _open(out) if _compile(cc, out) else (None, "build failed")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _load() -> tuple:
+    import hashlib  # here, not at import: it loads OpenSSL
+
+    try:
+        source = SOURCE.read_bytes()
+    except OSError:
+        return None, "build failed"
+    digest = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()
+    target = _cache_dir() / f"{digest}.so"
+    if target.is_file():
+        return _open(str(target))
+    cc = shutil.which("cc")
+    if cc is None:
+        return None, "no compiler"
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
+        os.close(fd)
+    except OSError:
+        return _build_in_temp(cc)
+    try:
+        if not _compile(cc, tmp):
+            return None, "build failed"
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return _open(str(target))
+
+
+def _library() -> tuple:
+    """(ctypes library, its path) once loaded, else (None, reason)."""
+    global _library_state
+    if _library_state is None:
+        _library_state = _load()
+    return _library_state
+
+
+def _probe(dispersal: Callable[[list, list], bytes]) -> bool:
+    """True when ``dispersal(entries, x)``, the bytes of a modelled product,
+    equals ``a.dot`` bit for bit on ``PROBE_PRODUCTS`` random
+    block-diagonal products.
+
+    ``entries`` are the twelve block entries and ``x`` the six inputs, as
+    lists of floats.  The products are formed as the H_k kernel forms
+    them, on C-ordered 6x6 matrices with the arrays reused.
+    """
+    rng = np.random.default_rng(20_240_601)
+    a, xin, xout = np.zeros((6, 6)), np.empty(6), np.empty(6)
+    for entries, x in zip(rng.random((PROBE_PRODUCTS, 12)).tolist(),
+                          (10.0 ** rng.uniform(-8.0, 3.0, (PROBE_PRODUCTS, 6))).tolist()):
+        a[_ROWS, _COLS] = entries
+        xin[:] = x
+        a.dot(xin, xout)
+        if dispersal(entries, x) != xout.tobytes():
+            return False
+    return True
+
+
+def _blas_matches(lib) -> bool:
+    global _blas_state
+    if _blas_state is None:
+        def dispersal(entries: list, x: list) -> bytes:
+            z = (ctypes.c_double * 6)()
+            lib.twoscale_dispersal((ctypes.c_double * 12)(*entries),
+                                   (ctypes.c_double * 6)(*x), z)
+            return bytes(z)
+
+        _blas_state = _probe(dispersal)
+    return _blas_state
+
+
+def in_gate(x: tuple) -> bool:
+    """True when every coordinate is finite with its sign bit clear.
+
+    On such states the C dispersal sums equal BLAS's (BLAS turns a -0.0
+    input into +0.0 and ``0 * inf`` into NaN, where a two-term sum does
+    neither), and H_k keeps the property: its coefficients are
+    nonnegative and a non-finite image is an error.  So one check of the
+    start covers the whole orbit.
+    """
+    return all(math.isfinite(v) and math.copysign(1.0, v) > 0.0 for v in x)
+
+
+def select(spec: Spec, x: tuple) -> str:
+    """``"native"`` when an orbit of ``spec``'s map from ``x`` can run in the
+    compiled loop, else ``"python: <reason>"``."""
+    if not in_gate(x):
+        return "python: start outside the gate"
+    lib, reason = _library()
+    if lib is None:
+        return f"python: {reason}"
+    if spec.kind == COMPLETE and not _blas_matches(lib):
+        return "python: BLAS probe mismatch"
+    return NATIVE
+
+
+def describe() -> str:
+    """Which path this process steps orbits on, and why."""
+    lib, where = _library()
+    if lib is None:
+        return f"python: {where}"
+    if not _blas_matches(lib):
+        return f"native ({where}), except H_k (python: BLAS probe mismatch)"
+    return f"native ({where})"
+
+
+class Stepper:
+    """The stepping primitive on the compiled loop; see ``aggregation._KernelStepper``.
+
+    ``kernel`` is the map's Python float kernel: when the loop reports that
+    a step fails, the kernel replays that step to raise its exact error.
+    """
+
+    def __init__(self, spec: Spec, kernel: Callable):
+        self._advance = _library()[0].twoscale_advance
+        self._kind = spec.kind
+        self._dim = _SHAPES[spec.kind][0]
+        self._constants = (ctypes.c_double * len(spec.constants))(*spec.constants)
+        self._x = (ctypes.c_double * self._dim)()
+        self._saved = [(ctypes.c_double * self._dim)() for _ in range(2)]
+        self._status = ctypes.c_int()
+        self._kernel = kernel
+
+    def _run(self, x: tuple, n: int, saved: tuple, rows) -> tuple[tuple, int, Optional[int]]:
+        self._x[:] = x
+        first = second = None
+        if saved:
+            first, second = self._saved
+            first[:], second[:] = saved
+        taken = self._advance(self._kind, self._constants, self._x, n,
+                              first, second, rows, self._status)
+        x = tuple(self._x)
+        status = self._status.value
+        if status == _FAILS:
+            self._kernel(x)  # raises the Python kernel's error
+            raise RuntimeError("the compiled step failed where the Python kernel "
+                               f"does not, after {taken} steps from the run's start")
+        return x, taken, None if status == _RAN else status - _MATCHED_FIRST
+
+    def advance(self, x: tuple, n: int, saved: tuple = ()) -> tuple[tuple, int, Optional[int]]:
+        return self._run(x, n, saved, None)
+
+    def rows(self, x: tuple, n: int) -> list[tuple]:
+        if n == 0:
+            return []
+        buf = (ctypes.c_double * (n * self._dim))()
+        self._run(x, n, (), buf)
+        values = buf[:]
+        return [tuple(values[i:i + self._dim]) for i in range(0, n * self._dim, self._dim)]

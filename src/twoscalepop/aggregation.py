@@ -22,6 +22,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _native
 from .errors import DomainExitError, InvalidCenterError
 from .solvers import fd_jacobian
 
@@ -57,7 +58,9 @@ class TwoScaleSystem:
         ``(k, x)`` with x a tuple of floats), H_k carries it too, with k
         bound: the map's own per-k kernel when it offers one
         (``.kernel_for(k)``), else ``.kernel`` with k bound by ``partial``.
-        A wrapper that replaces ``complete_map`` drops both.
+        Likewise H_k carries ``.native_for(k)`` as ``.native``, its compiled
+        form, when the map offers one.  A wrapper that replaces
+        ``complete_map`` drops all of them.
         """
         if k < 1:
             raise ValueError("k must be a positive integer")
@@ -65,10 +68,14 @@ class TwoScaleSystem:
         step = lambda x: complete_map(k, x)
         kernel_for = getattr(complete_map, "kernel_for", None)
         kernel = getattr(complete_map, "kernel", None)
+        native_for = getattr(complete_map, "native_for", None)
         if kernel_for is not None:
             step.kernel = kernel_for(k)
         elif kernel is not None:
             step.kernel = partial(kernel, k)
+        native = native_for(k) if native_for is not None else None
+        if native is not None:
+            step.native = native
         return step
 
 
@@ -191,6 +198,63 @@ def _has_nan(x: tuple) -> bool:
     return any(v != v for v in x)
 
 
+class _KernelStepper:
+    """The stepping primitive of ``iterate_tail`` on a Python float kernel.
+
+    ``advance(x, n, saved)`` takes up to ``n`` steps from ``x`` and stops
+    after the first whose state has the bytes of a state in ``saved`` (at
+    most two); it returns the state reached, the steps taken and the index
+    in ``saved`` of the match, else None.  ``rows(x, n)`` returns the next
+    ``n`` states.  ``_native.Stepper`` is the same primitive on the
+    compiled loop, and this one is its oracle and fallback.
+    """
+
+    def __init__(self, step: Callable[[tuple], tuple]):
+        self.step = step
+
+    def advance(self, x: tuple, n: int, saved: tuple = ()) -> tuple[tuple, int, Optional[int]]:
+        step = self.step
+        if not saved:
+            for _ in range(n):
+                x = step(x)
+            return x, n, None
+        # == is a cheap filter that every bitwise match passes, except when
+        # the saved state holds a NaN: then the bytes decide every step
+        first, second = saved
+        first_bits, first_nan = _bits(first), _has_nan(first)
+        second_bits, second_nan = _bits(second), _has_nan(second)
+        for t in range(1, n + 1):
+            x = step(x)
+            if (x == first or first_nan) and _bits(x) == first_bits:
+                return x, t, 0
+            if (x == second or second_nan) and _bits(x) == second_bits:
+                return x, t, 1
+        return x, n, None
+
+    def rows(self, x: tuple, n: int) -> list[tuple]:
+        out = []
+        for _ in range(n):
+            x = self.step(x)
+            out.append(x)
+        return out
+
+
+def stepping_path(map_fn: StateMap, x0) -> str:
+    """How ``iterate_tail`` steps ``map_fn`` from ``x0``: ``"native"`` for the
+    compiled loop, else ``"python: <reason>"``."""
+    spec = getattr(map_fn, "native", None)
+    if spec is None:
+        return "python: no compiled form"
+    return _native.select(spec, _as_floats(x0))
+
+
+def _stepper(map_fn: StateMap, x0):
+    kernel = _float_kernel(map_fn)
+    if stepping_path(map_fn, x0) == _native.NATIVE:
+        return _native.Stepper(map_fn.native, kernel)
+    return _KernelStepper(kernel)
+
+
 def iterate_tail(map_fn: StateMap, x0, steps: int,
                  keep: int = 1) -> tuple[Vector, Optional[tuple[int, int]]]:
     """The last ``keep`` states of [X0, map(X0), ..., map^steps(X0)].
@@ -216,54 +280,44 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
     c + period + c // 16.  Whichever tortoise matches first decides, so
     the catch is never later than Brent's.
 
-    The orbit runs on tuples of floats, through the float kernel
-    ``map_fn.kernel`` when the map carries one (the ``threestage`` maps do)
-    and through ``map_fn`` itself, called once per computed step on a fresh
-    float array, otherwise.  Only the tail rows become a numpy array.
-    ``map_fn`` must be deterministic and return float arrays.
+    The orbit runs on tuples of floats.  A map carrying a compiled form
+    (``.native``, as the ``threestage`` maps do) steps in ``_native``'s C
+    loop when ``stepping_path`` says so; otherwise it steps through its
+    float kernel ``map_fn.kernel``, or through ``map_fn`` itself, called
+    once per computed step on a fresh float array, when it has none.  All
+    give the same bytes and raise the same errors at the same step.  Only
+    the tail rows become a numpy array.  ``map_fn`` must be deterministic
+    and return float arrays.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if not 1 <= keep <= steps + 1:
         raise ValueError("keep must lie in [1, steps + 1]")
-    step = _float_kernel(map_fn)
     x = _as_floats(x0)
+    stepper = _stepper(map_fn, x)
     first = steps + 1 - keep  # step of the tail's first row
     t = mark = fine_mark = 0
     next_mark = next_fine = 1
-    # == is a cheap filter that every bitwise match passes, except when
-    # the saved state holds a NaN: then the bytes decide every step
-    tortoise, tortoise_bits, tortoise_nan = x, _bits(x), _has_nan(x)
-    fine, fine_bits, fine_nan = tortoise, tortoise_bits, tortoise_nan
+    tortoise = fine = x
     repeat = None
     while repeat is None and t < first:
         # no save falls inside a run, so its steps only compare
-        for t in range(t + 1, min(next_mark, next_fine, first) + 1):
-            x = step(x)
-            if (x == tortoise or tortoise_nan) and _bits(x) == tortoise_bits:
-                repeat = (t, t - mark)
-                break
-            if (x == fine or fine_nan) and _bits(x) == fine_bits:
-                repeat = (t, t - fine_mark)
-                break
+        x, taken, match = stepper.advance(x, min(next_mark, next_fine, first) - t,
+                                          (tortoise, fine))
+        t += taken
+        if match is not None:
+            repeat = (t, t - (mark, fine_mark)[match])
         if t == next_mark:
-            mark, next_mark = t, 2 * t + 1
-            tortoise, tortoise_bits, tortoise_nan = x, _bits(x), _has_nan(x)
+            mark, next_mark, tortoise = t, 2 * t + 1, x
         if t == next_fine:
-            fine_mark, next_fine = t, t + 1 + t // 16
-            fine, fine_bits, fine_nan = x, _bits(x), _has_nan(x)
+            fine_mark, next_fine, fine = t, t + 1 + t // 16, x
     if repeat is not None:
         # the state of step t recurs every period: resume from its last
         # recurrence at or before the tail's first row
         period = repeat[1]
         t += (first - t) // period * period
-    for _ in range(first - t):
-        x = step(x)
-    rows = [x]
-    for _ in range(1, keep):
-        x = step(x)
-        rows.append(x)
-    return np.array(rows, dtype=float), repeat
+    x = stepper.advance(x, first - t)[0]
+    return np.array([x, *stepper.rows(x, keep - 1)], dtype=float), repeat
 
 
 def reduced_map(sys: TwoScaleSystem) -> StateMap:

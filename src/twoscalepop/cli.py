@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import aggregation, analysis, metapop, scenarios, spectral, threestage
-from .aggregation import ConvergenceTable, convergence_table, iterate_tail
+from .aggregation import ConvergenceTable, convergence_table, iterate_tail, stepping_path
 from .analysis import OrbitReport
 from .errors import (
     CollapsedToEquilibriumError,
@@ -181,22 +181,28 @@ class RunSummary:
     # exact repeat was caught and its period, None when the run computed
     # every step
     repeats: dict[str, Optional[tuple[int, int]]]
+    # series -> "native" when the compiled loop stepped it, else
+    # "python: <reason>" (see aggregation.stepping_path); not written out
+    stepping: dict[str, str]
 
 
 def _run_trajectory(step: Callable, x0, horizon: int,
-                    keep: int) -> tuple[np.ndarray, Optional[tuple[int, int]]]:
-    """Last ``keep`` states of a ``horizon``-step run and its exact repeat.
+                    keep: int) -> tuple[np.ndarray, Optional[tuple[int, int]], str]:
+    """Last ``keep`` states of a ``horizon``-step run, its exact repeat and
+    the path that stepped it.
 
     Returns ``(tail, repeat)`` as ``aggregation.iterate_tail`` does: the
     tail is bit-identical to the end of the full trajectory, and a run whose
     state repeats bit for bit stops computing where the repeat is caught,
-    so its cost is set by the repeat step, not by the horizon.
+    so its cost is set by the repeat step, not by the horizon.  Then
+    ``aggregation.stepping_path`` of the run.
     """
+    path = stepping_path(step, x0)
     tail, repeat = iterate_tail(step, x0, horizon, keep)
     if not np.all(np.isfinite(tail[-1])):
         raise DomainExitError("trajectory left the admissible box",
                               step=horizon, state=tail[-1])
-    return tail, repeat
+    return tail, repeat, path
 
 
 def _cycle_seed(co: ReducedCoefficients):
@@ -272,11 +278,12 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
     tail = config.tail
 
     repeats: dict[str, Optional[tuple[int, int]]] = {}
-    reduced_tail, repeats["reduced"] = _run_trajectory(
+    stepping: dict[str, str] = {}
+    reduced_tail, repeats["reduced"], stepping["reduced"] = _run_trajectory(
         reduced_step, y0, config.horizon, tail)
     complete_tails = {}
     for k in config.k_list:
-        complete_tails[k], repeats[f"k={k}"] = _run_trajectory(
+        complete_tails[k], repeats[f"k={k}"], stepping[f"k={k}"] = _run_trajectory(
             system.complete(k), x0, config.horizon, tail)
 
     orbit_reports: dict[str, Optional[OrbitReport]] = {}
@@ -291,7 +298,8 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
         same = _same_isolated_patches(params, x0)
         for patch in (0,) if same else (0, 1):
             local_step = threestage.local_map(params, patch)
-            local_tails[patch], repeats[f"local_{patch + 1}"] = _run_trajectory(
+            (local_tails[patch], repeats[f"local_{patch + 1}"],
+             stepping[f"local_{patch + 1}"]) = _run_trajectory(
                 local_step, x0[patch::2], config.horizon, tail)
             cycle_seed = _cycle_seed(threestage.local_coefficients(params, patch))
             report, note = detect_orbit(local_step, local_tails[patch][-1], cycle_seed)
@@ -300,7 +308,7 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
         if same:
             # patch 2 would repeat patch 1's run and orbit search bit for bit
             local_tails[1] = local_tails[0]
-            for results in (repeats, orbit_reports, orbit_notes):
+            for results in (repeats, stepping, orbit_reports, orbit_notes):
                 results["local_2"] = results["local_1"]
 
     rng = np.random.default_rng(config.seed)
@@ -319,6 +327,7 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
         scalars=_scalar_table(params, variant),
         convergence=convergence,
         repeats=repeats,
+        stepping=stepping,
     )
 
 
@@ -715,13 +724,15 @@ def run_check() -> int:
     first = run_scenario(probe)
     run_scenario(other)
     second = run_scenario(probe)
-    repeat_gap = float(np.max(np.abs(first.reduced_tail - second.reduced_tail)))
-    for k in probe.k_list:
-        repeat_gap = max(repeat_gap, float(np.max(np.abs(
-            first.complete_tails[k] - second.complete_tails[k]))))
-        repeat_gap = max(repeat_gap, abs(first.convergence.gaps[k]
-                                         - second.convergence.gaps[k]))
-    _check(results, "same seed reproduces a run", repeat_gap <= 1e-9,
+    # the verdict is byte equality: the probe's tails go extinct (~1e-72),
+    # so any absolute tolerance would pass almost any difference
+    pairs = [(first.reduced_tail, second.reduced_tail)]
+    pairs += [(first.complete_tails[k], second.complete_tails[k]) for k in probe.k_list]
+    pairs += [(np.float64(first.convergence.gaps[k]), np.float64(second.convergence.gaps[k]))
+              for k in probe.k_list]
+    repeat_gap = max(float(np.max(np.abs(a - b))) for a, b in pairs)
+    _check(results, "same seed reproduces a run",
+           all(a.tobytes() == b.tobytes() for a, b in pairs),
            f"max repeat gap {repeat_gap:.3e}")
 
     failed = [r for r in results if not r.passed]

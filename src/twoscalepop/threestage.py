@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import metapop, spectral
+from . import _native, metapop, spectral
 from .aggregation import TwoScaleSystem
 from .errors import DomainExitError, NegativeDensityError
 from .metapop import VARIANT_RESCALED, VARIANT_SLOW, VARIANTS
@@ -185,7 +185,21 @@ def make_model(params: ThreeStageParams) -> metapop.MetapopModel:
     )
 
 
-def _closed_form_demography(params: ThreeStageParams, variant: str) -> Callable:
+def _demography_constants(params: ThreeStageParams, variant: str) -> tuple[float, ...]:
+    """(e1a, e1b, e2a, e2b, s2a, s2b, u2a, u2b, s3a, s3b, u3a, u3b, phi_a,
+    phi_b, c_a, c_b, d_a, d_b): the closed-form demography's constants, in
+    the order the compiled loop reads them."""
+    (s1a, s1b), (s2a, s2b), (s3a, s3b) = params.survivals.tolist()
+    if variant == VARIANT_RESCALED:
+        (u1a, u1b), (u2a, u2b), (u3a, u3b) = params.survivals.tolist()
+    else:
+        u1a = u1b = u2a = u2b = u3a = u3b = 1.0  # x / 1.0 == x exactly
+    return (s1a / u1a, s1b / u1b, s2a / u2a, s2b / u2b, s2a, s2b, u2a, u2b,
+            s3a, s3b, u3a, u3b, *params.fertilities.tolist(),
+            *params.crowding_c.tolist(), *params.crowding_d.tolist())
+
+
+def _closed_form_demography(constants: tuple[float, ...]) -> Callable:
     """Closed-form Z -> D(Z) Z (slow survival) or Dt(Z) Z (rescaled).
 
     Takes the six coordinates of Z as floats and returns the checked image
@@ -193,17 +207,11 @@ def _closed_form_demography(params: ThreeStageParams, variant: str) -> Callable:
     from ``demography_matrix`` -- (f s2), (g s3), ((1-g) s3), each divided
     by its column's survival in the rescaled variant -- and each row adds
     its two products in column order; the tests hold the result to the
-    matrix product bit for bit.
+    matrix product bit for bit.  ``constants`` come from
+    ``_demography_constants``.
     """
-    (s1a, s1b), (s2a, s2b), (s3a, s3b) = params.survivals.tolist()
-    if variant == VARIANT_RESCALED:
-        (u1a, u1b), (u2a, u2b), (u3a, u3b) = params.survivals.tolist()
-    else:
-        u1a = u1b = u2a = u2b = u3a = u3b = 1.0  # x / 1.0 == x exactly
-    e1a, e1b, e2a, e2b = s1a / u1a, s1b / u1b, s2a / u2a, s2b / u2b
-    phi_a, phi_b = params.fertilities.tolist()
-    c_a, c_b = params.crowding_c.tolist()
-    d_a, d_b = params.crowding_d.tolist()
+    (e1a, e1b, e2a, e2b, s2a, s2b, u2a, u2b, s3a, s3b, u3a, u3b,
+     phi_a, phi_b, c_a, c_b, d_a, d_b) = constants
 
     def apply(z) -> tuple[float, ...]:
         z1a, z1b, z2a, z2b, z3a, z3b = z
@@ -235,12 +243,16 @@ def _closed_form_demography(params: ThreeStageParams, variant: str) -> Callable:
     return apply
 
 
-def _with_kernel(kernel: Callable) -> Callable[[Vector], Vector]:
-    """The array map over a float kernel; the kernel rides along as ``.kernel``."""
+def _with_kernel(kernel: Callable,
+                 native: Optional[_native.Spec] = None) -> Callable[[Vector], Vector]:
+    """The array map over a float kernel; the kernel rides along as
+    ``.kernel``, and its compiled form, when given, as ``.native``."""
     def step(x) -> Vector:
         return np.array(kernel(tuple(np.asarray(x, dtype=float).tolist())))
 
     step.kernel = kernel
+    if native is not None:
+        step.native = native
     return step
 
 
@@ -266,6 +278,15 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     second product rounded first; non-FMA kernels give the plain sums on
     every row.  A Python kernel could match the fused rows only through an
     exact fused multiply-add, which ``math`` lacks before Python 3.13.
+
+    H_k's compiled form (``complete_map.native_for(k)``, passed on as
+    ``.native`` by ``TwoScaleSystem.complete``) packs the power's twelve
+    block entries and the demography constants for ``_native``'s C loop,
+    which forms rows 0-3 as plain sums and rows 4-5 with C's exact ``fma``:
+    the SkylakeX rounding above.  Once per process ``_native`` probes that
+    model against ``a.dot`` on a few hundred random block-diagonal
+    products, and on any mismatch (a non-FMA BLAS kernel) H_k steps in
+    Python.  Nothing is compiled or probed here.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -281,14 +302,15 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     # each column of a limit block is v_i (gamma_i v_i when rescaled)
     sp1a, sp1b, sp2a, sp2b, sp3a, sp3b = np.concatenate(
         [block[:, 0] for block in limit_blocks]).tolist()
-    demography = _closed_form_demography(params, variant)
-    kernels: dict[int, Callable[[tuple], tuple[float, ...]]] = {}
+    constants = _demography_constants(params, variant)
+    demography = _closed_form_demography(constants)
+    bound: dict[int, tuple[Callable[[tuple], tuple[float, ...]], Optional[_native.Spec]]] = {}
 
-    def kernel_for(k: int) -> Callable[[tuple], tuple[float, ...]]:
-        """H_k's float kernel, built on first use and kept per k."""
-        step = kernels.get(k)
-        if step is not None:
-            return step
+    def bind(k: int) -> tuple[Callable[[tuple], tuple[float, ...]], Optional[_native.Spec]]:
+        """H_k's float kernel and compiled form, built on first use and kept per k."""
+        pair = bound.get(k)
+        if pair is not None:
+            return pair
         if variant == VARIANT_SLOW:
             a = np.linalg.matrix_power(base, k)
         else:
@@ -303,8 +325,14 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
             dot(xin, xout)
             return demography(xout.tolist())
 
-        kernels[k] = step
-        return step
+        entries = _native.dispersal_entries(a)
+        native = None if entries is None else _native.Spec(
+            _native.COMPLETE, (*entries, *constants))
+        bound[k] = step, native
+        return bound[k]
+
+    def kernel_for(k: int) -> Callable[[tuple], tuple[float, ...]]:
+        return bind(k)[0]
 
     def complete_kernel(k: int, x) -> tuple[float, ...]:
         return kernel_for(k)(x)
@@ -314,6 +342,7 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
 
     complete_map.kernel = complete_kernel
     complete_map.kernel_for = kernel_for
+    complete_map.native_for = lambda k: bind(k)[1]
 
     def limit_kernel(x) -> tuple[float, ...]:
         return demography(limit.dot(np.asarray(x, dtype=float)).tolist())
@@ -457,7 +486,8 @@ def reduced_map(params: ThreeStageParams, variant: str) -> Callable[[Vector], Ve
             s2 * y2 + s3 * (1.0 - hh2) * y3,
         )
 
-    return _with_kernel(kernel)
+    return _with_kernel(kernel, _native.Spec(_native.REDUCED, (
+        s1, s2, s3, b, w11, w12, slope11, slope12, w21, w22, slope21, slope22)))
 
 
 def reduced_step(params: ThreeStageParams, variant: str, y) -> Vector:
@@ -495,7 +525,7 @@ def local_map(params: ThreeStageParams, patch: int) -> Callable[[Vector], Vector
             s2 * y2 + s3 * (1.0 - g) * y3,
         )
 
-    return _with_kernel(kernel)
+    return _with_kernel(kernel, _native.Spec(_native.LOCAL, (s1, s2, s3, phi, c, d)))
 
 
 def local_coefficients(params: ThreeStageParams, patch: int) -> ReducedCoefficients:

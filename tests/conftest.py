@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from twoscalepop import scenarios
+from twoscalepop import _native, scenarios
+
+
+def pytest_report_header(config):
+    # loads (building on first use) the compiled stepping loop, so the
+    # header says which path this session's orbits step on, and why
+    return f"twoscalepop stepping: {_native.describe()}"
 
 
 @pytest.fixture(scope="session")

@@ -414,9 +414,9 @@ def test_list_names_each_scenario_once(capsys):
     assert names == ["fig2", "fig3", "fig10", "sec42_compare", "custom"]
 
 
-def _spy_on_runs(monkeypatch, shift_call=None):
-    """Record each config ``cli.run_scenario`` runs; shift the reduced tail
-    of run number ``shift_call`` (1-based) by 1e-6."""
+def _spy_on_runs(monkeypatch, shift_call=None, shift=lambda tail: tail + 1e-6):
+    """Record each config ``cli.run_scenario`` runs; apply ``shift`` to the
+    reduced tail of run number ``shift_call`` (1-based)."""
     configs = []
     run_scenario = cli.run_scenario
 
@@ -425,7 +425,7 @@ def _spy_on_runs(monkeypatch, shift_call=None):
         configs.append(config)
         if len(configs) == shift_call:
             summary = dataclasses.replace(summary,
-                                          reduced_tail=summary.reduced_tail + 1e-6)
+                                          reduced_tail=shift(summary.reduced_tail))
         return summary
 
     monkeypatch.setattr(cli, "run_scenario", spy)
@@ -455,6 +455,15 @@ def test_check_fails_when_a_repeat_run_differs(capsys, monkeypatch):
     assert cli.main(["check"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2].startswith("check same seed reproduces a run: FAIL (max repeat gap 1.000e-06")
+    assert lines[-1] == "11/12 checks passed"
+
+
+def test_check_fails_when_a_repeat_run_differs_by_one_ulp(capsys, monkeypatch):
+    # the probe's tails go extinct (~1e-72), so only bytes can tell them apart
+    _spy_on_runs(monkeypatch, shift_call=3, shift=lambda tail: np.nextafter(tail, np.inf))
+    assert cli.main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("check same seed reproduces a run: FAIL (max repeat gap ")
     assert lines[-1] == "11/12 checks passed"
 
 

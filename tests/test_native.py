@@ -1,0 +1,321 @@
+"""The compiled stepping loop against the Python float kernels it replaces.
+
+The Python kernels are the oracle: every test steps the same orbit on both
+paths and compares bytes, exceptions and repeat reports.
+"""
+import dataclasses
+from array import array
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import twoscalepop
+from twoscalepop import _native, cli, metapop, scenarios, threestage
+from twoscalepop.aggregation import _KernelStepper, iterate_tail, stepping_path
+from twoscalepop.errors import DomainExitError, NegativeDensityError
+from twoscalepop.metapop import VARIANT_RESCALED, VARIANT_SLOW
+
+_X0 = np.array(scenarios.DEFAULT_INITIAL_STATE)
+_Y0 = metapop.aggregate(_X0, 2)
+_KS = (1, 5, 10, 50, 100)
+
+
+@pytest.fixture
+def native_lib():
+    lib, where = _native._library()
+    if lib is None:
+        pytest.skip(f"compiled loop unavailable: {where}")
+    return lib
+
+
+@pytest.fixture
+def fresh_native(monkeypatch, tmp_path):
+    """An empty cache and no library or probe result yet in this process."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_native, "_library_state", None)
+    monkeypatch.setattr(_native, "_blas_state", None)
+
+
+def python_only(map_fn):
+    """``map_fn`` stepped through its Python float kernel: no ``.native``."""
+    step = lambda x: map_fn(x)
+    step.kernel = map_fn.kernel
+    return step
+
+
+def _series(name, variant):
+    """(label, map, start) for H_k, the reduced map and both local maps."""
+    params = getattr(scenarios, f"{name}_params")()
+    system = threestage.make_system(params, variant)
+    for k in _KS:
+        yield f"H_{k}", system.complete(k), _X0
+    yield "reduced", threestage.reduced_map(params, variant), _Y0
+    for patch in (0, 1):
+        yield f"local_{patch + 1}", threestage.local_map(params, patch), _X0[patch::2]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _plain_sums(a, x):
+    """The dispersal product of a BLAS kernel that fuses nothing, as bytes."""
+    return array("d", (a[0] * x[0] + a[1] * x[1], a[2] * x[0] + a[3] * x[1],
+                       a[4] * x[2] + a[5] * x[3], a[6] * x[2] + a[7] * x[3],
+                       a[8] * x[4] + a[9] * x[5], a[10] * x[4] + a[11] * x[5])).tobytes()
+
+
+@pytest.mark.parametrize("variant", (VARIANT_SLOW, VARIANT_RESCALED))
+@pytest.mark.parametrize("name", ("fig2", "fig3", "fig10"))
+def test_compiled_steps_match_python_kernels_bit_for_bit(native_lib, name, variant):
+    fused = not _native._probe(_plain_sums)
+    for label, map_fn, x0 in _series(name, variant):
+        if label.startswith("H_") and not fused:
+            continue  # a BLAS kernel that fuses nothing: H_k has no compiled model
+        x = tuple(x0.tolist())
+        native = _native.Stepper(map_fn.native, map_fn.kernel).rows(x, 20_000)
+        python = _KernelStepper(map_fn.kernel).rows(x, 20_000)
+        assert _same_bits(native, python), label
+
+
+@pytest.mark.parametrize("name", ("fig2", "sec42_compare", "fig3", "fig10"))
+def test_iterate_tail_agrees_on_both_paths(native_lib, name):
+    # fig2 and sec42_compare repeat bit for bit within these horizons, so
+    # their runs cover the fast-forward; fig3 and fig10 never repeat
+    horizon = 20_000 if name in ("fig2", "sec42_compare") else 3_000
+    repeats = []
+    scenario = scenarios.builtin(name)
+    for config in scenario.configs:
+        # the series a run of the scenario steps
+        params = config.params
+        system = threestage.make_system(params, config.variant)
+        maps = [("reduced", threestage.reduced_map(params, config.variant), _Y0)]
+        maps += [(f"H_{k}", system.complete(k), _X0) for k in config.k_list]
+        maps += [(f"local_{p + 1}", threestage.local_map(params, p), _X0[p::2])
+                 for p in ((0, 1) if scenario.include_local else ())]
+        for label, map_fn, x0 in maps:
+            if stepping_path(map_fn, x0) != _native.NATIVE:
+                assert label.startswith("H_"), label
+                continue
+            tail, repeat = iterate_tail(map_fn, x0, horizon, 8)
+            expected, expected_repeat = iterate_tail(python_only(map_fn), x0, horizon, 8)
+            assert _same_bits(tail, expected) and repeat == expected_repeat, label
+            repeats.append(repeat)
+    if name in ("fig2", "sec42_compare"):
+        assert all(r is not None for r in repeats)
+    else:
+        assert all(r is None for r in repeats)
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return info.value
+
+
+def _same_error(a, b):
+    same_state = (getattr(a, "state", None) is None) == (getattr(b, "state", None) is None)
+    if same_state and getattr(a, "state", None) is not None:
+        same_state = _same_bits(a.state, b.state)
+    return type(a) is type(b) and str(a) == str(b) and same_state
+
+
+def test_a_start_beyond_the_pole_raises_alike(fig2_params, monkeypatch):
+    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
+    beyond = np.array([0.1, -10.0, 0.1])
+    assert stepping_path(reduced, beyond) == "python: start outside the gate"
+    err = _raised(lambda: iterate_tail(reduced, beyond, 5))
+    assert isinstance(err, NegativeDensityError)
+    assert _same_error(err, _raised(lambda: iterate_tail(python_only(reduced), beyond, 5)))
+
+
+def test_a_failing_step_is_replayed_at_the_same_step(native_lib, fig2_params, monkeypatch):
+    # y1 = -10 sends y2 beyond the pole after one step; the reduced map uses
+    # no BLAS, so its compiled loop may run from outside the gate
+    monkeypatch.setattr(_native, "in_gate", lambda x: True)
+    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
+    start = np.array([-10.0, 0.1, 0.0])
+    assert stepping_path(reduced, start) == _native.NATIVE
+    for steps in (0, 1):
+        tail, _ = iterate_tail(reduced, start, steps)
+        assert _same_bits(tail, iterate_tail(python_only(reduced), start, steps)[0])
+    err = _raised(lambda: iterate_tail(reduced, start, 2))
+    assert isinstance(err, NegativeDensityError)
+    assert _same_error(err, _raised(lambda: iterate_tail(python_only(reduced), start, 2)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_overflowing_h_k_step_raises_alike(native_lib, fig3_params):
+    hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
+    start = np.full(6, 1.7e308)
+    if stepping_path(hk, start) != _native.NATIVE:
+        pytest.skip("H_k steps in Python on this BLAS")
+    err = _raised(lambda: iterate_tail(hk, start, 10))
+    assert isinstance(err, DomainExitError)
+    assert _same_error(err, _raised(lambda: iterate_tail(python_only(hk), start, 10)))
+
+
+def test_the_replay_must_raise(native_lib, fig2_params):
+    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
+    stepper = _native.Stepper(reduced.native, lambda x: x)  # a kernel that never fails
+    with pytest.raises(RuntimeError, match="compiled step failed"):
+        stepper.advance((-10.0, 0.1, 0.0), 5)
+
+
+@pytest.mark.parametrize("start", [
+    [0.1, 0.2, -0.0, 0.1, 0.1, 0.1],
+    [0.1, 0.2, 0.3, np.nan, 0.1, 0.1],
+    [0.1, -1e-3, 0.3, 0.2, 0.1, 0.1],
+])
+def test_starts_outside_the_gate_step_in_python(fig2_params, start):
+    system = threestage.make_system(fig2_params, VARIANT_SLOW)
+    for map_fn, x0 in ((system.complete(5), np.array(start)),
+                       (threestage.reduced_map(fig2_params, VARIANT_SLOW),
+                        metapop.aggregate(start, 2) * np.array([1.0, 1.0, -1.0]))):
+        assert stepping_path(map_fn, x0) == "python: start outside the gate"
+        try:
+            tail = iterate_tail(map_fn, x0, 50, 3)
+        except DomainExitError as err:
+            other = _raised(lambda: iterate_tail(python_only(map_fn), x0, 50, 3))
+            assert _same_error(err, other)
+        else:
+            expected = iterate_tail(python_only(map_fn), x0, 50, 3)
+            assert _same_bits(tail[0], expected[0]) and tail[1] == expected[1]
+
+
+def test_the_blas_probe_tells_the_rounding_models_apart(native_lib):
+    # exactly one model holds on an FMA BLAS kernel; a kernel that fuses
+    # nothing gives the plain sums, and the probe sends H_k to Python
+    if _native._probe(_plain_sums):
+        assert not _native._blas_matches(native_lib)
+    else:
+        assert _native._blas_matches(native_lib)
+
+
+def test_a_probe_mismatch_steps_h_k_in_python(fresh_native, monkeypatch, fig3_params):
+    monkeypatch.setattr(_native, "_probe", lambda dispersal: False)
+    if _native._library()[0] is None:
+        pytest.skip("compiled loop unavailable")
+    system = threestage.make_system(fig3_params, VARIANT_SLOW)
+    hk = system.complete(10)
+    assert stepping_path(hk, _X0) == "python: BLAS probe mismatch"
+    assert stepping_path(threestage.reduced_map(fig3_params, VARIANT_SLOW), _Y0) == "native"
+    tail, repeat = iterate_tail(hk, _X0, 2_000, 3)
+    expected, expected_repeat = iterate_tail(python_only(hk), _X0, 2_000, 3)
+    assert _same_bits(tail, expected) and repeat == expected_repeat
+
+
+@pytest.mark.parametrize("breakage, reason", [
+    ("flags", "build failed"),
+    ("compiler", "no compiler"),
+    ("cache", "cache unwritable"),
+])
+def test_a_failed_build_steps_in_python(fresh_native, monkeypatch, tmp_path,
+                                        fig3_params, breakage, reason):
+    if breakage == "flags":
+        monkeypatch.setattr(_native, "FLAGS", (*_native.FLAGS, "-fno-such-flag"))
+    elif breakage == "compiler":
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+    else:
+        # the cache path is a file, and no temporary directory can be made
+        (tmp_path / "cache").write_text("")
+        def no_temp(*args, **kwargs):
+            raise OSError("read-only file system")
+        monkeypatch.setattr(_native.tempfile, "mkdtemp", no_temp)
+    for map_fn, x0 in ((threestage.make_system(fig3_params, VARIANT_SLOW).complete(5), _X0),
+                       (threestage.reduced_map(fig3_params, VARIANT_SLOW), _Y0)):
+        assert stepping_path(map_fn, x0) == f"python: {reason}"
+        tail, repeat = iterate_tail(map_fn, x0, 500, 2)
+        expected, expected_repeat = iterate_tail(python_only(map_fn), x0, 500, 2)
+        assert _same_bits(tail, expected) and repeat == expected_repeat
+    assert _native.describe() == f"python: {reason}"
+
+
+def test_an_unwritable_cache_builds_per_process(fresh_native, tmp_path, fig3_params):
+    if _native.shutil.which("cc") is None:
+        pytest.skip("no compiler")
+    (tmp_path / "cache").write_text("")  # the cache directory cannot be made
+    reduced = threestage.reduced_map(fig3_params, VARIANT_SLOW)
+    assert stepping_path(reduced, _Y0) == _native.NATIVE
+    where = _native._library()[1]
+    assert not Path(where).exists()  # the temporary build is gone once loaded
+
+
+def test_a_built_library_is_cached_by_source_and_flags(fresh_native, tmp_path):
+    if _native.shutil.which("cc") is None:
+        pytest.skip("no compiler")
+    lib, where = _native._library()
+    assert lib is not None
+    assert Path(where).parent == tmp_path / "cache" / "twoscalepop"
+    assert os.listdir(Path(where).parent) == [Path(where).name]  # no temp file left
+
+
+def test_run_records_its_stepping_path_but_does_not_write_it(tmp_path):
+    lib = _native._library()[0]
+    config = scenarios.builtin("fig2").configs[0].with_overrides(fast=True)
+    # -0.0 keeps patch 1's start, and so H_k's, outside the gate
+    start = config.initial_state.copy()
+    start[0] = -0.0
+    for x0, outside in ((config.initial_state, ()), (start, ("local_1", "k="))):
+        run = dataclasses.replace(config, initial_state=x0)
+        summary = cli.run_scenario(run, include_local=True)
+        assert set(summary.stepping) == {"reduced", "local_1", "local_2",
+                                         *(f"k={k}" for k in config.k_list)}
+        for name, path in summary.stepping.items():
+            if name.startswith(outside or ("-",)):
+                assert path == "python: start outside the gate", name
+            elif lib is None:
+                assert path.startswith("python: "), name
+            elif name.startswith("k=") and not _native._blas_matches(lib):
+                assert path == "python: BLAS probe mismatch", name
+            else:
+                assert path == _native.NATIVE, name
+        for path in cli.write_outputs(summary, tmp_path):
+            text = path.read_text()
+            assert "native" not in text and "python" not in text
+
+
+def _child_env(**extra):
+    src = str(Path(twoscalepop.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_import_and_build_compile_nothing():
+    code = ("import twoscalepop, twoscalepop.cli\n"
+            "from twoscalepop import _native, scenarios, threestage\n"
+            "p = scenarios.fig3_params()\n"
+            "system = threestage.make_system(p, 'slow_survival')\n"
+            "system.complete(10); threestage.reduced_map(p, 'slow_survival')\n"
+            "print(_native._library_state, _native._blas_state)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None None"
+
+
+def test_a_run_without_a_compiler_writes_the_same_bytes(tmp_path):
+    # the child finds no cc on its PATH and nothing in its cache
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    native_out, python_out = tmp_path / "native", tmp_path / "python"
+    code = ("import sys\n"
+            "from twoscalepop import _native, cli\n"
+            f"code = cli.main(['run', 'fig2', '--fast', '--out', {str(python_out)!r}])\n"
+            "print('stepping:', _native.describe())\n"
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(PATH=str(empty), XDG_CACHE_HOME=str(tmp_path / "cache")))
+    assert proc.stdout.splitlines()[-1] == "stepping: python: no compiler", proc.stderr
+    code = cli.main(["run", "fig2", "--fast", "--out", str(native_out)])
+    assert proc.returncode == code
+    native_files = sorted((native_out / "fig2").iterdir())
+    python_files = sorted((python_out / "fig2").iterdir())
+    assert [p.name for p in native_files] == [p.name for p in python_files]
+    for a, b in zip(native_files, python_files):
+        assert a.read_bytes() == b.read_bytes(), a.name
