@@ -11,7 +11,7 @@
 #include <string.h>
 
 enum { COMPLETE = 0, REDUCED = 1, LOCAL = 2 };
-enum { RAN = 0, MATCHED_FIRST = 1, MATCHED_SECOND = 2, FAILS = 3 };
+enum { RAN = 0, MATCHED_FIRST = 1, MATCHED_SECOND = 2, FAILS = 3, INADMISSIBLE = 4 };
 
 /* z = A x for the block-diagonal dispersal power A, packed as its twelve
  * structural nonzeros row by row */
@@ -83,15 +83,19 @@ static int local_step(const double *p, const double *y, double *out)
 /* Advance x by up to n steps of map `kind` with constants p.  After each
  * step the state's bytes are compared with `first`, then with `second`
  * (either may be NULL), and a match ends the run; with `rows` non-NULL
- * every new state is stored there too.  Returns the number of steps taken
- * and sets *status.  FAILS means the next step is one the Python kernel
- * refuses (a pole denominator, a non-finite H_k image); x then holds the
- * state it would be applied to. */
+ * every new state is stored there too.  With `bound` non-NULL the run is
+ * checked: once stored, a state that is not finite, nonnegative and at
+ * most *bound ends it with status INADMISSIBLE, before any comparison or
+ * further step.  Returns the number of steps taken and sets *status.
+ * FAILS means the next step is one the Python kernel refuses (a pole
+ * denominator, a non-finite H_k image); x then holds the state it would
+ * be applied to. */
 int64_t twoscale_advance(int kind, const double *p, double *x, int64_t n,
                          const double *first, const double *second,
-                         double *rows, int *status)
+                         double *rows, const double *bound, int *status)
 {
-    size_t bytes = (kind == COMPLETE ? 6 : 3) * sizeof(double);
+    int dim = kind == COMPLETE ? 6 : 3;
+    size_t bytes = dim * sizeof(double);
     double next[6];
     for (int64_t t = 0; t < n; t++) {
         int ok = kind == COMPLETE ? complete_step(p, x, next)
@@ -104,6 +108,12 @@ int64_t twoscale_advance(int kind, const double *p, double *x, int64_t n,
         memcpy(x, next, bytes);
         if (rows)
             memcpy((char *)rows + t * bytes, x, bytes);
+        if (bound)
+            for (int i = 0; i < dim; i++)
+                if (!(x[i] >= 0.0 && x[i] <= *bound)) {  /* NaN fails both */
+                    *status = INADMISSIBLE;
+                    return t + 1;
+                }
         if (first && memcmp(x, first, bytes) == 0) {
             *status = MATCHED_FIRST;
             return t + 1;

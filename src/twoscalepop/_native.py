@@ -2,10 +2,15 @@
 
 ``_native.c`` steps H_k, the reduced map and the isolated-patch map with
 the same IEEE operations, in the same order, as their Python float
-kernels, so both give the same bytes.  ``aggregation.iterate_tail`` runs
-an orbit through it when the map carries a ``.native`` spec (a ``Spec``)
-and ``select`` answers ``"native"``; otherwise, and as the test oracle, the
-Python kernel steps.
+kernels, so both give the same bytes.  Every orbit ``aggregation`` steps
+-- ``iterate_tail``, ``iterate`` and the ball harnesses (trapping,
+attraction, instability, the convergence table) -- runs through it when
+the map carries a ``.native`` spec (a ``Spec``) and ``select`` answers
+``"native"``; otherwise, and as the test oracle, the Python kernel steps.
+
+A checked run (given an admissibility bound) stops at the first state
+that is not finite, nonnegative and at most the bound; the C loop tests
+each state after storing it and before the next step, as Python does.
 
 Nothing happens at import.  On first use the C source is compiled with the
 system ``cc`` into ``$XDG_CACHE_HOME/twoscalepop/<sha256>.so`` (default
@@ -35,9 +40,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import DomainExitError
+
 COMPLETE, REDUCED, LOCAL = 0, 1, 2
 _SHAPES = {COMPLETE: (6, 30), REDUCED: (3, 12), LOCAL: (3, 6)}  # (state, constants)
-_RAN, _MATCHED_FIRST, _MATCHED_SECOND, _FAILS = 0, 1, 2, 3
+_RAN, _MATCHED_FIRST, _MATCHED_SECOND, _FAILS, _INADMISSIBLE = 0, 1, 2, 3, 4
 
 NATIVE = "native"
 SOURCE = Path(__file__).with_name("_native.c")
@@ -106,7 +113,7 @@ def _open(path: str) -> tuple:
     doubles = ctypes.POINTER(ctypes.c_double)
     lib.twoscale_advance.restype = ctypes.c_int64
     lib.twoscale_advance.argtypes = (ctypes.c_int, doubles, doubles, ctypes.c_int64,
-                                     doubles, doubles, doubles,
+                                     doubles, doubles, doubles, doubles,
                                      ctypes.POINTER(ctypes.c_int))
     lib.twoscale_dispersal.restype = None
     lib.twoscale_dispersal.argtypes = (doubles, doubles, doubles)
@@ -207,6 +214,8 @@ def in_gate(x: tuple) -> bool:
     nonnegative and a non-finite image is an error.  So one check of the
     start covers the whole orbit.
     """
+    if math.isfinite(sum(x)) and min(x) > 0.0:  # the common case, decided cheaply
+        return True
     return all(math.isfinite(v) and math.copysign(1.0, v) > 0.0 for v in x)
 
 
@@ -238,9 +247,15 @@ class Stepper:
 
     ``kernel`` is the map's Python float kernel: when the loop reports that
     a step fails, the kernel replays that step to raise its exact error.
+    With ``bound`` set the stepper is checked: a run stops at the first
+    state that is not finite, nonnegative and at most ``bound``, and
+    ``reject(state, step)`` raises its error; an error the kernel's replay
+    raises without a step is stamped with it.  Steps count from the run's
+    start.
     """
 
-    def __init__(self, spec: Spec, kernel: Callable):
+    def __init__(self, spec: Spec, kernel: Callable, bound: Optional[float] = None,
+                 reject: Optional[Callable[[tuple, int], None]] = None):
         self._advance = _library()[0].twoscale_advance
         self._kind = spec.kind
         self._dim = _SHAPES[spec.kind][0]
@@ -249,6 +264,8 @@ class Stepper:
         self._saved = [(ctypes.c_double * self._dim)() for _ in range(2)]
         self._status = ctypes.c_int()
         self._kernel = kernel
+        self._bound = None if bound is None else (ctypes.c_double * 1)(bound)
+        self._reject = reject
 
     def _run(self, x: tuple, n: int, saved: tuple, rows) -> tuple[tuple, int, Optional[int]]:
         self._x[:] = x
@@ -257,22 +274,29 @@ class Stepper:
             first, second = self._saved
             first[:], second[:] = saved
         taken = self._advance(self._kind, self._constants, self._x, n,
-                              first, second, rows, self._status)
-        x = tuple(self._x)
+                              first, second, rows, self._bound, self._status)
+        x = tuple(self._x[:])  # a list first: much faster than iterating the array
         status = self._status.value
         if status == _FAILS:
-            self._kernel(x)  # raises the Python kernel's error
+            try:
+                self._kernel(x)  # raises the Python kernel's error
+            except DomainExitError as err:
+                if self._bound is not None and err.step is None:
+                    err.step = taken + 1
+                raise
             raise RuntimeError("the compiled step failed where the Python kernel "
                                f"does not, after {taken} steps from the run's start")
+        if status == _INADMISSIBLE:
+            self._reject(x, taken)
+            raise RuntimeError(f"the compiled check refused step {taken}, "
+                               "which the Python check admits")
         return x, taken, None if status == _RAN else status - _MATCHED_FIRST
 
     def advance(self, x: tuple, n: int, saved: tuple = ()) -> tuple[tuple, int, Optional[int]]:
         return self._run(x, n, saved, None)
 
-    def rows(self, x: tuple, n: int) -> list[tuple]:
-        if n == 0:
-            return []
-        buf = (ctypes.c_double * (n * self._dim))()
-        self._run(x, n, (), buf)
-        values = buf[:]
-        return [tuple(values[i:i + self._dim]) for i in range(0, n * self._dim, self._dim)]
+    def rows(self, x: tuple, out: np.ndarray) -> None:
+        if out.dtype != np.float64 or not out.flags.c_contiguous or out.shape[1:] != (self._dim,):
+            raise ValueError(f"rows need a C-contiguous float64 (n, {self._dim}) array")
+        if len(out):
+            self._run(x, len(out), (), out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))

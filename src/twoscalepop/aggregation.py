@@ -17,7 +17,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -139,7 +139,8 @@ def default_radius(center) -> float:
     return 0.05 * scale if scale > 0.0 else 0.05
 
 
-def _require_admissible(x: Vector, step: int) -> None:
+def _require_admissible(x, step: int) -> None:
+    x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainExitError("state has a non-finite coordinate", step=step, state=x)
     if np.any(x < 0.0):
@@ -160,22 +161,6 @@ def _as_floats(x) -> tuple:
     return tuple(np.asarray(x, dtype=float).tolist())
 
 
-def _checked_orbit(step: Callable[[tuple], tuple], x: tuple, steps: int) -> Iterator[tuple]:
-    """X_1, ..., X_steps of the float kernel ``step`` from X_0 = ``x``.
-
-    Raises DomainExitError at the first iterate outside the admissible set
-    (finite, nonnegative, coordinates at most BOX_BOUND).  The float test
-    fails exactly when ``_require_admissible`` raises -- a finite sum means
-    finite coordinates, and coordinates at most BOX_BOUND cannot overflow
-    it -- so the array check runs only then, to raise its message.
-    """
-    for t in range(1, steps + 1):
-        x = step(x)
-        if not (math.isfinite(sum(x)) and min(x) >= 0.0 and max(x) <= BOX_BOUND):
-            _require_admissible(np.array(x), t)
-        yield x
-
-
 def iterate(map_fn: StateMap, x0, steps: int) -> list[Vector]:
     """Orbit segment [X0, map(X0), ..., map^steps(X0)].
 
@@ -186,8 +171,10 @@ def iterate(map_fn: StateMap, x0, steps: int) -> list[Vector]:
         raise ValueError("steps must be nonnegative")
     x = np.asarray(x0, dtype=float)
     _require_admissible(x, 0)
-    orbit = _checked_orbit(_float_kernel(map_fn), _as_floats(x), steps)
-    return [x, *map(np.array, orbit)]
+    rows = np.empty((steps, x.size))
+    start = _as_floats(x)
+    _stepper(map_fn, checked=True)(start).rows(start, rows)
+    return [x, *rows]
 
 
 def _bits(x: tuple) -> bytes:
@@ -199,44 +186,69 @@ def _has_nan(x: tuple) -> bool:
 
 
 class _KernelStepper:
-    """The stepping primitive of ``iterate_tail`` on a Python float kernel.
+    """The stepping primitive on a Python float kernel.
 
     ``advance(x, n, saved)`` takes up to ``n`` steps from ``x`` and stops
     after the first whose state has the bytes of a state in ``saved`` (at
     most two); it returns the state reached, the steps taken and the index
-    in ``saved`` of the match, else None.  ``rows(x, n)`` returns the next
-    ``n`` states.  ``_native.Stepper`` is the same primitive on the
-    compiled loop, and this one is its oracle and fallback.
+    in ``saved`` of the match, else None.  ``rows(x, out)`` writes the next
+    ``len(out)`` states into the float array ``out``, one per row.
+
+    A ``checked`` stepper raises ``DomainExitError`` at the first state
+    outside the admissible set (finite, nonnegative, coordinates at most
+    BOX_BOUND).  The float test fails exactly when ``_require_admissible``
+    raises -- a finite sum means finite coordinates, and coordinates at
+    most BOX_BOUND cannot overflow it -- so the array check runs only then,
+    to raise its message.  An error the kernel raises without a step is
+    stamped with it.  Steps count from the run's start.
+
+    ``_native.Stepper`` is the same primitive on the compiled loop, and
+    this one is its oracle and fallback.
     """
 
-    def __init__(self, step: Callable[[tuple], tuple]):
+    def __init__(self, step: Callable[[tuple], tuple], checked: bool = False):
         self.step = step
+        self.checked = checked
 
     def advance(self, x: tuple, n: int, saved: tuple = ()) -> tuple[tuple, int, Optional[int]]:
+        if saved or self.checked:
+            return self._run(x, n, saved, None)
         step = self.step
-        if not saved:
-            for _ in range(n):
-                x = step(x)
-            return x, n, None
-        # == is a cheap filter that every bitwise match passes, except when
-        # the saved state holds a NaN: then the bytes decide every step
-        first, second = saved
-        first_bits, first_nan = _bits(first), _has_nan(first)
-        second_bits, second_nan = _bits(second), _has_nan(second)
-        for t in range(1, n + 1):
+        for _ in range(n):
             x = step(x)
-            if (x == first or first_nan) and _bits(x) == first_bits:
-                return x, t, 0
-            if (x == second or second_nan) and _bits(x) == second_bits:
-                return x, t, 1
         return x, n, None
 
-    def rows(self, x: tuple, n: int) -> list[tuple]:
-        out = []
-        for _ in range(n):
-            x = self.step(x)
-            out.append(x)
-        return out
+    def rows(self, x: tuple, out: Vector) -> None:
+        self._run(x, len(out), (), out)
+
+    def _run(self, x: tuple, n: int, saved: tuple,
+             out: Optional[Vector]) -> tuple[tuple, int, Optional[int]]:
+        step, checked = self.step, self.checked
+        if saved:
+            # == is a cheap filter that every bitwise match passes, except
+            # when the saved state holds a NaN: then the bytes decide every step
+            first, second = saved
+            first_bits, first_nan = _bits(first), _has_nan(first)
+            second_bits, second_nan = _bits(second), _has_nan(second)
+        t = 0
+        try:
+            for t in range(1, n + 1):
+                x = step(x)
+                if out is not None:
+                    out[t - 1] = x
+                if checked and not (math.isfinite(sum(x)) and min(x) >= 0.0
+                                    and max(x) <= BOX_BOUND):
+                    _require_admissible(x, t)
+                if saved:
+                    if (x == first or first_nan) and _bits(x) == first_bits:
+                        return x, t, 0
+                    if (x == second or second_nan) and _bits(x) == second_bits:
+                        return x, t, 1
+        except DomainExitError as err:
+            if checked and err.step is None:
+                err.step = t
+            raise
+        return x, n, None
 
 
 def stepping_path(map_fn: StateMap, x0) -> str:
@@ -248,11 +260,41 @@ def stepping_path(map_fn: StateMap, x0) -> str:
     return _native.select(spec, _as_floats(x0))
 
 
-def _stepper(map_fn: StateMap, x0):
+def _stepper(map_fn: StateMap, checked: bool = False) -> Callable[[tuple], object]:
+    """``map_fn``'s stepping primitive, bound once for any number of starts.
+
+    The function returned gives, for a start (a tuple of floats), the
+    compiled stepper when an orbit from it may run in the compiled loop
+    (``_native.select``, settled at the first start in the gate), else the
+    Python kernel stepper.
+    """
     kernel = _float_kernel(map_fn)
-    if stepping_path(map_fn, x0) == _native.NATIVE:
-        return _native.Stepper(map_fn.native, kernel)
-    return _KernelStepper(kernel)
+    spec = getattr(map_fn, "native", None)
+    python = _KernelStepper(kernel, checked)
+    native = None
+
+    def pick(x: tuple):
+        nonlocal native
+        if spec is None or not _native.in_gate(x):
+            return python
+        if native is None:
+            native = (_native.Stepper(spec, kernel, BOX_BOUND if checked else None,
+                                      _require_admissible)
+                      if _native.select(spec, x) == _native.NATIVE else python)
+        return native
+
+    return pick
+
+
+def _power(map_fn: StateMap, m: int, checked: bool = False) -> Callable[[Vector], Vector]:
+    """x -> map^m(x) as an array, through ``map_fn``'s primitive bound once."""
+    pick = _stepper(map_fn, checked)
+
+    def apply(x) -> Vector:
+        x = _as_floats(x)
+        return np.array(pick(x).advance(x, m)[0])
+
+    return apply
 
 
 def iterate_tail(map_fn: StateMap, x0, steps: int,
@@ -294,7 +336,7 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
     if not 1 <= keep <= steps + 1:
         raise ValueError("keep must lie in [1, steps + 1]")
     x = _as_floats(x0)
-    stepper = _stepper(map_fn, x)
+    stepper = _stepper(map_fn)(x)
     first = steps + 1 - keep  # step of the tail's first row
     t = mark = fine_mark = 0
     next_mark = next_fine = 1
@@ -316,22 +358,15 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
         # recurrence at or before the tail's first row
         period = repeat[1]
         t += (first - t) // period * period
-    x = stepper.advance(x, first - t)[0]
-    return np.array([x, *stepper.rows(x, keep - 1)], dtype=float), repeat
+    tail = np.empty((keep, len(x)))
+    tail[0] = x = stepper.advance(x, first - t)[0]
+    stepper.rows(x, tail[1:])
+    return tail, repeat
 
 
 def reduced_map(sys: TwoScaleSystem) -> StateMap:
     """The aggregated map Hbar = G o T on R^q."""
     return lambda y: sys.projection(sys.lift(y))
-
-
-def _compose(map_fn: StateMap, x, m: int) -> Vector:
-    """map^m(x), stepped on the map's float kernel; unchecked."""
-    step = _float_kernel(map_fn)
-    x = _as_floats(x)
-    for _ in range(m):
-        x = step(x)
-    return np.array(x)
 
 
 def convergence_table(sys: TwoScaleSystem, samples, m: int, k_values) -> ConvergenceTable:
@@ -341,32 +376,28 @@ def convergence_table(sys: TwoScaleSystem, samples, m: int, k_values) -> Converg
     reported in ``skipped`` and excluded from every column, so the per-k
     maxima range over a common set.
     """
-    pts = [_as_floats(s) for s in samples]
-    if not pts:
+    pts = np.asarray(samples, dtype=float)
+    if len(pts) == 0:
         raise ValueError("samples must be nonempty")
     ks = [int(k) for k in k_values]
 
-    def _guarded(map_fn, x: tuple) -> Vector:
-        for x in _checked_orbit(_float_kernel(map_fn), x, m):
-            pass
-        return np.array(x)
-
     skipped: set[int] = set()
     limit_images: dict[int, Vector] = {}
+    limit_m = _power(sys.limit_map, m, checked=True)
     for i, x in enumerate(pts):
         try:
-            limit_images[i] = _guarded(sys.limit_map, x)
+            limit_images[i] = limit_m(x)
         except DomainExitError:
             skipped.add(i)
 
     complete_images: dict[int, dict[int, Vector]] = {k: {} for k in ks}
     for k in ks:
-        hk = sys.complete(k)
+        hk_m = _power(sys.complete(k), m, checked=True)
         for i, x in enumerate(pts):
             if i in skipped:
                 continue
             try:
-                complete_images[k][i] = _guarded(hk, x)
+                complete_images[k][i] = hk_m(x)
             except DomainExitError:
                 skipped.add(i)
 
@@ -485,7 +516,8 @@ def ball_samples(center, radius: float, count: int, seed: int = DEFAULT_SEED) ->
 
 
 def _check_center(sys: TwoScaleSystem, trap: TrapSpec) -> None:
-    drift = float(np.linalg.norm(_compose(sys.limit_map, trap.center, trap.period) - trap.center))
+    image = _power(sys.limit_map, trap.period)(trap.center)
+    drift = float(np.linalg.norm(image - trap.center))
     if drift > trap.radius / 10.0:
         raise InvalidCenterError(
             f"center moves by {drift:.3e} under the limit map, exceeding radius/10"
@@ -502,11 +534,11 @@ def trapping_check(sys: TwoScaleSystem, trap: TrapSpec) -> dict[int, TrapVerdict
     pts = ball_samples(trap.center, trap.radius, trap.sample_count)
     out: dict[int, TrapVerdict] = {}
     for k in trap.k_values:
-        hk = sys.complete(k)
+        hk_m = _power(sys.complete(k), trap.period)
         witness = None
         worst = 0.0
         for p in pts:
-            d = float(np.linalg.norm(_compose(hk, p, trap.period) - trap.center))
+            d = float(np.linalg.norm(hk_m(p) - trap.center))
             worst = max(worst, d)
             if d >= trap.radius and witness is None:
                 witness = p
@@ -528,12 +560,11 @@ def attraction_check(sys: TwoScaleSystem, trap: TrapSpec, x0,
     out: dict[int, AttractionVerdict] = {}
     x0 = np.asarray(x0, dtype=float)
     _require_admissible(x0, 0)
+    start = _as_floats(x0)
+    rows = np.empty((horizon, x0.size))  # H_k^1(X0) ... H_k^horizon(X0), reused per k
     for k in trap.k_values:
-        orbit = _checked_orbit(_float_kernel(sys.complete(k)), _as_floats(x0), horizon)
-        dists: list[float] = []
-        for t, x in enumerate(orbit, 1):
-            if (t - 1) % m == 0:
-                dists.append(float(np.linalg.norm(np.array(x) - trap.center)))
+        _stepper(sys.complete(k), checked=True)(start).rows(start, rows)
+        dists = [float(np.linalg.norm(row - trap.center)) for row in rows[::m]]
         entry: Optional[int] = None
         for n in range(len(dists) - 1, -1, -1):
             if dists[n] >= trap.radius:
@@ -576,8 +607,7 @@ def instability_check(sys: TwoScaleSystem, trap: TrapSpec) -> dict[int, Instabil
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     out: dict[int, InstabilityVerdict] = {}
     for k in trap.k_values:
-        hk = sys.complete(k)
-        map_m = lambda x: _compose(hk, x, m)
+        map_m = _power(sys.complete(k), m)
         u, _ = _expanding_direction(map_m, trap.center)
         witness = None
         ratio = np.inf

@@ -4,6 +4,7 @@ The Python kernels are the oracle: every test steps the same orbit on both
 paths and compares bytes, exceptions and repeat reports.
 """
 import dataclasses
+import struct
 from array import array
 import os
 import subprocess
@@ -14,10 +15,11 @@ import numpy as np
 import pytest
 
 import twoscalepop
-from twoscalepop import _native, cli, metapop, scenarios, threestage
-from twoscalepop.aggregation import _KernelStepper, iterate_tail, stepping_path
+from twoscalepop import _native, aggregation, analysis, cli, metapop, scenarios, threestage
+from twoscalepop.aggregation import TrapSpec, _KernelStepper, _stepper, iterate_tail, stepping_path
 from twoscalepop.errors import DomainExitError, NegativeDensityError
 from twoscalepop.metapop import VARIANT_RESCALED, VARIANT_SLOW
+from twoscalepop.solvers import newton_fixed_point
 
 _X0 = np.array(scenarios.DEFAULT_INITIAL_STATE)
 _Y0 = metapop.aggregate(_X0, 2)
@@ -78,8 +80,9 @@ def test_compiled_steps_match_python_kernels_bit_for_bit(native_lib, name, varia
         if label.startswith("H_") and not fused:
             continue  # a BLAS kernel that fuses nothing: H_k has no compiled model
         x = tuple(x0.tolist())
-        native = _native.Stepper(map_fn.native, map_fn.kernel).rows(x, 20_000)
-        python = _KernelStepper(map_fn.kernel).rows(x, 20_000)
+        native, python = np.empty((20_000, len(x))), np.empty((20_000, len(x)))
+        _native.Stepper(map_fn.native, map_fn.kernel).rows(x, native)
+        _KernelStepper(map_fn.kernel).rows(x, python)
         assert _same_bits(native, python), label
 
 
@@ -122,7 +125,8 @@ def _same_error(a, b):
     same_state = (getattr(a, "state", None) is None) == (getattr(b, "state", None) is None)
     if same_state and getattr(a, "state", None) is not None:
         same_state = _same_bits(a.state, b.state)
-    return type(a) is type(b) and str(a) == str(b) and same_state
+    return (type(a) is type(b) and str(a) == str(b) and same_state
+            and getattr(a, "step", None) == getattr(b, "step", None))
 
 
 def test_a_start_beyond_the_pole_raises_alike(fig2_params, monkeypatch):
@@ -160,6 +164,63 @@ def test_an_overflowing_h_k_step_raises_alike(native_lib, fig3_params):
     assert _same_error(err, _raised(lambda: iterate_tail(python_only(hk), start, 10)))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_checked_run_stamps_the_kernel_error_with_its_step(native_lib, fig3_params):
+    hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
+    start = (1.7e308,) * 6
+    if stepping_path(hk, start) != _native.NATIVE:
+        pytest.skip("H_k steps in Python on this BLAS")
+    native = _stepper(hk, checked=True)(start)
+    assert isinstance(native, _native.Stepper)
+    err = _raised(lambda: native.advance(start, 10))
+    assert str(err) == "step produced a non-finite state" and err.step == 1
+    assert _same_error(err, _raised(
+        lambda: _stepper(python_only(hk), checked=True)(start).advance(start, 10)))
+    # an unchecked run's steps count from no fixed origin, so it stamps nothing
+    assert _raised(lambda: _stepper(hk)(start).advance(start, 10)).step is None
+
+
+def _box_exit_bound(hk, x0, steps=40):
+    """A bound that the orbit of ``x0`` first passes at a step of at least 3."""
+    orbit = aggregation.iterate(hk, x0, steps)
+    peaks = [float(row.max()) for row in orbit]
+    for t in range(3, steps + 1):
+        if peaks[t] > max(peaks[:t]):
+            return max(peaks[:t]), t
+    raise AssertionError("the orbit never rises")
+
+
+def test_a_box_exit_raises_alike(native_lib, fig3_params, monkeypatch):
+    hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
+    if stepping_path(hk, _X0) != _native.NATIVE:
+        pytest.skip("H_k steps in Python on this BLAS")
+    # at the shipped bound only a first step leaves the box, from near it
+    big = np.array([0.0, 0.0, 2e8, 6.4e8, 8.2e8, 9.4e8])
+    for x0, bound, step in ((big, aggregation.BOX_BOUND, 1),
+                            (1e-4 * _X0, *_box_exit_bound(hk, 1e-4 * _X0))):
+        monkeypatch.setattr(aggregation, "BOX_BOUND", bound)
+        err = _raised(lambda: aggregation.iterate(hk, x0, 50))
+        assert str(err) == "state exceeded the box bound" and err.step == step
+        assert _same_error(err, _raised(lambda: aggregation.iterate(python_only(hk), x0, 50)))
+
+
+def test_a_domain_exit_one_step_before_a_pole_wins(native_lib, fig2_params, monkeypatch):
+    # from y1 = -10 the first state leaves the orthant and the second step
+    # meets the pole; the reduced map uses no BLAS, so its compiled loop may
+    # run from outside the gate
+    monkeypatch.setattr(_native, "in_gate", lambda x: True)
+    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
+    start = (-10.0, 0.1, 0.0)
+    native = _stepper(reduced, checked=True)(start)
+    assert isinstance(native, _native.Stepper)
+    err = _raised(lambda: native.advance(start, 5))
+    assert isinstance(err, DomainExitError) and err.step == 1
+    assert _same_error(err, _raised(
+        lambda: _stepper(python_only(reduced), checked=True)(start).advance(start, 5)))
+    assert isinstance(_raised(lambda: _stepper(reduced)(start).advance(start, 5)),
+                      NegativeDensityError)
+
+
 def test_the_replay_must_raise(native_lib, fig2_params):
     reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
     stepper = _native.Stepper(reduced.native, lambda x: x)  # a kernel that never fails
@@ -186,6 +247,92 @@ def test_starts_outside_the_gate_step_in_python(fig2_params, start):
         else:
             expected = iterate_tail(python_only(map_fn), x0, 50, 3)
             assert _same_bits(tail[0], expected[0]) and tail[1] == expected[1]
+
+
+def _python_system(system):
+    """``system`` with every H_k stepped through its Python float kernel."""
+    complete_map = system.complete_map
+    step = lambda k, x: complete_map(k, x)
+    step.kernel_for = complete_map.kernel_for
+    return dataclasses.replace(system, complete_map=step)
+
+
+def _exact(value):
+    """A verdict as comparable data: floats and arrays by their bytes."""
+    if dataclasses.is_dataclass(value):
+        return _exact(vars(value))
+    if isinstance(value, dict):
+        return {key: _exact(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return repr(value)
+
+
+def _centre(name):
+    """(system, located limit-map centre) of a named scenario."""
+    params = getattr(scenarios, f"{name}_params")()
+    variant = VARIANT_RESCALED if name == "fig10" else VARIANT_SLOW
+    system = threestage.make_system(params, variant)
+    if name == "fig3":  # its equilibrium repels, so Newton starts from the reduced one
+        eq = analysis.find_equilibrium(threestage.reduced_map(params, variant),
+                                       np.array([1.4e-4, 9.3e-5, 4.6e-5]))
+        guess = system.lift(eq.points[0])
+    else:
+        guess = iterate_tail(system.limit_map, _X0, 5_000)[0][-1]
+    return system, newton_fixed_point(system.limit_map, guess)[0]
+
+
+@pytest.mark.parametrize("name, period", [("fig2", 1), ("fig2", 50), ("fig3", 2), ("fig10", 2)])
+def test_harnesses_give_the_same_bytes_on_both_paths(native_lib, name, period):
+    system, centre = _centre(name)
+    if stepping_path(system.complete(1), centre) != _native.NATIVE:
+        pytest.skip("H_k steps in Python on this BLAS")
+    python = _python_system(system)
+    assert stepping_path(python.complete(1), centre) == "python: no compiled form"
+    radius = (1e-3 * float(np.linalg.norm(centre)) if name == "fig3"
+              else aggregation.default_radius(centre))
+    trap = TrapSpec(centre, radius, period=period, sample_count=8, k_values=(1, 10, 50))
+    samples = np.random.default_rng(3).uniform(0.0, 0.1, (6, 6))
+    harnesses = {
+        "trapping": lambda s: aggregation.trapping_check(s, trap),
+        # 301 steps: not a multiple of the period 2 or 50
+        "attraction": lambda s: aggregation.attraction_check(s, trap, 1.2 * centre, horizon=301),
+        "instability": lambda s: aggregation.instability_check(s, trap),
+        "convergence": lambda s: aggregation.convergence_table(
+            s, samples, m=period, k_values=trap.k_values),
+    }
+    for label, harness in harnesses.items():
+        assert _exact(harness(system)) == _exact(harness(python)), label
+
+
+@pytest.mark.parametrize("coordinate", [-0.0, -1e-3])
+def test_ball_samples_outside_the_gate_step_in_python(native_lib, fig2_params, coordinate):
+    # around the origin, a fixed point of every map, half the ball is negative
+    system = threestage.make_system(fig2_params, VARIANT_SLOW)
+    python = _python_system(system)
+    trap = TrapSpec(np.zeros(6), 0.05, period=2, sample_count=8, k_values=(1, 10))
+    samples = aggregation.ball_samples(trap.center, trap.radius, trap.sample_count)
+    assert not all(map(_native.in_gate, map(tuple, samples)))
+    start = np.full(6, 0.02)
+    start[2] = coordinate
+    assert stepping_path(system.complete(10), start) == "python: start outside the gate"
+    harnesses = {
+        "trapping": lambda s: aggregation.trapping_check(s, trap),
+        "convergence": lambda s: aggregation.convergence_table(s, [start, _X0], m=2,
+                                                               k_values=(1, 10)),
+    }
+    if coordinate == 0.0:  # an admissible start
+        harnesses["attraction"] = lambda s: aggregation.attraction_check(s, trap, start,
+                                                                         horizon=51)
+    for label, harness in harnesses.items():
+        try:
+            verdict = harness(system)
+        except Exception as err:
+            assert _same_error(err, _raised(lambda: harness(python))), label
+        else:
+            assert _exact(verdict) == _exact(harness(python)), label
 
 
 def test_the_blas_probe_tells_the_rounding_models_apart(native_lib):
@@ -319,3 +466,18 @@ def test_a_run_without_a_compiler_writes_the_same_bytes(tmp_path):
     assert [p.name for p in native_files] == [p.name for p in python_files]
     for a, b in zip(native_files, python_files):
         assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_check_without_a_compiler_prints_the_same_bytes(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code = ("import sys\n"
+            "from twoscalepop import _native, cli\n"
+            "code = cli.main(['check'])\n"
+            "print('stepping:', _native.describe(), file=sys.stderr)\n"
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(PATH=str(empty), XDG_CACHE_HOME=str(tmp_path / "cache")))
+    assert proc.stderr.splitlines()[-1] == "stepping: python: no compiler", proc.stderr
+    code = cli.main(["check"])
+    assert capsys.readouterr().out == proc.stdout and proc.returncode == code
