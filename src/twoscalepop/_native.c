@@ -5,6 +5,11 @@
  * -ffp-contract=off so that no product is fused behind our back.  The one
  * fused multiply-add is explicit: rows 4-5 of the H_k dispersal product,
  * where numpy's BLAS fuses too (_native.py probes that once per process).
+ *
+ * twoscale_orbit runs aggregation.iterate_tail's whole repeat schedule up
+ * to the tail in one call; twoscale_advance runs plain, stored or checked
+ * stretches.  Both go through one inlined loop, specialised per map kind
+ * so that its copies and compares have a constant size.
  */
 #include <math.h>
 #include <stdint.h>
@@ -80,23 +85,31 @@ static int local_step(const double *p, const double *y, double *out)
     return 1;
 }
 
-/* Advance x by up to n steps of map `kind` with constants p.  After each
- * step the state's bytes are compared with `first`, then with `second`
- * (either may be NULL), and a match ends the run; with `rows` non-NULL
- * every new state is stored there too.  With `bound` non-NULL the run is
- * checked: once stored, a state that is not finite, nonnegative and at
- * most *bound ends it with status INADMISSIBLE, before any comparison or
- * further step.  Returns the number of steps taken and sets *status.
- * FAILS means the next step is one the Python kernel refuses (a pole
- * denominator, a non-finite H_k image); x then holds the state it would
- * be applied to. */
-int64_t twoscale_advance(int kind, const double *p, double *x, int64_t n,
-                         const double *first, const double *second,
-                         double *rows, const double *bound, int *status)
+/* Step x by up to n steps of map `kind` with constants p; `dim` is the
+ * state's length, a constant once inlined.  With `rows` non-NULL every new
+ * state is stored there too.  With `bound` non-NULL the run is checked:
+ * once stored, a state that is not finite, nonnegative and at most *bound
+ * ends it with status INADMISSIBLE, before any comparison or further step.
+ * With `period` non-NULL the run follows iterate_tail's repeat schedule:
+ * each new state's bytes are compared with Brent's tortoise, saved at steps
+ * 2^n - 1, then with the fine one, re-saved at step t + 1 + t / 16 after
+ * each save at step t; both start as x, saved at step 0, and each save
+ * follows the step's compares.  A match ends the run with status
+ * MATCHED_FIRST or MATCHED_SECOND and *period the steps since that save.
+ * Returns the number of steps taken and sets *status.  FAILS means the
+ * next step is one the Python kernel refuses (a pole denominator, a
+ * non-finite H_k image); x then holds the state it would be applied to. */
+static inline __attribute__((always_inline)) int64_t
+run(int kind, int dim, const double *p, double *x, int64_t n, double *rows,
+    const double *bound, int64_t *period, int *status)
 {
-    int dim = kind == COMPLETE ? 6 : 3;
     size_t bytes = dim * sizeof(double);
-    double next[6];
+    double next[6], brent[6], fine[6];
+    int64_t mark = 0, next_mark = 1, fine_mark = 0, next_fine = 1;
+    if (period) {
+        memcpy(brent, x, bytes);
+        memcpy(fine, x, bytes);
+    }
     for (int64_t t = 0; t < n; t++) {
         int ok = kind == COMPLETE ? complete_step(p, x, next)
                : kind == REDUCED ? reduced_step(p, x, next)
@@ -107,22 +120,60 @@ int64_t twoscale_advance(int kind, const double *p, double *x, int64_t n,
         }
         memcpy(x, next, bytes);
         if (rows)
-            memcpy((char *)rows + t * bytes, x, bytes);
+            memcpy(rows + t * dim, x, bytes);
         if (bound)
             for (int i = 0; i < dim; i++)
                 if (!(x[i] >= 0.0 && x[i] <= *bound)) {  /* NaN fails both */
                     *status = INADMISSIBLE;
                     return t + 1;
                 }
-        if (first && memcmp(x, first, bytes) == 0) {
-            *status = MATCHED_FIRST;
-            return t + 1;
-        }
-        if (second && memcmp(x, second, bytes) == 0) {
-            *status = MATCHED_SECOND;
-            return t + 1;
+        if (period) {
+            int64_t s = t + 1;
+            if (memcmp(x, brent, bytes) == 0) {
+                *period = s - mark;
+                *status = MATCHED_FIRST;
+                return s;
+            }
+            if (memcmp(x, fine, bytes) == 0) {
+                *period = s - fine_mark;
+                *status = MATCHED_SECOND;
+                return s;
+            }
+            if (s == next_mark) {
+                mark = s;
+                next_mark = 2 * s + 1;
+                memcpy(brent, x, bytes);
+            }
+            if (s == next_fine) {
+                fine_mark = s;
+                next_fine = s + 1 + s / 16;
+                memcpy(fine, x, bytes);
+            }
         }
     }
     *status = RAN;
     return n;
+}
+
+/* Step x by up to n steps, storing and checking as run() says. */
+int64_t twoscale_advance(int kind, const double *p, double *x, int64_t n,
+                         double *rows, const double *bound, int *status)
+{
+    switch (kind) {
+    case COMPLETE: return run(COMPLETE, 6, p, x, n, rows, bound, NULL, status);
+    case REDUCED: return run(REDUCED, 3, p, x, n, rows, bound, NULL, status);
+    default: return run(LOCAL, 3, p, x, n, rows, bound, NULL, status);
+    }
+}
+
+/* Step x toward step `first`, the tail's first row, under the repeat
+ * schedule; stops at the first match or at `first`. */
+int64_t twoscale_orbit(int kind, const double *p, double *x, int64_t first,
+                       int64_t *period, int *status)
+{
+    switch (kind) {
+    case COMPLETE: return run(COMPLETE, 6, p, x, first, NULL, NULL, period, status);
+    case REDUCED: return run(REDUCED, 3, p, x, first, NULL, NULL, period, status);
+    default: return run(LOCAL, 3, p, x, first, NULL, NULL, period, status);
+    }
 }

@@ -8,6 +8,8 @@ attraction, instability, the convergence table) -- runs through it when
 the map carries a ``.native`` spec (a ``Spec``) and ``select`` answers
 ``"native"``; otherwise, and as the test oracle, the Python kernel steps.
 
+``iterate_tail``'s whole repeat schedule up to the tail is one call to the
+loop (``Stepper.orbit``), and the Python fallback runs the same schedule.
 A checked run (given an admissibility bound) stops at the first state
 that is not finite, nonnegative and at most the bound; the C loop tests
 each state after storing it and before the next step, as Python does.
@@ -111,10 +113,10 @@ def _open(path: str) -> tuple:
     except OSError:
         return None, "build failed"
     doubles = ctypes.POINTER(ctypes.c_double)
-    lib.twoscale_advance.restype = ctypes.c_int64
-    lib.twoscale_advance.argtypes = (ctypes.c_int, doubles, doubles, ctypes.c_int64,
-                                     doubles, doubles, doubles, doubles,
-                                     ctypes.POINTER(ctypes.c_int))
+    head, status = (ctypes.c_int, doubles, doubles, ctypes.c_int64), ctypes.POINTER(ctypes.c_int)
+    lib.twoscale_advance.restype = lib.twoscale_orbit.restype = ctypes.c_int64
+    lib.twoscale_advance.argtypes = (*head, doubles, doubles, status)
+    lib.twoscale_orbit.argtypes = (*head, ctypes.POINTER(ctypes.c_int64), status)
     lib.twoscale_dispersal.restype = None
     lib.twoscale_dispersal.argtypes = (doubles, doubles, doubles)
     return lib, path
@@ -251,30 +253,24 @@ class Stepper:
     state that is not finite, nonnegative and at most ``bound``, and
     ``reject(state, step)`` raises its error; an error the kernel's replay
     raises without a step is stamped with it.  Steps count from the run's
-    start.
+    start.  ``orbit`` runs unchecked.
     """
 
     def __init__(self, spec: Spec, kernel: Callable, bound: Optional[float] = None,
                  reject: Optional[Callable[[tuple, int], None]] = None):
-        self._advance = _library()[0].twoscale_advance
+        lib = _library()[0]
+        self._advance, self._orbit = lib.twoscale_advance, lib.twoscale_orbit
         self._kind = spec.kind
         self._dim = _SHAPES[spec.kind][0]
         self._constants = (ctypes.c_double * len(spec.constants))(*spec.constants)
         self._x = (ctypes.c_double * self._dim)()
-        self._saved = [(ctypes.c_double * self._dim)() for _ in range(2)]
+        self._period = ctypes.c_int64()
         self._status = ctypes.c_int()
         self._kernel = kernel
         self._bound = None if bound is None else (ctypes.c_double * 1)(bound)
         self._reject = reject
 
-    def _run(self, x: tuple, n: int, saved: tuple, rows) -> tuple[tuple, int, Optional[int]]:
-        self._x[:] = x
-        first = second = None
-        if saved:
-            first, second = self._saved
-            first[:], second[:] = saved
-        taken = self._advance(self._kind, self._constants, self._x, n,
-                              first, second, rows, self._bound, self._status)
+    def _finish(self, taken: int) -> tuple:
         x = tuple(self._x[:])  # a list first: much faster than iterating the array
         status = self._status.value
         if status == _FAILS:
@@ -290,13 +286,23 @@ class Stepper:
             self._reject(x, taken)
             raise RuntimeError(f"the compiled check refused step {taken}, "
                                "which the Python check admits")
-        return x, taken, None if status == _RAN else status - _MATCHED_FIRST
+        return x
 
-    def advance(self, x: tuple, n: int, saved: tuple = ()) -> tuple[tuple, int, Optional[int]]:
-        return self._run(x, n, saved, None)
+    def orbit(self, x: tuple, first: int) -> tuple[tuple, int, Optional[tuple[int, int]]]:
+        self._x[:] = x
+        t = self._orbit(self._kind, self._constants, self._x, first, self._period, self._status)
+        return self._finish(t), t, None if self._status.value == _RAN else (t, self._period.value)
+
+    def _run(self, x: tuple, n: int, rows) -> tuple:
+        self._x[:] = x
+        return self._finish(self._advance(self._kind, self._constants, self._x, n,
+                                          rows, self._bound, self._status))
+
+    def advance(self, x: tuple, n: int) -> tuple:
+        return self._run(x, n, None)
 
     def rows(self, x: tuple, out: np.ndarray) -> None:
         if out.dtype != np.float64 or not out.flags.c_contiguous or out.shape[1:] != (self._dim,):
             raise ValueError(f"rows need a C-contiguous float64 (n, {self._dim}) array")
         if len(out):
-            self._run(x, len(out), (), out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
+            self._run(x, len(out), out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))

@@ -177,30 +177,24 @@ def iterate(map_fn: StateMap, x0, steps: int) -> list[Vector]:
     return [x, *rows]
 
 
-def _bits(x: tuple) -> bytes:
-    return array("d", x).tobytes()
-
-
-def _has_nan(x: tuple) -> bool:
-    return any(v != v for v in x)
-
-
 class _KernelStepper:
     """The stepping primitive on a Python float kernel.
 
-    ``advance(x, n, saved)`` takes up to ``n`` steps from ``x`` and stops
-    after the first whose state has the bytes of a state in ``saved`` (at
-    most two); it returns the state reached, the steps taken and the index
-    in ``saved`` of the match, else None.  ``rows(x, out)`` writes the next
-    ``len(out)`` states into the float array ``out``, one per row.
+    ``advance(x, n)`` returns the state ``n`` steps after ``x``, and
+    ``rows(x, out)`` writes the next ``len(out)`` states into the float
+    array ``out``, one per row.  ``orbit(x, first)`` steps from ``x``, the
+    state of step 0, under ``iterate_tail``'s repeat schedule and stops at
+    the first match or at step ``first``; it returns the state reached, its
+    step and the ``(step, period)`` of the match, else None.
 
-    A ``checked`` stepper raises ``DomainExitError`` at the first state
-    outside the admissible set (finite, nonnegative, coordinates at most
-    BOX_BOUND).  The float test fails exactly when ``_require_admissible``
-    raises -- a finite sum means finite coordinates, and coordinates at
-    most BOX_BOUND cannot overflow it -- so the array check runs only then,
-    to raise its message.  An error the kernel raises without a step is
-    stamped with it.  Steps count from the run's start.
+    A ``checked`` stepper's ``advance`` and ``rows`` raise
+    ``DomainExitError`` at the first state outside the admissible set
+    (finite, nonnegative, coordinates at most BOX_BOUND).  The float test
+    fails exactly when ``_require_admissible`` raises -- a finite sum means
+    finite coordinates, and coordinates at most BOX_BOUND cannot overflow
+    it -- so the array check runs only then, to raise its message.  An
+    error the kernel raises without a step is stamped with it.  Steps count
+    from the run's start.  ``orbit`` runs unchecked.
 
     ``_native.Stepper`` is the same primitive on the compiled loop, and
     this one is its oracle and fallback.
@@ -210,26 +204,19 @@ class _KernelStepper:
         self.step = step
         self.checked = checked
 
-    def advance(self, x: tuple, n: int, saved: tuple = ()) -> tuple[tuple, int, Optional[int]]:
-        if saved or self.checked:
-            return self._run(x, n, saved, None)
+    def advance(self, x: tuple, n: int) -> tuple:
+        if self.checked:
+            return self._run(x, n, None)
         step = self.step
         for _ in range(n):
             x = step(x)
-        return x, n, None
+        return x
 
     def rows(self, x: tuple, out: Vector) -> None:
-        self._run(x, len(out), (), out)
+        self._run(x, len(out), out)
 
-    def _run(self, x: tuple, n: int, saved: tuple,
-             out: Optional[Vector]) -> tuple[tuple, int, Optional[int]]:
+    def _run(self, x: tuple, n: int, out: Optional[Vector]) -> tuple:
         step, checked = self.step, self.checked
-        if saved:
-            # == is a cheap filter that every bitwise match passes, except
-            # when the saved state holds a NaN: then the bytes decide every step
-            first, second = saved
-            first_bits, first_nan = _bits(first), _has_nan(first)
-            second_bits, second_nan = _bits(second), _has_nan(second)
         t = 0
         try:
             for t in range(1, n + 1):
@@ -239,16 +226,34 @@ class _KernelStepper:
                 if checked and not (math.isfinite(sum(x)) and min(x) >= 0.0
                                     and max(x) <= BOX_BOUND):
                     _require_admissible(x, t)
-                if saved:
-                    if (x == first or first_nan) and _bits(x) == first_bits:
-                        return x, t, 0
-                    if (x == second or second_nan) and _bits(x) == second_bits:
-                        return x, t, 1
         except DomainExitError as err:
             if checked and err.step is None:
                 err.step = t
             raise
-        return x, n, None
+        return x
+
+    def orbit(self, x: tuple, first: int) -> tuple[tuple, int, Optional[tuple[int, int]]]:
+        step = self.step
+        t = mark = fine_mark = 0
+        next_mark = next_fine = 1
+        tortoise = fine = x
+        while t < first:
+            # no save falls inside a run, so its steps only compare.  == is
+            # a cheap filter that every bitwise match passes, except when
+            # the saved state holds a NaN: then the bytes decide every step
+            tortoise_bits, fine_bits = array("d", tortoise).tobytes(), array("d", fine).tobytes()
+            tortoise_nan, fine_nan = (any(v != v for v in s) for s in (tortoise, fine))
+            for t in range(t + 1, min(next_mark, next_fine, first) + 1):
+                x = step(x)
+                if (x == tortoise or tortoise_nan) and array("d", x).tobytes() == tortoise_bits:
+                    return x, t, (t, t - mark)
+                if (x == fine or fine_nan) and array("d", x).tobytes() == fine_bits:
+                    return x, t, (t, t - fine_mark)
+            if t == next_mark:
+                mark, next_mark, tortoise = t, 2 * t + 1, x
+            if t == next_fine:
+                fine_mark, next_fine, fine = t, t + 1 + t // 16, x
+        return x, t, None
 
 
 def stepping_path(map_fn: StateMap, x0) -> str:
@@ -292,7 +297,7 @@ def _power(map_fn: StateMap, m: int, checked: bool = False) -> Callable[[Vector]
 
     def apply(x) -> Vector:
         x = _as_floats(x)
-        return np.array(pick(x).advance(x, m)[0])
+        return np.array(pick(x).advance(x, m))
 
     return apply
 
@@ -324,12 +329,13 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
 
     The orbit runs on tuples of floats.  A map carrying a compiled form
     (``.native``, as the ``threestage`` maps do) steps in ``_native``'s C
-    loop when ``stepping_path`` says so; otherwise it steps through its
-    float kernel ``map_fn.kernel``, or through ``map_fn`` itself, called
-    once per computed step on a fresh float array, when it has none.  All
-    give the same bytes and raise the same errors at the same step.  Only
-    the tail rows become a numpy array.  ``map_fn`` must be deterministic
-    and return float arrays.
+    loop when ``stepping_path`` says so, and the whole schedule up to the
+    tail is then one compiled call; otherwise the same schedule runs in
+    Python, through its float kernel ``map_fn.kernel``, or through
+    ``map_fn`` itself, called once per computed step on a fresh float
+    array, when it has none.  All give the same bytes and repeat and raise
+    the same errors at the same step.  Only the tail rows become a numpy
+    array.  ``map_fn`` must be deterministic and return float arrays.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -338,28 +344,14 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
     x = _as_floats(x0)
     stepper = _stepper(map_fn)(x)
     first = steps + 1 - keep  # step of the tail's first row
-    t = mark = fine_mark = 0
-    next_mark = next_fine = 1
-    tortoise = fine = x
-    repeat = None
-    while repeat is None and t < first:
-        # no save falls inside a run, so its steps only compare
-        x, taken, match = stepper.advance(x, min(next_mark, next_fine, first) - t,
-                                          (tortoise, fine))
-        t += taken
-        if match is not None:
-            repeat = (t, t - (mark, fine_mark)[match])
-        if t == next_mark:
-            mark, next_mark, tortoise = t, 2 * t + 1, x
-        if t == next_fine:
-            fine_mark, next_fine, fine = t, t + 1 + t // 16, x
+    x, t, repeat = stepper.orbit(x, first)
     if repeat is not None:
         # the state of step t recurs every period: resume from its last
         # recurrence at or before the tail's first row
         period = repeat[1]
         t += (first - t) // period * period
     tail = np.empty((keep, len(x)))
-    tail[0] = x = stepper.advance(x, first - t)[0]
+    tail[0] = x = stepper.advance(x, first - t)
     stepper.rows(x, tail[1:])
     return tail, repeat
 

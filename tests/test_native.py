@@ -3,6 +3,7 @@
 The Python kernels are the oracle: every test steps the same orbit on both
 paths and compares bytes, exceptions and repeat reports.
 """
+import ctypes
 import dataclasses
 import struct
 from array import array
@@ -148,9 +149,90 @@ def test_a_failing_step_is_replayed_at_the_same_step(native_lib, fig2_params, mo
     for steps in (0, 1):
         tail, _ = iterate_tail(reduced, start, steps)
         assert _same_bits(tail, iterate_tail(python_only(reduced), start, steps)[0])
-    err = _raised(lambda: iterate_tail(reduced, start, 2))
+    # the pole falls in the tail rows, then inside the run before the tail
+    for steps, keep in ((2, 1), (50, 1), (50, 8)):
+        err = _raised(lambda: iterate_tail(reduced, start, steps, keep))
+        assert isinstance(err, NegativeDensityError)
+        assert _same_error(err, _raised(
+            lambda: iterate_tail(python_only(reduced), start, steps, keep))), (steps, keep)
+
+
+def _same_tail_on_both_paths(map_fn, x0, steps, keep):
+    """Check that ``iterate_tail`` gives the same tail bytes and repeat, or
+    raises the same error, on both paths; return that repeat or error."""
+    assert stepping_path(map_fn, x0) == _native.NATIVE
+    python = python_only(map_fn)
+    try:
+        tail, repeat = iterate_tail(map_fn, x0, steps, keep)
+    except Exception as err:
+        assert _same_error(err, _raised(lambda: iterate_tail(python, x0, steps, keep)))
+        return err
+    expected, expected_repeat = iterate_tail(python, x0, steps, keep)
+    assert _same_bits(tail, expected) and repeat == expected_repeat
+    return repeat
+
+
+def test_the_repeat_schedule_agrees_on_both_paths(native_lib, fig2_params, monkeypatch):
+    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
+    local = threestage.local_map(fig2_params, 0)
+    # the origin is fixed: step 1 repeats step 0
+    for map_fn in (reduced, local):
+        assert _same_tail_on_both_paths(map_fn, np.zeros(3), 100, 3) == (1, 1)
+    # keep = steps + 1 leaves no step before the tail
+    assert _same_tail_on_both_paths(reduced, _Y0, 40, 41) is None
+    # a repeat caught exactly at the tail's first row, and one step too late
+    caught, period = iterate_tail(reduced, _Y0, 20_000)[1]
+    assert _same_tail_on_both_paths(reduced, _Y0, caught + 7, 8) == (caught, period)
+    assert _same_tail_on_both_paths(reduced, _Y0, caught + 6, 8) is None
+    monkeypatch.setattr(_native, "in_gate", lambda x: True)
+    err = _same_tail_on_both_paths(reduced, (-10.0, 0.1, 0.0), 5, 6)
     assert isinstance(err, NegativeDensityError)
-    assert _same_error(err, _raised(lambda: iterate_tail(python_only(reduced), start, 2)))
+
+
+def test_brents_tortoise_wins_when_both_match(native_lib, fig2_params):
+    # both tortoises can match only when both were saved at the same step:
+    # had one been saved earlier, it would have matched the other's state
+    # when that was saved.  At step 1 both hold the fixed start of step 0
+    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
+    x, period, status = (ctypes.c_double * 3)(), ctypes.c_int64(), ctypes.c_int()
+    constants = (ctypes.c_double * 12)(*reduced.native.constants)
+    taken = native_lib.twoscale_orbit(_native.REDUCED, constants, x, 100, period, status)
+    assert (taken, period.value, status.value) == (1, 1, _native._MATCHED_FIRST)
+    start = (0.0,) * 3
+    for stepper in (_native.Stepper(reduced.native, reduced.kernel),
+                    _KernelStepper(reduced.kernel)):
+        assert stepper.orbit(start, 100) == (start, 1, (1, 1))
+
+
+class _CountingLibrary:
+    """A loaded library whose functions record each call by name."""
+
+    def __init__(self, lib):
+        self._lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        function = getattr(self._lib, name)
+
+        def call(*args):
+            self.calls.append(name)
+            return function(*args)
+
+        return call
+
+
+def test_a_drifting_orbit_runs_its_schedule_in_one_foreign_call(native_lib, monkeypatch,
+                                                               fig3_params):
+    hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(10)
+    if stepping_path(hk, _X0) != _native.NATIVE:  # settles the BLAS probe, too
+        pytest.skip("H_k steps in Python on this BLAS")
+    spy = _CountingLibrary(native_lib)
+    monkeypatch.setattr(_native, "_library_state", (spy, _native._library()[1]))
+    tail, repeat = iterate_tail(hk, _X0, 20_000, 8)
+    assert repeat is None
+    # the orbit up to the tail, its (empty) final stretch and the tail rows
+    assert spy.calls == ["twoscale_orbit", "twoscale_advance", "twoscale_advance"]
+    expected, _ = iterate_tail(python_only(hk), _X0, 20_000, 8)
+    assert _same_bits(tail, expected)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -447,25 +529,31 @@ def test_import_and_build_compile_nothing():
 
 
 def test_a_run_without_a_compiler_writes_the_same_bytes(tmp_path):
-    # the child finds no cc on its PATH and nothing in its cache
+    # the child finds no cc on its PATH and nothing in its cache.  fig2's
+    # orbits repeat; fig10's never do, so its whole schedule runs in the
+    # Python loop there and in one compiled call here (and it exits 1)
     empty = tmp_path / "empty"
     empty.mkdir()
     native_out, python_out = tmp_path / "native", tmp_path / "python"
-    code = ("import sys\n"
-            "from twoscalepop import _native, cli\n"
-            f"code = cli.main(['run', 'fig2', '--fast', '--out', {str(python_out)!r}])\n"
-            "print('stepping:', _native.describe())\n"
-            "sys.exit(code)")
+    names = ("fig2", "fig10")
+    code = ("from twoscalepop import _native, cli\n"
+            f"codes = [cli.main(['run', name, '--fast', '--out', {str(python_out)!r}])\n"
+            f"         for name in {names!r}]\n"
+            "print('codes:', *codes)\n"
+            "print('stepping:', _native.describe())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env(PATH=str(empty), XDG_CACHE_HOME=str(tmp_path / "cache")))
-    assert proc.stdout.splitlines()[-1] == "stepping: python: no compiler", proc.stderr
-    code = cli.main(["run", "fig2", "--fast", "--out", str(native_out)])
-    assert proc.returncode == code
-    native_files = sorted((native_out / "fig2").iterdir())
-    python_files = sorted((python_out / "fig2").iterdir())
-    assert [p.name for p in native_files] == [p.name for p in python_files]
-    for a, b in zip(native_files, python_files):
-        assert a.read_bytes() == b.read_bytes(), a.name
+    assert proc.returncode == 0, proc.stderr
+    *_, codes, stepping = proc.stdout.splitlines()
+    assert stepping == "stepping: python: no compiler", proc.stderr
+    native_codes = [cli.main(["run", name, "--fast", "--out", str(native_out)]) for name in names]
+    assert codes == "codes: " + " ".join(map(str, native_codes))
+    for name in names:
+        native_files = sorted((native_out / name).iterdir())
+        python_files = sorted((python_out / name).iterdir())
+        assert [p.name for p in native_files] == [p.name for p in python_files]
+        for a, b in zip(native_files, python_files):
+            assert a.read_bytes() == b.read_bytes(), (name, a.name)
 
 
 def test_check_without_a_compiler_prints_the_same_bytes(tmp_path, capsys):
