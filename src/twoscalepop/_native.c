@@ -1,4 +1,5 @@
-/* Compiled stepping loop for the threestage maps H_k, reduced and local.
+/* Compiled stepping loop for the threestage maps H_k (and its limit H,
+ * which has the same block-diagonal layout), reduced and local.
  *
  * Each step repeats the Python float kernel's IEEE operations in the same
  * order, so the two give the same bytes; _native.py builds this file with
@@ -8,8 +9,9 @@
  *
  * twoscale_orbit runs aggregation.iterate_tail's whole repeat schedule up
  * to the tail in one call; twoscale_advance runs plain, stored or checked
- * stretches.  Both go through one inlined loop, specialised per map kind
- * so that its copies and compares have a constant size.
+ * stretches, and twoscale_many one such stretch from each of a batch of
+ * starts.  All go through one inlined loop, specialised per map kind so
+ * that its copies and compares have a constant size.
  */
 #include <math.h>
 #include <stdint.h>
@@ -164,6 +166,17 @@ int64_t twoscale_advance(int kind, const double *p, double *x, int64_t n,
     case REDUCED: return run(REDUCED, 3, p, x, n, rows, bound, NULL, status);
     default: return run(LOCAL, 3, p, x, n, rows, bound, NULL, status);
     }
+}
+
+/* Step each of the `count` rows of xs (row-major, the state's length
+ * wide) by up to n steps, as twoscale_advance steps one; row i's steps
+ * taken and status go to taken[i] and status[i]. */
+void twoscale_many(int kind, const double *p, double *xs, int64_t count, int64_t n,
+                   const double *bound, int64_t *taken, int *status)
+{
+    int dim = kind == COMPLETE ? 6 : 3;
+    for (int64_t i = 0; i < count; i++)
+        taken[i] = twoscale_advance(kind, p, xs + i * dim, n, NULL, bound, status + i);
 }
 
 /* Step x toward step `first`, the tail's first row, under the repeat

@@ -1,15 +1,15 @@
 """Compiled stepping loop for the threestage maps, built on first use.
 
-``_native.c`` steps H_k, the reduced map and the isolated-patch map with
-the same IEEE operations, in the same order, as their Python float
-kernels, so both give the same bytes.  Every orbit ``aggregation`` steps
--- ``iterate_tail``, ``iterate`` and the ball harnesses (trapping,
+``_native.c`` steps H_k, its limit H, the reduced map and the isolated-patch
+map with the same IEEE operations, in the same order, as their Python
+float kernels, so both give the same bytes.  Every orbit ``aggregation``
+steps -- ``iterate_tail``, ``iterate`` and the ball harnesses (trapping,
 attraction, instability, the convergence table) -- runs through it when
 the map carries a ``.native`` spec (a ``Spec``) and ``select`` answers
 ``"native"``; otherwise, and as the test oracle, the Python kernel steps.
 
 ``iterate_tail``'s whole repeat schedule up to the tail is one call to the
-loop (``Stepper.orbit``), and the Python fallback runs the same schedule.
+loop (``Stepper.orbit``), as is a batch of starts (``Stepper.many``).
 A checked run (given an admissibility bound) stops at the first state
 that is not finite, nonnegative and at most the bound; the C loop tests
 each state after storing it and before the next step, as Python does.
@@ -22,12 +22,12 @@ cannot be written the library is built in a per-process temporary
 directory instead.  With no ``cc``, a failed build, or no writable place,
 every orbit steps in Python, and ``select`` says why.
 
-H_k's dispersal product is numpy's BLAS gemv in the Python kernel.  The C
-loop models it as plain two-term row sums on rows 0-3 and a fused
-multiply-add on rows 4-5, which is what OpenBLAS's FMA kernels compute
-here (see ``threestage.make_system``).  Once per process that model is
-probed against ``ndarray.dot``; on any mismatch H_k steps in Python.  The
-reduced and local maps involve no BLAS and need no probe.
+The dispersal product of H_k and of H is numpy's BLAS gemv in the Python
+kernels.  The C loop models it as plain two-term row sums on rows 0-3 and
+a fused multiply-add on rows 4-5, which is what OpenBLAS's FMA kernels
+compute here (see ``threestage.make_system``).  Once per process that
+model is probed against ``ndarray.dot``; on any mismatch H_k and H step in
+Python.  The reduced and local maps involve no BLAS and need no probe.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainExitError
+from .errors import DomainExitError, TwoScalePopError
 
 COMPLETE, REDUCED, LOCAL = 0, 1, 2
 _SHAPES = {COMPLETE: (6, 30), REDUCED: (3, 12), LOCAL: (3, 6)}  # (state, constants)
@@ -117,6 +117,9 @@ def _open(path: str) -> tuple:
     lib.twoscale_advance.restype = lib.twoscale_orbit.restype = ctypes.c_int64
     lib.twoscale_advance.argtypes = (*head, doubles, doubles, status)
     lib.twoscale_orbit.argtypes = (*head, ctypes.POINTER(ctypes.c_int64), status)
+    lib.twoscale_many.restype = None
+    lib.twoscale_many.argtypes = (ctypes.c_int, doubles, ctypes.c_void_p, ctypes.c_int64,
+                                  ctypes.c_int64, doubles, ctypes.c_void_p, ctypes.c_void_p)
     lib.twoscale_dispersal.restype = None
     lib.twoscale_dispersal.argtypes = (doubles, doubles, doubles)
     return lib, path
@@ -221,6 +224,11 @@ def in_gate(x: tuple) -> bool:
     return all(math.isfinite(v) and math.copysign(1.0, v) > 0.0 for v in x)
 
 
+def rows_in_gate(xs: np.ndarray) -> bool:
+    """``in_gate`` for every row of the array ``xs``, tested at once."""
+    return bool(np.isfinite(xs).all() and not np.signbit(xs).any())
+
+
 def select(spec: Spec, x: tuple) -> str:
     """``"native"`` when an orbit of ``spec``'s map from ``x`` can run in the
     compiled loop, else ``"python: <reason>"``."""
@@ -240,7 +248,7 @@ def describe() -> str:
     if lib is None:
         return f"python: {where}"
     if not _blas_matches(lib):
-        return f"native ({where}), except H_k (python: BLAS probe mismatch)"
+        return f"native ({where}), except H_k and H (python: BLAS probe mismatch)"
     return f"native ({where})"
 
 
@@ -253,13 +261,15 @@ class Stepper:
     state that is not finite, nonnegative and at most ``bound``, and
     ``reject(state, step)`` raises its error; an error the kernel's replay
     raises without a step is stamped with it.  Steps count from the run's
-    start.  ``orbit`` runs unchecked.
+    start.  ``orbit`` runs unchecked.  ``many`` replays each row whose run
+    fails through ``advance``, to raise that row's own error.
     """
 
     def __init__(self, spec: Spec, kernel: Callable, bound: Optional[float] = None,
                  reject: Optional[Callable[[tuple, int], None]] = None):
         lib = _library()[0]
         self._advance, self._orbit = lib.twoscale_advance, lib.twoscale_orbit
+        self._many = lib.twoscale_many
         self._kind = spec.kind
         self._dim = _SHAPES[spec.kind][0]
         self._constants = (ctypes.c_double * len(spec.constants))(*spec.constants)
@@ -306,3 +316,19 @@ class Stepper:
             raise ValueError(f"rows need a C-contiguous float64 (n, {self._dim}) array")
         if len(out):
             self._run(x, len(out), out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
+
+    def many(self, xs: np.ndarray, n: int) -> tuple[np.ndarray, dict[int, TwoScalePopError]]:
+        starts = np.asarray(xs, dtype=np.float64)
+        images = starts.copy(order="C")
+        if images.ndim != 2 or images.shape[1] != self._dim:
+            raise ValueError(f"starts must form a (count, {self._dim}) array")
+        taken, status = np.empty(len(images), np.int64), np.empty(len(images), np.intc)
+        self._many(self._kind, self._constants, images.ctypes.data, len(images), n,
+                   self._bound, taken.ctypes.data, status.ctypes.data)
+        errors = {}
+        for i in np.flatnonzero(status).tolist():  # every status but _RAN
+            try:
+                self.advance(tuple(starts[i].tolist()), n)
+            except TwoScalePopError as err:
+                errors[i] = err
+        return images, errors

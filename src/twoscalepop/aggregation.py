@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import _native
-from .errors import DomainExitError, InvalidCenterError
+from .errors import DomainExitError, InvalidCenterError, TwoScalePopError
 from .solvers import fd_jacobian
 
 Vector = NDArray[np.float64]
@@ -185,7 +185,11 @@ class _KernelStepper:
     array ``out``, one per row.  ``orbit(x, first)`` steps from ``x``, the
     state of step 0, under ``iterate_tail``'s repeat schedule and stops at
     the first match or at step ``first``; it returns the state reached, its
-    step and the ``(step, period)`` of the match, else None.
+    step and the ``(step, period)`` of the match, else None.  ``many(xs,
+    n)`` steps each row of the (count, dim) array ``xs`` ``n`` times and
+    returns ``(images, errors)``: ``errors`` maps a row to the package error
+    its own ``advance`` raises, and that row of ``images`` holds no image;
+    any other exception propagates at once.
 
     A ``checked`` stepper's ``advance`` and ``rows`` raise
     ``DomainExitError`` at the first state outside the admissible set
@@ -214,6 +218,15 @@ class _KernelStepper:
 
     def rows(self, x: tuple, out: Vector) -> None:
         self._run(x, len(out), out)
+
+    def many(self, xs: Vector, n: int) -> tuple[Vector, dict[int, TwoScalePopError]]:
+        images, errors = np.array(xs, dtype=float), {}
+        for i, x in enumerate(images.tolist()):
+            try:
+                images[i] = self.advance(tuple(x), n)
+            except TwoScalePopError as err:
+                errors[i] = err
+        return images, errors
 
     def _run(self, x: tuple, n: int, out: Optional[Vector]) -> tuple:
         step, checked = self.step, self.checked
@@ -302,6 +315,42 @@ def _power(map_fn: StateMap, m: int, checked: bool = False) -> Callable[[Vector]
     return apply
 
 
+def images(map_fn: StateMap, starts, m: int,
+           checked: bool = False) -> tuple[Vector, dict[int, TwoScalePopError]]:
+    """Each row of ``starts`` stepped ``m`` times by ``map_fn``, as one batch.
+
+    Returns ``(images, errors)`` as ``_KernelStepper.many`` does: each row
+    equals ``_power(map_fn, m, checked)`` of its start bit for bit, or
+    ``errors`` holds the package error that call raises.  The batch steps
+    in the compiled loop, in one call, when the map has a compiled form and
+    every start is in ``_native``'s gate (finite, sign bit clear), else in
+    Python.
+    """
+    xs = np.asarray(starts, dtype=float)
+    if len(xs) and getattr(map_fn, "native", None) is not None and _native.rows_in_gate(xs):
+        stepper = _stepper(map_fn, checked)(tuple(xs[0].tolist()))
+    else:
+        stepper = _KernelStepper(_float_kernel(map_fn), checked)
+    return stepper.many(xs, m)
+
+
+def _stepped(map_fn: StateMap, starts, m: int) -> Vector:
+    """``images`` unchecked, raising the lowest failing row's error."""
+    out, errors = images(map_fn, starts, m)
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
+def _distances(points: Vector, center: Vector) -> list[float]:
+    """Each row's distance to ``center`` as ``np.linalg.norm`` gives it: the
+    sqrt of ``d.dot(d)``, whose dtype dot function ``np.vecdot`` shares."""
+    d = points - center
+    if hasattr(np, "vecdot"):
+        return np.sqrt(np.vecdot(d, d)).tolist()
+    return [math.sqrt(row.dot(row)) for row in d]
+
+
 def iterate_tail(map_fn: StateMap, x0, steps: int,
                  keep: int = 1) -> tuple[Vector, Optional[tuple[int, int]]]:
     """The last ``keep`` states of [X0, map(X0), ..., map^steps(X0)].
@@ -366,42 +415,32 @@ def convergence_table(sys: TwoScaleSystem, samples, m: int, k_values) -> Converg
 
     Samples whose orbit leaves the admissible set under any of the maps are
     reported in ``skipped`` and excluded from every column, so the per-k
-    maxima range over a common set.
+    maxima range over a common set; a column with no sample left is nan.
+    Each map steps all remaining samples as one batch (``images``).
     """
     pts = np.asarray(samples, dtype=float)
     if len(pts) == 0:
         raise ValueError("samples must be nonempty")
     ks = [int(k) for k in k_values]
+    live = np.ones(len(pts), dtype=bool)
 
-    skipped: set[int] = set()
-    limit_images: dict[int, Vector] = {}
-    limit_m = _power(sys.limit_map, m, checked=True)
-    for i, x in enumerate(pts):
-        try:
-            limit_images[i] = limit_m(x)
-        except DomainExitError:
-            skipped.add(i)
+    def step(map_fn: StateMap) -> Vector:
+        rows = np.flatnonzero(live)
+        out, errors = images(map_fn, pts[rows], m, checked=True)
+        for i in sorted(errors):
+            if not isinstance(errors[i], DomainExitError):
+                raise errors[i]
+            live[rows[i]] = False
+        full = np.empty_like(pts)
+        full[rows] = out
+        return full
 
-    complete_images: dict[int, dict[int, Vector]] = {k: {} for k in ks}
-    for k in ks:
-        hk_m = _power(sys.complete(k), m, checked=True)
-        for i, x in enumerate(pts):
-            if i in skipped:
-                continue
-            try:
-                complete_images[k][i] = hk_m(x)
-            except DomainExitError:
-                skipped.add(i)
-
-    gaps: dict[int, float] = {}
-    for k in ks:
-        worst = 0.0
-        for i in range(len(pts)):
-            if i in skipped:
-                continue
-            worst = max(worst, float(np.linalg.norm(complete_images[k][i] - limit_images[i])))
-        gaps[k] = worst
-    return ConvergenceTable(gaps=gaps, skipped=tuple(sorted(skipped)))
+    limit_images = step(sys.limit_map)
+    complete_images = {k: step(sys.complete(k)) for k in ks}
+    rows = np.flatnonzero(live)
+    gaps = {k: max(_distances(complete_images[k][rows], limit_images[rows]), default=math.nan)
+            for k in ks}
+    return ConvergenceTable(gaps=gaps, skipped=tuple(np.flatnonzero(~live).tolist()))
 
 
 # Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
@@ -526,15 +565,10 @@ def trapping_check(sys: TwoScaleSystem, trap: TrapSpec) -> dict[int, TrapVerdict
     pts = ball_samples(trap.center, trap.radius, trap.sample_count)
     out: dict[int, TrapVerdict] = {}
     for k in trap.k_values:
-        hk_m = _power(sys.complete(k), trap.period)
-        witness = None
-        worst = 0.0
-        for p in pts:
-            d = float(np.linalg.norm(hk_m(p) - trap.center))
-            worst = max(worst, d)
-            if d >= trap.radius and witness is None:
-                witness = p
-        out[k] = TrapVerdict(trapped=witness is None, witness=witness, max_image_distance=worst)
+        dists = _distances(_stepped(sys.complete(k), pts, trap.period), trap.center)
+        witness = next((p for p, d in zip(pts, dists) if d >= trap.radius), None)
+        out[k] = TrapVerdict(trapped=witness is None, witness=witness,
+                             max_image_distance=max(dists))
     return out
 
 
@@ -547,6 +581,8 @@ def attraction_check(sys: TwoScaleSystem, trap: TrapSpec, x0,
     iterate stays in the open ball.  When no such n exists within the
     horizon the verdict carries the closest approach observed.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     _check_center(sys, trap)
     m = trap.period
     out: dict[int, AttractionVerdict] = {}
@@ -556,18 +592,14 @@ def attraction_check(sys: TwoScaleSystem, trap: TrapSpec, x0,
     rows = np.empty((horizon, x0.size))  # H_k^1(X0) ... H_k^horizon(X0), reused per k
     for k in trap.k_values:
         _stepper(sys.complete(k), checked=True)(start).rows(start, rows)
-        dists = [float(np.linalg.norm(row - trap.center)) for row in rows[::m]]
+        dists = _distances(rows[::m], trap.center)
         entry: Optional[int] = None
         for n in range(len(dists) - 1, -1, -1):
             if dists[n] >= trap.radius:
                 break
             entry = n
-        if entry is None:
-            out[k] = AttractionVerdict(entered=False, entry_index=None,
-                                       closest_approach=min(dists))
-        else:
-            out[k] = AttractionVerdict(entered=True, entry_index=entry,
-                                       closest_approach=min(dists))
+        out[k] = AttractionVerdict(entered=entry is not None, entry_index=entry,
+                                   closest_approach=min(dists))
     return out
 
 
@@ -609,11 +641,9 @@ def instability_check(sys: TwoScaleSystem, trap: TrapSpec) -> dict[int, Instabil
             ratio = min(ratio, d / trap.radius)
             if d <= trap.radius and witness is None:
                 witness = p
-        n_escaped = 0
-        for v in dirs:
-            p = trap.center + trap.radius * v
-            if float(np.linalg.norm(map_m(p) - trap.center)) > trap.radius:
-                n_escaped += 1
+        boundary = trap.center + trap.radius * dirs
+        images_m = _stepped(sys.complete(k), boundary, m)
+        n_escaped = sum(d > trap.radius for d in _distances(images_m, trap.center))
         out[k] = InstabilityVerdict(
             escapes_boundary=witness is None,
             witness=witness,

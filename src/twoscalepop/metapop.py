@@ -37,11 +37,12 @@ VARIANTS = (VARIANT_SLOW, VARIANT_RESCALED)
 
 
 def aggregate(x, patches: int) -> Vector:
-    """Stage totals y_i = sum over patches of x_i^alpha."""
+    """Stage totals y_i = sum over patches of x_i^alpha, along the last axis
+    of a state or of a stack of states."""
     arr = np.asarray(x, dtype=float)
-    if arr.size % patches != 0:
+    if arr.ndim == 0 or arr.shape[-1] % patches != 0:
         raise ValueError("state length is not a multiple of the patch count")
-    return arr.reshape(-1, patches).sum(axis=1)
+    return arr.reshape(*arr.shape[:-1], -1, patches).sum(axis=-1)
 
 
 def _frozen(values) -> NDArray[np.float64]:

@@ -283,10 +283,12 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     ``.native`` by ``TwoScaleSystem.complete``) packs the power's twelve
     block entries and the demography constants for ``_native``'s C loop,
     which forms rows 0-3 as plain sums and rows 4-5 with C's exact ``fma``:
-    the SkylakeX rounding above.  Once per process ``_native`` probes that
-    model against ``a.dot`` on a few hundred random block-diagonal
-    products, and on any mismatch (a non-FMA BLAS kernel) H_k steps in
-    Python.  Nothing is compiled or probed here.
+    the SkylakeX rounding above.  The limit operator has the same
+    block-diagonal layout, so ``limit_map.native`` is the same kind of
+    form over its twelve block entries.  Once per process ``_native``
+    probes that model against ``a.dot`` on a few hundred random
+    block-diagonal products, and on any mismatch (a non-FMA BLAS kernel)
+    H_k and H step in Python.  Nothing is compiled or probed here.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -351,6 +353,8 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
         return np.array(limit_kernel(x))
 
     limit_map.kernel = limit_kernel
+    limit_map.native = _native.Spec(_native.COMPLETE,
+                                    (*_native.dispersal_entries(limit), *constants))
 
     def lift_kernel(y) -> tuple[float, ...]:
         y1, y2, y3 = y

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from twoscalepop import aggregation, metapop, scenarios, threestage
 from twoscalepop.aggregation import TrapSpec, TwoScaleSystem
-from twoscalepop.errors import DomainExitError
+from twoscalepop.errors import DomainExitError, NegativeDensityError
 from twoscalepop.solvers import newton_fixed_point
 
 
@@ -566,3 +566,30 @@ def test_attraction_check_rejects_an_inadmissible_start():
         aggregation.attraction_check(_scaling_system(0.5), TrapSpec(np.zeros(2), 1.0),
                                      np.array([1.0, -1.0]), horizon=5)
     assert str(err.value) == "state left the nonnegative orthant" and err.value.step == 0
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_attraction_check_rejects_a_horizon_below_one(horizon):
+    with pytest.raises(ValueError, match="^horizon must be at least 1$"):
+        aggregation.attraction_check(_scaling_system(0.5), TrapSpec(np.zeros(2), 1.0),
+                                     np.array([1.0, 1.0]), horizon=horizon)
+
+
+def test_convergence_table_reports_nan_when_every_sample_is_skipped(fig2_params):
+    # every sample starts above the box bound, so every orbit leaves it at step 1
+    system = threestage.make_system(fig2_params, "slow_survival")
+    table = aggregation.convergence_table(system, np.full((3, 6), 2e9), m=1, k_values=(1, 5))
+    assert table.skipped == (0, 1, 2)
+    assert list(table.gaps) == [1, 5] and all(np.isnan(g) for g in table.gaps.values())
+
+
+def test_convergence_table_skips_domain_exits_but_raises_other_errors(fig2_params):
+    # row 0 leaves the box at step 1 and is skipped; rows 1 and 2 start
+    # beyond the response pole, whose error no skip may hide
+    system = threestage.make_system(fig2_params, "slow_survival")
+    pole = [0.1, 0.1, -10.0, -10.0, 0.1, 0.1]
+    samples = np.array([np.full(6, 2e9), pole, pole, _X0])
+    with pytest.raises(NegativeDensityError):
+        aggregation.convergence_table(system, samples, m=1, k_values=(1,))
+    table = aggregation.convergence_table(system, samples[[0, 3]], m=1, k_values=(1,))
+    assert table.skipped == (0,) and table.gaps[1] > 0.0

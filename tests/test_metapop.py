@@ -16,6 +16,17 @@ def test_aggregate_sums_patches_stage_major():
     assert np.array_equal(metapop.aggregate(np.arange(6.0), 3), [3.0, 12.0])
 
 
+def test_aggregate_sums_each_state_of_a_stack_alike():
+    stack = np.random.default_rng(2).uniform(-1.0, 1.0, (2, 4, 6))
+    stack[0, 1, :2] = -0.0  # -0.0 + -0.0 stays -0.0
+    totals = metapop.aggregate(stack, 2)
+    assert totals.shape == (2, 4, 3)
+    for index in np.ndindex(2, 4):
+        assert totals[index].tobytes() == metapop.aggregate(stack[index], 2).tobytes()
+    with pytest.raises(ValueError):
+        metapop.aggregate(np.zeros((4, 5)), 2)
+
+
 def test_model_rejects_empty_shape():
     with pytest.raises(ValueError):
         metapop.MetapopModel(stages=0, patches=2, dispersal=None,

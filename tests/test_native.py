@@ -17,7 +17,8 @@ import pytest
 
 import twoscalepop
 from twoscalepop import _native, aggregation, analysis, cli, metapop, scenarios, threestage
-from twoscalepop.aggregation import TrapSpec, _KernelStepper, _stepper, iterate_tail, stepping_path
+from twoscalepop.aggregation import (TrapSpec, _KernelStepper, _power, _stepper, images,
+                                     iterate_tail, stepping_path)
 from twoscalepop.errors import DomainExitError, NegativeDensityError
 from twoscalepop.metapop import VARIANT_RESCALED, VARIANT_SLOW
 from twoscalepop.solvers import newton_fixed_point
@@ -415,6 +416,166 @@ def test_ball_samples_outside_the_gate_step_in_python(native_lib, fig2_params, c
             assert _same_error(err, _raised(lambda: harness(python))), label
         else:
             assert _exact(verdict) == _exact(harness(python)), label
+
+
+def _per_row(map_fn, starts, m, checked=False):
+    """(images, errors) of ``_power`` called on each start alone."""
+    power, out, errors = _power(map_fn, m, checked), {}, {}
+    for i, x in enumerate(starts):
+        try:
+            out[i] = power(x)
+        except Exception as err:
+            errors[i] = err
+    return out, errors
+
+
+def _same_batch(got, expected):
+    (rows, errors), (expected_rows, expected_errors) = got, expected
+    assert sorted(errors) == sorted(expected_errors)
+    assert all(_same_error(errors[i], expected_errors[i]) for i in errors)
+    assert sorted(expected_rows) == [i for i in range(len(rows)) if i not in errors]
+    assert all(_same_bits(rows[i], row) for i, row in expected_rows.items())
+
+
+def _batch_maps(name, variant):
+    """(label, map, starts) for H_1, H_10, H, the reduced and a local map."""
+    params = getattr(scenarios, f"{name}_params")()
+    system = threestage.make_system(params, variant)
+    rng = np.random.default_rng(7)
+    wide, narrow = rng.uniform(0.0, 0.1, (12, 6)), rng.uniform(0.0, 0.1, (12, 3))
+    yield from (("H_1", system.complete(1), wide), ("H_10", system.complete(10), wide),
+                ("limit", system.limit_map, wide),
+                ("reduced", threestage.reduced_map(params, variant), narrow),
+                ("local_1", threestage.local_map(params, 0), narrow))
+
+
+@pytest.mark.parametrize("checked", (False, True))
+@pytest.mark.parametrize("name, variant", [("fig2", VARIANT_SLOW), ("fig10", VARIANT_RESCALED)])
+def test_images_match_per_row_powers_on_both_paths(name, variant, checked):
+    for label, map_fn, starts in _batch_maps(name, variant):
+        for fn in (map_fn, python_only(map_fn)):
+            for m in (1, 2, 50):
+                expected = _per_row(fn, starts, m, checked)
+                _same_batch(images(fn, starts, m, checked), expected)
+                # one row outside the gate sends the whole batch to Python
+                signed = starts.copy()
+                signed[3, 1] = -0.0
+                _same_batch(images(fn, signed, m, checked), _per_row(fn, signed, m, checked))
+            empty, errors = images(fn, starts[:0], 3, checked)
+            assert empty.shape == (0, starts.shape[1]) and errors == {}, label
+
+
+def test_a_batch_outside_the_gate_makes_no_compiled_call(native_lib, monkeypatch):
+    reduced = threestage.reduced_map(scenarios.fig2_params(), VARIANT_SLOW)
+    spy = _CountingLibrary(native_lib)
+    monkeypatch.setattr(_native, "_library_state", (spy, _native._library()[1]))
+    starts = np.tile(_Y0, (4, 1))
+    images(reduced, starts, 5)
+    starts[2, 0] = -0.0
+    images(reduced, starts, 5)
+    assert spy.calls == ["twoscale_many"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_batch_raises_each_rows_own_error(native_lib, fig2_params, fig3_params, monkeypatch):
+    # reduced map: under a lowered box, row 1 leaves it at a step of at
+    # least 3 (checked); row 3 leaves the orthant at step 1 (checked), and
+    # unchecked meets the pole at step 2.  The origin is fixed
+    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
+    bound, step = _box_exit_bound(reduced, 1e-4 * _Y0)
+    monkeypatch.setattr(aggregation, "BOX_BOUND", bound)
+    starts = np.array([np.zeros(3), 1e-4 * _Y0, np.zeros(3), [-10.0, 0.1, 0.0]])
+    for checked in (False, True):
+        expected = _per_row(python_only(reduced), starts, step + 2, checked)
+        if checked:
+            assert [(i, str(err), err.step) for i, err in sorted(expected[1].items())] == [
+                (1, "state exceeded the box bound", step),
+                (3, "state left the nonnegative orthant", 1)]
+        else:
+            assert list(expected[1]) == [3]
+            assert isinstance(expected[1][3], NegativeDensityError)
+        _same_batch(images(reduced, starts, step + 2, checked), expected)
+        # the compiled batch replays rows 1 and 3 to raise their errors
+        compiled = _native.Stepper(reduced.native, reduced.kernel,
+                                   bound if checked else None, aggregation._require_admissible)
+        _same_batch(compiled.many(starts, step + 2), expected)
+        _same_batch(_KernelStepper(reduced.kernel, checked).many(starts, step + 2), expected)
+    # H_5 in the compiled loop: a box exit at step 1 and an overflow
+    monkeypatch.setattr(aggregation, "BOX_BOUND", 1e9)
+    hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
+    starts = np.array([_X0, [0.0, 0.0, 2e8, 6.4e8, 8.2e8, 9.4e8], np.full(6, 1.7e308), _X0])
+    if stepping_path(hk, _X0) != _native.NATIVE:
+        pytest.skip("H_k steps in Python on this BLAS")
+    batch = images(hk, starts, 4, checked=True)
+    assert str(batch[1][1]) == "state exceeded the box bound" and batch[1][2].step == 1
+    _same_batch(batch, _per_row(python_only(hk), starts, 4, checked=True))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_trapping_check_raises_the_first_samples_error(native_lib, fig2_params):
+    # near the largest float some ball samples overflow under H_k and some
+    # do not; an identity limit map keeps every centre valid
+    system = dataclasses.replace(threestage.make_system(fig2_params, VARIANT_SLOW),
+                                 limit_map=lambda x: np.asarray(x, dtype=float))
+    trap = TrapSpec(np.full(6, 1e308), 3e307, period=1, sample_count=8, k_values=(1, 10))
+    pts = aggregation.ball_samples(trap.center, trap.radius, trap.sample_count)
+    if stepping_path(system.complete(1), pts[0]) != _native.NATIVE:
+        pytest.skip("H_k steps in Python on this BLAS")
+    errors = images(system.complete(1), pts, 1)[1]
+    assert 0 < min(errors) and len(errors) < len(pts)
+    # the sample loop trapping_check ran before batching: k outer, samples inner
+    expected = _raised(lambda: [_power(system.complete(k), 1)(p)
+                                for k in trap.k_values for p in pts])
+    assert _same_error(_raised(lambda: aggregation.trapping_check(system, trap)), expected)
+
+
+def test_each_harness_batch_is_one_compiled_call(native_lib, monkeypatch):
+    system, centre = _centre("fig2")
+    if stepping_path(system.complete(1), centre) != _native.NATIVE:
+        pytest.skip("H_k steps in Python on this BLAS")
+    spy = _CountingLibrary(native_lib)
+    monkeypatch.setattr(_native, "_library_state", (spy, _native._library()[1]))
+    ks = (1, 2, 3, 5, 10, 50, 100, 200)
+    aggregation.trapping_check(system, TrapSpec(centre, aggregation.default_radius(centre),
+                                                period=50, sample_count=64, k_values=ks))
+    assert spy.calls.count("twoscale_many") == len(ks)
+    spy.calls.clear()
+    samples = np.random.default_rng(3).uniform(0.0, 0.1, (16, 6))
+    aggregation.convergence_table(system, samples, m=1, k_values=ks[:5])
+    assert spy.calls == ["twoscale_many"] * (1 + 5)
+
+
+@pytest.mark.parametrize("variant", (VARIANT_SLOW, VARIANT_RESCALED))
+@pytest.mark.parametrize("name", ("fig2", "fig3", "fig10"))
+def test_the_limit_map_steps_compiled_bit_for_bit(native_lib, name, variant):
+    limit = threestage.make_system(getattr(scenarios, f"{name}_params")(), variant).limit_map
+    if not _native._blas_matches(native_lib):
+        assert stepping_path(limit, _X0) == "python: BLAS probe mismatch"
+        return
+    assert stepping_path(limit, _X0) == _native.NATIVE
+    tail, repeat = iterate_tail(limit, _X0, 20_000, 8)
+    expected, expected_repeat = iterate_tail(python_only(limit), _X0, 20_000, 8)
+    assert _same_bits(tail, expected) and repeat == expected_repeat
+
+
+def test_a_probe_mismatch_steps_the_limit_map_in_python(native_lib, monkeypatch, fig10_params):
+    limit = threestage.make_system(fig10_params, VARIANT_RESCALED).limit_map
+    monkeypatch.setattr(_native, "_blas_state", False)
+    assert stepping_path(limit, _X0) == "python: BLAS probe mismatch"
+    assert _native.describe().endswith("except H_k and H (python: BLAS probe mismatch)")
+    tail, repeat = iterate_tail(limit, _X0, 20_000, 8)
+    expected, expected_repeat = iterate_tail(python_only(limit), _X0, 20_000, 8)
+    assert _same_bits(tail, expected) and repeat == expected_repeat
+
+
+def test_the_c_source_compiles_without_warnings(tmp_path):
+    cc = _native.shutil.which("cc")
+    if cc is None:
+        pytest.skip("no compiler")
+    proc = subprocess.run([cc, *_native.FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "strict.so"), str(_native.SOURCE), "-lm"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_the_blas_probe_tells_the_rounding_models_apart(native_lib):
