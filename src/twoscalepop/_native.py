@@ -50,7 +50,7 @@ _RAN, _MATCHED_FIRST, _MATCHED_SECOND, _FAILS, _INADMISSIBLE = 0, 1, 2, 3, 4
 
 NATIVE = "native"
 SOURCE = Path(__file__).with_name("_native.c")
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 PROBE_PRODUCTS = 300
 
 # block-diagonal pattern of a 6x6 dispersal power: the (row, column) of its
@@ -240,6 +240,12 @@ def select(spec: Spec, x: tuple) -> str:
     if spec.kind == COMPLETE and not _blas_matches(lib):
         return "python: BLAS probe mismatch"
     return NATIVE
+
+
+def settings() -> tuple:
+    """What ``select`` answers from besides the start: the library state
+    and the BLAS probe's result, each None while unsettled."""
+    return _library_state, _blas_state
 
 
 def describe() -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -44,6 +44,7 @@ class TwoScaleSystem:
     limit_map: StateMap
     projection: StateMap
     lift: StateMap
+    _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.state_dim < 1 or self.reduced_dim < 1:
@@ -52,7 +53,7 @@ class TwoScaleSystem:
             raise ValueError("reduced dimension must be smaller than state dimension")
 
     def complete(self, k: int) -> StateMap:
-        """The map H_k with k bound.
+        """The map H_k with k bound, built once per k.
 
         When ``complete_map`` carries a float kernel (``.kernel``, taking
         ``(k, x)`` with x a tuple of floats), H_k carries it too, with k
@@ -64,6 +65,9 @@ class TwoScaleSystem:
         """
         if k < 1:
             raise ValueError("k must be a positive integer")
+        step = self._maps.get(k)
+        if step is not None:
+            return step
         complete_map = self.complete_map
         step = lambda x: complete_map(k, x)
         kernel_for = getattr(complete_map, "kernel_for", None)
@@ -76,6 +80,7 @@ class TwoScaleSystem:
         native = native_for(k) if native_for is not None else None
         if native is not None:
             step.native = native
+        self._maps[k] = step
         return step
 
 
@@ -278,30 +283,57 @@ def stepping_path(map_fn: StateMap, x0) -> str:
     return _native.select(spec, _as_floats(x0))
 
 
-def _stepper(map_fn: StateMap, checked: bool = False) -> Callable[[tuple], object]:
-    """``map_fn``'s stepping primitive, bound once for any number of starts.
+class _Binding:
+    """A map's stepping primitive, bound once for any number of starts.
 
-    The function returned gives, for a start (a tuple of floats), the
-    compiled stepper when an orbit from it may run in the compiled loop
-    (``_native.select``, settled at the first start in the gate), else the
-    Python kernel stepper.
+    Called with a start (a tuple of floats), it gives the compiled stepper
+    when an orbit from it may run in the compiled loop (``_native.select``,
+    settled at the first start in the gate), else ``python``, the Python
+    kernel stepper.
     """
-    kernel = _float_kernel(map_fn)
+
+    def __init__(self, kernel: Callable[[tuple], tuple], spec: Optional[_native.Spec],
+                 checked: bool):
+        self.kernel, self.spec, self.checked = kernel, spec, checked
+        self.python = _KernelStepper(kernel, checked)
+        self._native = None
+        self._under = None  # what the compiled stepper was chosen and bound under
+
+    def __call__(self, x: tuple):
+        if self.spec is None or not _native.in_gate(x):
+            return self.python
+        if self._native is None:
+            self._native = (_native.Stepper(self.spec, self.kernel,
+                                            BOX_BOUND if self.checked else None,
+                                            _require_admissible)
+                            if _native.select(self.spec, x) == _native.NATIVE else self.python)
+            self._under = _native.settings(), BOX_BOUND
+        return self._native
+
+    def current(self) -> bool:
+        """False once the library, the BLAS probe result or the box bound
+        that the compiled stepper was chosen and bound under has changed."""
+        return self._native is None or self._under == (_native.settings(), BOX_BOUND)
+
+
+def _stepper(map_fn: StateMap, checked: bool = False) -> _Binding:
+    """``map_fn``'s stepping primitive, bound once per map and checked flag.
+
+    A map with a compiled form (``.native``) and a float kernel (``.kernel``)
+    keeps its bindings as ``._bindings``, so its compiled stepper serves
+    every call on that map (``TwoScaleSystem.complete`` builds each H_k
+    once).  Neither the kernel nor the form refers back to the map, so the
+    bindings go when the map does.  Any other map is bound afresh.
+    """
+    kernel = getattr(map_fn, "kernel", None)
     spec = getattr(map_fn, "native", None)
-    python = _KernelStepper(kernel, checked)
-    native = None
-
-    def pick(x: tuple):
-        nonlocal native
-        if spec is None or not _native.in_gate(x):
-            return python
-        if native is None:
-            native = (_native.Stepper(spec, kernel, BOX_BOUND if checked else None,
-                                      _require_admissible)
-                      if _native.select(spec, x) == _native.NATIVE else python)
-        return native
-
-    return pick
+    if kernel is None or spec is None:
+        return _Binding(_float_kernel(map_fn), spec, checked)
+    bindings = vars(map_fn).setdefault("_bindings", {})
+    binding = bindings.get(checked)
+    if binding is None or not binding.current():
+        binding = bindings[checked] = _Binding(kernel, spec, checked)
+    return binding
 
 
 def _power(map_fn: StateMap, m: int, checked: bool = False) -> Callable[[Vector], Vector]:
@@ -327,11 +359,10 @@ def images(map_fn: StateMap, starts, m: int,
     Python.
     """
     xs = np.asarray(starts, dtype=float)
-    if len(xs) and getattr(map_fn, "native", None) is not None and _native.rows_in_gate(xs):
-        stepper = _stepper(map_fn, checked)(tuple(xs[0].tolist()))
-    else:
-        stepper = _KernelStepper(_float_kernel(map_fn), checked)
-    return stepper.many(xs, m)
+    binding = _stepper(map_fn, checked)
+    if len(xs) and binding.spec is not None and _native.rows_in_gate(xs):
+        return binding(tuple(xs[0].tolist())).many(xs, m)
+    return binding.python.many(xs, m)
 
 
 def _stepped(map_fn: StateMap, starts, m: int) -> Vector:

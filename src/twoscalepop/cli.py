@@ -102,7 +102,7 @@ def load_config(path) -> ScenarioConfig:
     dispersal = table.get("dispersal", {})
     run = table.get("run", {})
     init = table.get("init", {})
-    _reject_unknown(table, "model", ("variant", "stages", "patches"))
+    _reject_unknown(table, "model", ("variant",))
     _reject_unknown(table, "params", _PARAM_KEYS)
     _reject_unknown(table, "dispersal", ("v1_1", "v2_1", "v3_1", "mixing"))
     _reject_unknown(table, "run", ("k_list", "horizon", "tail", "seed"))
@@ -157,8 +157,6 @@ def load_config(path) -> ScenarioConfig:
         tail=_as_int(run.get("tail", scenarios.DEFAULT_TAIL), "run.tail"),
         initial_state=x,
         seed=_as_int(run.get("seed", scenarios.DEFAULT_SEED), "run.seed"),
-        stages=_as_int(model.get("stages", threestage.STAGES), "model.stages"),
-        patches=_as_int(model.get("patches", threestage.PATCHES), "model.patches"),
     )
 
 
@@ -275,7 +273,7 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
     system = threestage.make_system(params, variant)
     reduced_step = threestage.reduced_map(params, variant)
     x0 = config.initial_state
-    y0 = metapop.aggregate(x0, config.patches)
+    y0 = metapop.aggregate(x0, threestage.PATCHES)
     tail = config.tail
 
     repeats: dict[str, Optional[tuple[int, int]]] = {}
@@ -364,7 +362,7 @@ def write_outputs(summary: RunSummary, out_dir: Path, prefix: str = "") -> list[
     rows = []
     for k in summary.config.k_list:
         for i, state in enumerate(summary.complete_tails[k]):
-            totals = metapop.aggregate(state, summary.config.patches)
+            totals = metapop.aggregate(state, threestage.PATCHES)
             rows.append((str(t0 + i), str(k),
                          *map(_fmt, state), *map(_fmt, totals)))
     _write_csv(path, COMPLETE_HEADER, rows)

@@ -38,14 +38,13 @@ class ScenarioConfig:
     tail: int = DEFAULT_TAIL
     initial_state: NDArray[np.float64] = DEFAULT_INITIAL_STATE
     seed: int = DEFAULT_SEED
-    stages: int = STAGES
-    patches: int = PATCHES
+    # every config run has PATCHES patches (perfbench/record.py reads this);
+    # it is a constant, not a config key
+    patches = PATCHES
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError("model.variant", f"must be one of {VARIANTS}")
-        if self.stages != STAGES or self.patches != PATCHES:
-            raise ConfigError("model", "config runs support 3 stages and 2 patches")
         if not isinstance(self.params, ThreeStageParams):
             raise ConfigError("params", "expected a ThreeStageParams block")
         ks = tuple(int(k) for k in self.k_list)

@@ -197,6 +197,11 @@ def test_load_config_rejects_unknown_names(tmp_path):
     bad_key = CONFIG_TEXT.replace("tail = 5", "tial = 5")
     with pytest.raises(ConfigError, match="unknown"):
         cli.load_config(write_config(tmp_path, bad_key))
+    # runs always have three stages and two patches: no key sets them
+    for key in ("stages = 3", "patches = 2"):
+        text = CONFIG_TEXT.replace('variant = "slow_survival"', f'variant = "slow_survival"\n{key}')
+        with pytest.raises(ConfigError, match="unknown keys"):
+            cli.load_config(write_config(tmp_path, text))
 
 
 def test_load_config_rejects_out_of_range_values(tmp_path):

@@ -5,11 +5,13 @@ paths and compares bytes, exceptions and repeat reports.
 """
 import ctypes
 import dataclasses
+import gc
 import struct
 from array import array
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +53,11 @@ def python_only(map_fn):
     return step
 
 
-def _series(name, variant):
+def _series(name, variant, ks=_KS):
     """(label, map, start) for H_k, the reduced map and both local maps."""
     params = getattr(scenarios, f"{name}_params")()
     system = threestage.make_system(params, variant)
-    for k in _KS:
+    for k in ks:
         yield f"H_{k}", system.complete(k), _X0
     yield "reduced", threestage.reduced_map(params, variant), _Y0
     for patch in (0, 1):
@@ -311,6 +313,42 @@ def test_the_replay_must_raise(native_lib, fig2_params):
         stepper.advance((-10.0, 0.1, 0.0), 5)
 
 
+def test_a_dropped_system_frees_its_steppers_at_once(native_lib, fig2_params):
+    # a binding is kept on its map and refers to nothing that refers back,
+    # so no reference cycle holds the steppers (and their kernels' arrays)
+    # until the cyclic collector runs
+    system = threestage.make_system(fig2_params, VARIANT_SLOW)
+    starts = np.tile(_X0, (4, 1))
+    if stepping_path(system.complete(10), _X0) != _native.NATIVE:
+        pytest.skip("H_k steps in Python on this BLAS")
+    maps = (system.complete(10), system.limit_map)
+    for map_fn in maps:
+        images(map_fn, starts, 2)
+        images(map_fn, starts, 2, checked=True)
+    held = [weakref.ref(_stepper(map_fn, checked)(tuple(_X0.tolist())))
+            for map_fn in maps for checked in (False, True)]
+    held += [weakref.ref(map_fn.kernel) for map_fn in maps]
+    gc.disable()
+    try:
+        del system, maps, map_fn
+        assert [ref() for ref in held] == [None] * len(held)
+    finally:
+        gc.enable()
+
+
+def test_maps_sharing_a_compiled_form_replay_their_own_kernels(native_lib, fig2_params,
+                                                                monkeypatch):
+    monkeypatch.setattr(_native, "in_gate", lambda x: True)
+    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
+    lenient = threestage._with_kernel(lambda y: y, reduced.native)  # it never fails
+    start = (-10.0, 0.1, 0.0)  # the second step meets the pole
+    for _ in range(2):
+        assert isinstance(_raised(lambda: _stepper(reduced)(start).advance(start, 5)),
+                          NegativeDensityError)
+        with pytest.raises(RuntimeError, match="compiled step failed"):
+            _stepper(lenient)(start).advance(start, 5)
+
+
 @pytest.mark.parametrize("start", [
     [0.1, 0.2, -0.0, 0.1, 0.1, 0.1],
     [0.1, 0.2, 0.3, np.nan, 0.1, 0.1],
@@ -545,6 +583,43 @@ def test_each_harness_batch_is_one_compiled_call(native_lib, monkeypatch):
     assert spy.calls == ["twoscale_many"] * (1 + 5)
 
 
+def test_one_map_binds_one_compiled_stepper(native_lib, monkeypatch, fig2_params):
+    built = []
+
+    class Counted(_native.Stepper):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(_native, "Stepper", Counted)
+    system = threestage.make_system(fig2_params, VARIANT_SLOW)
+    starts = np.random.default_rng(5).uniform(0.0, 0.1, (8, 6))
+    if stepping_path(system.complete(10), _X0) != _native.NATIVE:  # settles the probe
+        pytest.skip("H_k steps in Python on this BLAS")
+    python = python_only(system.complete(10))
+    expected = {checked: _per_row(python, starts, 3, checked) for checked in (False, True)}
+    # complete(10) gives the same map each time, so it keeps its binding
+    for checked in (False, False, False, True, True):
+        _same_batch(images(system.complete(10), starts, 3, checked), expected[checked])
+    assert len(built) == 2  # one unchecked, one checked
+    # a binding does not outlive what it was bound under: a lowered box bound ...
+    monkeypatch.setattr(aggregation, "BOX_BOUND", float(starts.max()))
+    lowered = _per_row(python, starts, 3, checked=True)
+    assert lowered[1]  # rows now leave the box
+    _same_batch(images(system.complete(10), starts, 3, checked=True), lowered)
+    assert len(built) == 3
+    # ... a new library ...
+    spy = _CountingLibrary(native_lib)
+    monkeypatch.setattr(_native, "_library_state", (spy, _native._library()[1]))
+    _same_batch(images(system.complete(10), starts, 3), expected[False])
+    assert spy.calls == ["twoscale_many"] and len(built) == 4
+    # ... or a BLAS probe that now disagrees
+    monkeypatch.setattr(_native, "_blas_state", False)
+    spy.calls.clear()
+    _same_batch(images(system.complete(10), starts, 3), expected[False])
+    assert spy.calls == [] and len(built) == 4
+
+
 @pytest.mark.parametrize("variant", (VARIANT_SLOW, VARIANT_RESCALED))
 @pytest.mark.parametrize("name", ("fig2", "fig3", "fig10"))
 def test_the_limit_map_steps_compiled_bit_for_bit(native_lib, name, variant):
@@ -556,6 +631,82 @@ def test_the_limit_map_steps_compiled_bit_for_bit(native_lib, name, variant):
     tail, repeat = iterate_tail(limit, _X0, 20_000, 8)
     expected, expected_repeat = iterate_tail(python_only(limit), _X0, 20_000, 8)
     assert _same_bits(tail, expected) and repeat == expected_repeat
+
+
+@pytest.mark.parametrize("variant", (VARIANT_SLOW, VARIANT_RESCALED))
+@pytest.mark.parametrize("name", ("fig3", "fig10"))
+def test_a_long_orbit_call_agrees_on_both_paths(native_lib, name, variant):
+    # 20 000 steps of the repeat schedule in one compiled call: fig3's and
+    # fig10's orbits drift, so nearly every step compares both tortoises
+    limit = threestage.make_system(getattr(scenarios, f"{name}_params")(), variant).limit_map
+    for label, map_fn, x0 in (("limit", limit, _X0), *_series(name, variant, (1, 10, 100))):
+        if label.startswith(("H_", "limit")) and not _native._blas_matches(native_lib):
+            continue  # H_k and H step in Python on this BLAS
+        x = tuple(x0.tolist())
+        state, taken, repeat = _native.Stepper(map_fn.native, map_fn.kernel).orbit(x, 20_000)
+        expected, expected_taken, expected_repeat = _KernelStepper(map_fn.kernel).orbit(x, 20_000)
+        assert _same_bits(state, expected), label
+        assert (taken, repeat) == (expected_taken, expected_repeat), label
+
+
+def _compiled(lib, map_fn, x, n, bound=None, orbit=False):
+    """One compiled call from ``x``: (state written back, steps, status, period)."""
+    spec = map_fn.native
+    constants = (ctypes.c_double * len(spec.constants))(*spec.constants)
+    state = (ctypes.c_double * len(x))(*x)
+    status, period = ctypes.c_int(-1), ctypes.c_int64(-1)
+    if orbit:
+        taken = lib.twoscale_orbit(spec.kind, constants, state, n, period, status)
+    else:
+        limit = None if bound is None else (ctypes.c_double * 1)(bound)
+        taken = lib.twoscale_advance(spec.kind, constants, state, n, None, limit, status)
+    return tuple(state), taken, status.value, period.value
+
+
+def _cycle_onset(kernel, x):
+    """(orbit up to its first repeat, step at which its cycle begins)."""
+    orbit, seen = [x], {x: 0}
+    while True:
+        x = kernel(x)
+        if x in seen:
+            return orbit, seen[x]
+        seen[x] = len(orbit)
+        orbit.append(x)
+
+
+@pytest.mark.parametrize("label", ("H_10", "reduced", "local_1"))
+def test_every_exit_writes_back_its_state(native_lib, fig2_params, label):
+    system = threestage.make_system(fig2_params, VARIANT_SLOW)
+    map_fn, x0 = {"H_10": (system.complete(10), _X0),
+                  "reduced": (threestage.reduced_map(fig2_params, VARIANT_SLOW), _Y0),
+                  "local_1": (threestage.local_map(fig2_params, 0), _X0[0::2])}[label]
+    if label == "H_10" and not _native._blas_matches(native_lib):
+        pytest.skip("H_k steps in Python on this BLAS")
+    kernel, lib = map_fn.kernel, native_lib
+    start = tuple(x0.tolist())
+    orbit, onset = _cycle_onset(kernel, start)
+    # RAN: the state after the last step
+    state, taken, got, _ = _compiled(lib, map_fn, start, 7)
+    assert (taken, got) == (7, _native._RAN) and _same_bits(state, orbit[7])
+    # fig2's orbits end on a 2-cycle.  From its first state, Brent's
+    # tortoise (saved at step 1) matches at step 3; from 16 steps before
+    # it, only the fine one (saved at steps 16 and 18) can match first
+    for begin, status in ((onset, _native._MATCHED_FIRST), (onset - 16, _native._MATCHED_SECOND)):
+        state, taken, got, period = _compiled(lib, map_fn, orbit[begin], 100, orbit=True)
+        expected, expected_taken, repeat = _KernelStepper(kernel).orbit(orbit[begin], 100)
+        assert (got, taken, (taken, period)) == (status, expected_taken, repeat), label
+        assert _same_bits(state, expected) and not _same_bits(state, orbit[begin]), label
+    # FAILS: the state the refused second step would be applied to
+    beyond = (-10.0, -10.0, 0.1, 0.1, 0.0, 0.0) if label == "H_10" else (-10.0, 0.1, 0.0)
+    state, taken, got, _ = _compiled(lib, map_fn, beyond, 5)
+    assert (taken, got) == (1, _native._FAILS) and _same_bits(state, kernel(beyond))
+    assert isinstance(_raised(lambda: kernel(state)), NegativeDensityError)
+    # INADMISSIBLE: the stored state that left the box
+    small = tuple((1e-4 * x0).tolist())
+    bound, step = _box_exit_bound(map_fn, np.array(small))
+    state, taken, got, _ = _compiled(lib, map_fn, small, step + 5, bound=bound)
+    assert (taken, got) == (step, _native._INADMISSIBLE)
+    assert _same_bits(state, aggregation.iterate(map_fn, small, step)[-1])
 
 
 def test_a_probe_mismatch_steps_the_limit_map_in_python(native_lib, monkeypatch, fig10_params):
@@ -576,6 +727,16 @@ def test_the_c_source_compiles_without_warnings(tmp_path):
                            "-o", str(tmp_path / "strict.so"), str(_native.SOURCE), "-lm"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_build_flags_keep_every_operation():
+    # the cached library is keyed by source and flags, not by CPU: a flag
+    # that fuses, reorders or targets one CPU would change output bytes or
+    # tie the cache to the machine that built it
+    flags = _native.FLAGS
+    assert "-ffp-contract=off" in flags
+    assert not [f for f in flags if f in ("-ffast-math", "-Ofast", "-mfma")
+                or f.startswith(("-march=", "-mtune="))]
 
 
 def test_the_blas_probe_tells_the_rounding_models_apart(native_lib):
