@@ -7,99 +7,9 @@ complete and reduced dynamics relate (trapping regions, attraction,
 instability, spectral links).  Survival can act at the slow time scale
 or be rescaled onto the fast one; the two choices are exposed as model
 variants and can disagree about persistence.
+
+Import what you use from its submodule (``twoscalepop.threestage``,
+``twoscalepop.aggregation``, ...); the package root re-exports nothing.
 """
 
-from .aggregation import (
-    TrapSpec,
-    TwoScaleSystem,
-    attraction_check,
-    ball_samples,
-    convergence_table,
-    default_radius,
-    instability_check,
-    iterate,
-    trapping_check,
-)
-from .analysis import (
-    OrbitReport,
-    compare_variants,
-    dispersal_search_survival,
-    dispersal_search_synchrony,
-    find_equilibrium,
-    find_two_cycle,
-    persistence_minimum,
-    synchrony_feasibility_predicate,
-    synchrony_ratio_max,
-)
-from .errors import TwoScalePopError
-from .metapop import VARIANT_RESCALED, VARIANT_SLOW, MetapopModel, aggregate
-from .scenarios import Scenario, ScenarioConfig
-from .spectral import (
-    StochasticMatrix,
-    is_primitive_stochastic,
-    perron_vector,
-    power_limit,
-    rescaled_power,
-    rescaled_power_limit,
-    spectral_radius,
-)
-from .threestage import (
-    ThreeStageParams,
-    bifurcation_data,
-    branch_prediction,
-    inherent_R0,
-    local_map,
-    local_quantities,
-    make_model,
-    make_system,
-    reduced_coefficients,
-    with_inherent_r0,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "MetapopModel",
-    "OrbitReport",
-    "Scenario",
-    "ScenarioConfig",
-    "StochasticMatrix",
-    "ThreeStageParams",
-    "TrapSpec",
-    "TwoScalePopError",
-    "TwoScaleSystem",
-    "VARIANT_RESCALED",
-    "VARIANT_SLOW",
-    "aggregate",
-    "attraction_check",
-    "ball_samples",
-    "bifurcation_data",
-    "branch_prediction",
-    "compare_variants",
-    "convergence_table",
-    "default_radius",
-    "dispersal_search_survival",
-    "dispersal_search_synchrony",
-    "find_equilibrium",
-    "find_two_cycle",
-    "inherent_R0",
-    "instability_check",
-    "is_primitive_stochastic",
-    "iterate",
-    "local_map",
-    "local_quantities",
-    "make_model",
-    "make_system",
-    "perron_vector",
-    "persistence_minimum",
-    "power_limit",
-    "rescaled_power",
-    "rescaled_power_limit",
-    "reduced_coefficients",
-    "spectral_radius",
-    "synchrony_feasibility_predicate",
-    "synchrony_ratio_max",
-    "trapping_check",
-    "with_inherent_r0",
-    "__version__",
-]

@@ -242,12 +242,6 @@ def select(spec: Spec, x: tuple) -> str:
     return NATIVE
 
 
-def settings() -> tuple:
-    """What ``select`` answers from besides the start: the library state
-    and the BLAS probe's result, each None while unsettled."""
-    return _library_state, _blas_state
-
-
 def describe() -> str:
     """Which path this process steps orbits on, and why."""
     lib, where = _library()

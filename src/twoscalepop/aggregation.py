@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,7 +43,6 @@ class TwoScaleSystem:
     limit_map: StateMap
     projection: StateMap
     lift: StateMap
-    _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.state_dim < 1 or self.reduced_dim < 1:
@@ -53,35 +51,22 @@ class TwoScaleSystem:
             raise ValueError("reduced dimension must be smaller than state dimension")
 
     def complete(self, k: int) -> StateMap:
-        """The map H_k with k bound, built once per k.
+        """The map H_k with k bound.
 
-        When ``complete_map`` carries a float kernel (``.kernel``, taking
-        ``(k, x)`` with x a tuple of floats), H_k carries it too, with k
-        bound: the map's own per-k kernel when it offers one
-        (``.kernel_for(k)``), else ``.kernel`` with k bound by ``partial``.
-        Likewise H_k carries ``.native_for(k)`` as ``.native``, its compiled
-        form, when the map offers one.  A wrapper that replaces
-        ``complete_map`` drops all of them.
+        When ``complete_map`` offers ``for_k``, H_k is ``complete_map.for_k(k)``,
+        with whatever float kernel (``.kernel``) and compiled form
+        (``.native``) that map carries; ``threestage`` builds each H_k once
+        and returns the same map for the same k.  Otherwise H_k calls
+        ``complete_map(k, x)`` and carries neither, so a wrapper that
+        replaces ``complete_map`` is called on every step.
         """
         if k < 1:
             raise ValueError("k must be a positive integer")
-        step = self._maps.get(k)
-        if step is not None:
-            return step
         complete_map = self.complete_map
-        step = lambda x: complete_map(k, x)
-        kernel_for = getattr(complete_map, "kernel_for", None)
-        kernel = getattr(complete_map, "kernel", None)
-        native_for = getattr(complete_map, "native_for", None)
-        if kernel_for is not None:
-            step.kernel = kernel_for(k)
-        elif kernel is not None:
-            step.kernel = partial(kernel, k)
-        native = native_for(k) if native_for is not None else None
-        if native is not None:
-            step.native = native
-        self._maps[k] = step
-        return step
+        for_k = getattr(complete_map, "for_k", None)
+        if for_k is not None:
+            return for_k(k)
+        return lambda x: complete_map(k, x)
 
 
 @dataclass(frozen=True)
@@ -289,7 +274,10 @@ class _Binding:
     Called with a start (a tuple of floats), it gives the compiled stepper
     when an orbit from it may run in the compiled loop (``_native.select``,
     settled at the first start in the gate), else ``python``, the Python
-    kernel stepper.
+    kernel stepper.  The library, the BLAS probe's result and BOX_BOUND
+    are settled before the first binding and do not change within a
+    process, so a compiled stepper, once bound, serves for the binding's
+    life.
     """
 
     def __init__(self, kernel: Callable[[tuple], tuple], spec: Optional[_native.Spec],
@@ -297,7 +285,6 @@ class _Binding:
         self.kernel, self.spec, self.checked = kernel, spec, checked
         self.python = _KernelStepper(kernel, checked)
         self._native = None
-        self._under = None  # what the compiled stepper was chosen and bound under
 
     def __call__(self, x: tuple):
         if self.spec is None or not _native.in_gate(x):
@@ -307,23 +294,18 @@ class _Binding:
                                             BOX_BOUND if self.checked else None,
                                             _require_admissible)
                             if _native.select(self.spec, x) == _native.NATIVE else self.python)
-            self._under = _native.settings(), BOX_BOUND
         return self._native
-
-    def current(self) -> bool:
-        """False once the library, the BLAS probe result or the box bound
-        that the compiled stepper was chosen and bound under has changed."""
-        return self._native is None or self._under == (_native.settings(), BOX_BOUND)
 
 
 def _stepper(map_fn: StateMap, checked: bool = False) -> _Binding:
     """``map_fn``'s stepping primitive, bound once per map and checked flag.
 
     A map with a compiled form (``.native``) and a float kernel (``.kernel``)
-    keeps its bindings as ``._bindings``, so its compiled stepper serves
-    every call on that map (``TwoScaleSystem.complete`` builds each H_k
-    once).  Neither the kernel nor the form refers back to the map, so the
-    bindings go when the map does.  Any other map is bound afresh.
+    keeps its bindings as ``._bindings`` for the life of the map, so its
+    compiled stepper serves every call on that map (``threestage`` builds
+    each H_k once).  Neither the kernel nor the form refers back to the
+    map, so the bindings go when the map does.  Any other map is bound
+    afresh.
     """
     kernel = getattr(map_fn, "kernel", None)
     spec = getattr(map_fn, "native", None)
@@ -331,7 +313,7 @@ def _stepper(map_fn: StateMap, checked: bool = False) -> _Binding:
         return _Binding(_float_kernel(map_fn), spec, checked)
     bindings = vars(map_fn).setdefault("_bindings", {})
     binding = bindings.get(checked)
-    if binding is None or not binding.current():
+    if binding is None:
         binding = bindings[checked] = _Binding(kernel, spec, checked)
     return binding
 

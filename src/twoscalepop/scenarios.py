@@ -54,6 +54,8 @@ class ScenarioConfig:
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "tail", int(self.tail))
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:  # np.random.default_rng takes no negative seed
+            raise ConfigError("run.seed", "must be >= 0")
         if self.horizon < 1:
             raise ConfigError("run.horizon", "must be >= 1")
         # a horizon of T yields T+1 recorded states (t = 0 .. T)

@@ -262,33 +262,31 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     Everything constant is built once here: the validated dispersal blocks,
     the powered dispersal matrix per k (on first use), the limit dispersal
     operator and the Perron spread vectors (times gamma_i when rescaled).
-    Each step is one dispersal product followed by the closed-form
-    demography over its ten structural nonzeros; no 6x6 demography matrix
-    is built.  Outputs equal ``metapop.make_system(make_model(params),
-    variant)`` bit for bit, and that generic matrix pipeline is kept as the
-    test oracle.
+    H_k and H have one form, built by one constructor over their dispersal
+    operator: one dispersal product followed by the closed-form demography
+    over its ten structural nonzeros; no 6x6 demography matrix is built.
+    Outputs equal ``metapop.make_system(make_model(params), variant)`` bit
+    for bit, and that generic matrix pipeline is kept as the test oracle.
 
     Every map carries its float kernel as ``.kernel`` (tuple of floats in,
-    tuple of floats out; ``complete_map.kernel`` takes ``(k, x)``), which
-    ``TwoScaleSystem.complete`` and ``aggregation.iterate_tail`` pick up.
-    The dispersal products stay numpy matrix-vector products, whose
-    rounding is the BLAS kernel's.  On OpenBLAS's SkylakeX kernels, rows
-    0-3 of ``a.dot(x)`` equal the plain sums ``a0*x0 + a1*x1`` of their two
+    tuple of floats out), and H_k and H carry their compiled form as
+    ``.native``.  ``complete_map.for_k(k)`` gives H_k, built on first use
+    and kept per k; it is what ``TwoScaleSystem.complete`` returns.  The
+    dispersal products stay numpy matrix-vector products, whose rounding is
+    the BLAS kernel's.  On OpenBLAS's SkylakeX kernels, rows 0-3 of
+    ``a.dot(x)`` equal the plain sums ``a0*x0 + a1*x1`` of their two
     structural nonzeros, and rows 4-5 equal ``fma(a4, x4, a5*x5)`` with the
     second product rounded first; non-FMA kernels give the plain sums on
     every row.  A Python kernel could match the fused rows only through an
     exact fused multiply-add, which ``math`` lacks before Python 3.13.
 
-    H_k's compiled form (``complete_map.native_for(k)``, passed on as
-    ``.native`` by ``TwoScaleSystem.complete``) packs the power's twelve
-    block entries and the demography constants for ``_native``'s C loop,
-    which forms rows 0-3 as plain sums and rows 4-5 with C's exact ``fma``:
-    the SkylakeX rounding above.  The limit operator has the same
-    block-diagonal layout, so ``limit_map.native`` is the same kind of
-    form over its twelve block entries.  Once per process ``_native``
-    probes that model against ``a.dot`` on a few hundred random
-    block-diagonal products, and on any mismatch (a non-FMA BLAS kernel)
-    H_k and H step in Python.  Nothing is compiled or probed here.
+    The compiled form packs the operator's twelve block entries and the
+    demography constants for ``_native``'s C loop, which forms rows 0-3 as
+    plain sums and rows 4-5 with C's exact ``fma``: the SkylakeX rounding
+    above.  Once per process ``_native`` probes that model against
+    ``a.dot`` on a few hundred random block-diagonal products, and on any
+    mismatch (a non-FMA BLAS kernel) H_k and H step in Python.  Nothing is
+    compiled or probed here.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -300,61 +298,48 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     else:
         limit_blocks = [spectral.rescaled_power_limit(params.survivals[i], m).limit_matrix
                         for i, m in enumerate(mats)]
-    limit = spectral.block_diag(*limit_blocks)
     # each column of a limit block is v_i (gamma_i v_i when rescaled)
     sp1a, sp1b, sp2a, sp2b, sp3a, sp3b = np.concatenate(
         [block[:, 0] for block in limit_blocks]).tolist()
     constants = _demography_constants(params, variant)
     demography = _closed_form_demography(constants)
-    bound: dict[int, tuple[Callable[[tuple], tuple[float, ...]], Optional[_native.Spec]]] = {}
 
-    def bind(k: int) -> tuple[Callable[[tuple], tuple[float, ...]], Optional[_native.Spec]]:
-        """H_k's float kernel and compiled form, built on first use and kept per k."""
-        pair = bound.get(k)
-        if pair is not None:
-            return pair
-        if variant == VARIANT_SLOW:
-            a = np.linalg.matrix_power(base, k)
-        else:
-            a = np.linalg.matrix_power(np.exp(np.log(survivals) / k)[:, None] * base, k)
+    def dispersed(a: NDArray[np.float64]) -> Callable[[Vector], Vector]:
+        """x -> demography(a x): the map over the block-diagonal operator ``a``."""
         # a.dot(x, out) reaches the same BLAS gemv as a @ x, with less call
         # overhead; the input and output arrays are reused on every step,
-        # and either input form (array or tuple of floats) is copied in alike
+        # and either input form (array or tuple of floats) is copied in
+        # alike, so the array map passes its argument straight in
         dot, xin, xout = a.dot, np.empty(STAGES * PATCHES), np.empty(STAGES * PATCHES)
 
-        def step(x) -> tuple[float, ...]:
+        def kernel(x) -> tuple[float, ...]:
             xin[:] = x
             dot(xin, xout)
             return demography(xout.tolist())
 
-        entries = _native.dispersal_entries(a)
-        native = None if entries is None else _native.Spec(
-            _native.COMPLETE, (*entries, *constants))
-        bound[k] = step, native
-        return bound[k]
+        def step(x) -> Vector:
+            return np.array(kernel(x))
 
-    def kernel_for(k: int) -> Callable[[tuple], tuple[float, ...]]:
-        return bind(k)[0]
+        step.kernel = kernel
+        step.native = _native.Spec(_native.COMPLETE, (*_native.dispersal_entries(a), *constants))
+        return step
 
-    def complete_kernel(k: int, x) -> tuple[float, ...]:
-        return kernel_for(k)(x)
+    complete: dict[int, Callable[[Vector], Vector]] = {}
+
+    def for_k(k: int) -> Callable[[Vector], Vector]:
+        step = complete.get(k)
+        if step is None:
+            if variant == VARIANT_SLOW:
+                a = np.linalg.matrix_power(base, k)
+            else:
+                a = np.linalg.matrix_power(np.exp(np.log(survivals) / k)[:, None] * base, k)
+            step = complete[k] = dispersed(a)
+        return step
 
     def complete_map(k: int, x) -> Vector:
-        return np.array(kernel_for(k)(x))
+        return for_k(k)(x)
 
-    complete_map.kernel = complete_kernel
-    complete_map.kernel_for = kernel_for
-    complete_map.native_for = lambda k: bind(k)[1]
-
-    def limit_kernel(x) -> tuple[float, ...]:
-        return demography(limit.dot(np.asarray(x, dtype=float)).tolist())
-
-    def limit_map(x) -> Vector:
-        return np.array(limit_kernel(x))
-
-    limit_map.kernel = limit_kernel
-    limit_map.native = _native.Spec(_native.COMPLETE,
-                                    (*_native.dispersal_entries(limit), *constants))
+    complete_map.for_k = for_k
 
     def lift_kernel(y) -> tuple[float, ...]:
         y1, y2, y3 = y
@@ -365,7 +350,7 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
         state_dim=STAGES * PATCHES,
         reduced_dim=STAGES,
         complete_map=complete_map,
-        limit_map=limit_map,
+        limit_map=dispersed(spectral.block_diag(*limit_blocks)),
         projection=lambda x: metapop.aggregate(x, PATCHES),
         lift=_with_kernel(lift_kernel),
     )

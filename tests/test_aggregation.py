@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import hashlib
 import struct
 
@@ -284,20 +283,18 @@ def test_kernel_orbits_match_array_form_bit_for_bit(name, variant):
 
 
 def test_complete_binds_each_k_kernel_once(fig2_params):
-    # H_k takes the map's own per-k kernel; a map with only ``.kernel``
-    # gets it with k bound by partial, and both give the same bytes
+    # H_k is built once per k and kept; the metapop oracle offers no
+    # ``for_k``, so its H_k carries neither a float kernel nor a compiled form
     system = threestage.make_system(fig2_params, "slow_survival")
-    assert system.complete(5).kernel is system.complete(5).kernel
+    assert system.complete(5) is system.complete(5)
     assert system.complete(5).kernel is not system.complete(10).kernel
-    kernel = system.complete_map.kernel
-    only_kernel = lambda k, x: system.complete_map(k, x)
-    only_kernel.kernel = kernel
-    plain = dataclasses.replace(system, complete_map=only_kernel)
-    assert isinstance(plain.complete(5).kernel, functools.partial)
+    oracle = metapop.make_system(threestage.make_model(fig2_params), "slow_survival")
+    assert not hasattr(oracle.complete(5), "kernel")
+    assert not hasattr(oracle.complete(5), "native")
     for k in (1, 5, 10):
         tail, repeat = aggregation.iterate_tail(system.complete(k), _X0, 3_000, 3)
-        expected, plain_repeat = aggregation.iterate_tail(plain.complete(k), _X0, 3_000, 3)
-        assert _same_bits(tail, expected) and repeat == plain_repeat, k
+        expected, oracle_repeat = aggregation.iterate_tail(oracle.complete(k), _X0, 3_000, 3)
+        assert _same_bits(tail, expected) and repeat == oracle_repeat, k
 
 
 def test_replaced_complete_map_drops_the_kernel(fig2_params):
@@ -530,7 +527,7 @@ def _bad_at_step_three(bad, with_kernel):
 
     if with_kernel:
         step.kernel = kernel
-        complete.kernel = lambda k, x: kernel(x)
+        complete.for_k = lambda k: step
     return TwoScaleSystem(
         state_dim=2, reduced_dim=1, complete_map=complete, limit_map=step,
         projection=lambda x: np.asarray(x, dtype=float)[:1],

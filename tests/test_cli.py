@@ -503,6 +503,17 @@ def test_bad_variant_value_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_seed_exits_2_before_any_output(tmp_path, capsys):
+    # a negative seed is refused before any trajectory is computed, from
+    # the command line and from a config file alike
+    config_path = write_config(tmp_path, CONFIG_TEXT.replace("seed = 42", "seed = -5"))
+    for argv in (["run", "fig10", "--fast", "--seed", "-1"], ["run", str(config_path)]):
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: run.seed: ")
+        assert not out.exists()
+
+
 def test_module_entry_point_runs():
     # the child process imports the same twoscalepop as this one, installed
     # or not

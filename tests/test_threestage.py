@@ -209,7 +209,8 @@ def test_local_kernel_matches_old_formula_bit_for_bit(name, patch):
 @pytest.mark.parametrize("variant", ("slow_survival", "rescaled"))
 def test_complete_kernel_raises_past_either_patch_pole(variant):
     params = scenarios.fig10_params()
-    kernel = threestage.make_system(params, variant).complete_map.kernel
+    system = threestage.make_system(params, variant)
+    kernel = lambda k, x: system.complete(k).kernel(x)
     oracle = metapop.make_system(threestage.make_model(params), variant).complete_map
     for patch in (0, 1):
         # one patch's stage-2 density at a time, from admissible to far
