@@ -6,8 +6,8 @@
  * -O3 -ffp-contract=off, so that no product is fused behind our back, and
  * with no -ffast-math or -march, so that no operation is reordered and the
  * cached library suits any x86-64 CPU.  The one fused multiply-add is
- * explicit: rows 4-5 of the H_k dispersal product, where numpy's BLAS fuses
- * too (_native.py probes that once per process).
+ * explicit: rows 4-5 of the H_k dispersal product, which the Python kernel
+ * forms with an exact fma of its own (threestage._fma).
  *
  * twoscale_orbit runs aggregation.iterate_tail's whole repeat schedule up
  * to the tail in one call; twoscale_advance runs plain, stored or checked
@@ -52,15 +52,6 @@ static inline state dispersal(const double *restrict a, state x)
         fma(a[10], x.v[4], a[11] * x.v[5]),
     }};
     return z;
-}
-
-/* z = A x, the dispersal product alone, for _native.py's probe */
-void twoscale_dispersal(const double *a, const double *x, double *z)
-{
-    state s = {{x[0], x[1], x[2], x[3], x[4], x[5]}};
-    s = dispersal(a, s);
-    for (int i = 0; i < 6; i++)
-        z[i] = s.v[i];
 }
 
 /* H_k: the dispersal product, then threestage._closed_form_demography with

@@ -22,17 +22,14 @@ cannot be written the library is built in a per-process temporary
 directory instead.  With no ``cc``, a failed build, or no writable place,
 every orbit steps in Python, and ``select`` says why.
 
-The dispersal product of H_k and of H is numpy's BLAS gemv in the Python
-kernels.  The C loop models it as plain two-term row sums on rows 0-3 and
-a fused multiply-add on rows 4-5, which is what OpenBLAS's FMA kernels
-compute here (see ``threestage.make_system``).  Once per process that
-model is probed against ``ndarray.dot``; on any mismatch H_k and H step in
-Python.  The reduced and local maps involve no BLAS and need no probe.
+The loop forms H_k's and H's dispersal product as their Python kernels do
+(see ``threestage.make_system``), with C's ``fma`` on rows 4-5, so the
+compiled and the Python path give the same bytes on every CPU and from
+every start.
 """
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 import shutil
 import tempfile
@@ -51,7 +48,6 @@ _RAN, _MATCHED_FIRST, _MATCHED_SECOND, _FAILS, _INADMISSIBLE = 0, 1, 2, 3, 4
 NATIVE = "native"
 SOURCE = Path(__file__).with_name("_native.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
-PROBE_PRODUCTS = 300
 
 # block-diagonal pattern of a 6x6 dispersal power: the (row, column) of its
 # twelve structural nonzeros, row by row, in the C loop's packing order
@@ -83,10 +79,8 @@ def dispersal_entries(a: np.ndarray) -> Optional[list[float]]:
     return a[_ROWS, _COLS].tolist()
 
 
-# process-wide state, settled on first use: (library, path or reason) and
-# whether the BLAS probe agreed
+# process-wide state, settled on first use: (library, path or reason)
 _library_state: Optional[tuple] = None
-_blas_state: Optional[bool] = None
 
 
 def _cache_dir() -> Path:
@@ -120,8 +114,6 @@ def _open(path: str) -> tuple:
     lib.twoscale_many.restype = None
     lib.twoscale_many.argtypes = (ctypes.c_int, doubles, ctypes.c_void_p, ctypes.c_int64,
                                   ctypes.c_int64, doubles, ctypes.c_void_p, ctypes.c_void_p)
-    lib.twoscale_dispersal.restype = None
-    lib.twoscale_dispersal.argtypes = (doubles, doubles, doubles)
     return lib, path
 
 
@@ -176,80 +168,17 @@ def _library() -> tuple:
     return _library_state
 
 
-def _probe(dispersal: Callable[[list, list], bytes]) -> bool:
-    """True when ``dispersal(entries, x)``, the bytes of a modelled product,
-    equals ``a.dot`` bit for bit on ``PROBE_PRODUCTS`` random
-    block-diagonal products.
-
-    ``entries`` are the twelve block entries and ``x`` the six inputs, as
-    lists of floats.  The products are formed as the H_k kernel forms
-    them, on C-ordered 6x6 matrices with the arrays reused.
-    """
-    rng = np.random.default_rng(20_240_601)
-    a, xin, xout = np.zeros((6, 6)), np.empty(6), np.empty(6)
-    for entries, x in zip(rng.random((PROBE_PRODUCTS, 12)).tolist(),
-                          (10.0 ** rng.uniform(-8.0, 3.0, (PROBE_PRODUCTS, 6))).tolist()):
-        a[_ROWS, _COLS] = entries
-        xin[:] = x
-        a.dot(xin, xout)
-        if dispersal(entries, x) != xout.tobytes():
-            return False
-    return True
-
-
-def _blas_matches(lib) -> bool:
-    global _blas_state
-    if _blas_state is None:
-        def dispersal(entries: list, x: list) -> bytes:
-            z = (ctypes.c_double * 6)()
-            lib.twoscale_dispersal((ctypes.c_double * 12)(*entries),
-                                   (ctypes.c_double * 6)(*x), z)
-            return bytes(z)
-
-        _blas_state = _probe(dispersal)
-    return _blas_state
-
-
-def in_gate(x: tuple) -> bool:
-    """True when every coordinate is finite with its sign bit clear.
-
-    On such states the C dispersal sums equal BLAS's (BLAS turns a -0.0
-    input into +0.0 and ``0 * inf`` into NaN, where a two-term sum does
-    neither), and H_k keeps the property: its coefficients are
-    nonnegative and a non-finite image is an error.  So one check of the
-    start covers the whole orbit.
-    """
-    if math.isfinite(sum(x)) and min(x) > 0.0:  # the common case, decided cheaply
-        return True
-    return all(math.isfinite(v) and math.copysign(1.0, v) > 0.0 for v in x)
-
-
-def rows_in_gate(xs: np.ndarray) -> bool:
-    """``in_gate`` for every row of the array ``xs``, tested at once."""
-    return bool(np.isfinite(xs).all() and not np.signbit(xs).any())
-
-
-def select(spec: Spec, x: tuple) -> str:
-    """``"native"`` when an orbit of ``spec``'s map from ``x`` can run in the
-    compiled loop, else ``"python: <reason>"``."""
-    if not in_gate(x):
-        return "python: start outside the gate"
+def select() -> str:
+    """``"native"`` when orbits can run in the compiled loop, else
+    ``"python: <reason>"``."""
     lib, reason = _library()
-    if lib is None:
-        return f"python: {reason}"
-    if spec.kind == COMPLETE and not _blas_matches(lib):
-        return "python: BLAS probe mismatch"
-    return NATIVE
+    return NATIVE if lib is not None else f"python: {reason}"
 
 
 def describe() -> str:
     """Which path this process steps orbits on, and why."""
     lib, where = _library()
-    if lib is None:
-        return f"python: {where}"
-    if not _blas_matches(lib):
-        return f"native ({where}), except H_k and H (python: BLAS probe mismatch)"
-    return f"native ({where})"
+    return f"native ({where})" if lib is not None else f"python: {where}"
 
 
 class Stepper:

@@ -163,7 +163,7 @@ def iterate(map_fn: StateMap, x0, steps: int) -> list[Vector]:
     _require_admissible(x, 0)
     rows = np.empty((steps, x.size))
     start = _as_floats(x)
-    _stepper(map_fn, checked=True)(start).rows(start, rows)
+    _stepper(map_fn, checked=True).rows(start, rows)
     return [x, *rows]
 
 
@@ -259,72 +259,49 @@ class _KernelStepper:
         return x, t, None
 
 
-def stepping_path(map_fn: StateMap, x0) -> str:
-    """How ``iterate_tail`` steps ``map_fn`` from ``x0``: ``"native"`` for the
-    compiled loop, else ``"python: <reason>"``."""
-    spec = getattr(map_fn, "native", None)
-    if spec is None:
+def stepping_path(map_fn: StateMap) -> str:
+    """How ``iterate_tail`` steps ``map_fn``: ``"native"`` for the compiled
+    loop, else ``"python: <reason>"``."""
+    if getattr(map_fn, "native", None) is None:
         return "python: no compiled form"
-    return _native.select(spec, _as_floats(x0))
+    return _native.select()
 
 
-class _Binding:
-    """A map's stepping primitive, bound once for any number of starts.
-
-    Called with a start (a tuple of floats), it gives the compiled stepper
-    when an orbit from it may run in the compiled loop (``_native.select``,
-    settled at the first start in the gate), else ``python``, the Python
-    kernel stepper.  The library, the BLAS probe's result and BOX_BOUND
-    are settled before the first binding and do not change within a
-    process, so a compiled stepper, once bound, serves for the binding's
-    life.
-    """
-
-    def __init__(self, kernel: Callable[[tuple], tuple], spec: Optional[_native.Spec],
-                 checked: bool):
-        self.kernel, self.spec, self.checked = kernel, spec, checked
-        self.python = _KernelStepper(kernel, checked)
-        self._native = None
-
-    def __call__(self, x: tuple):
-        if self.spec is None or not _native.in_gate(x):
-            return self.python
-        if self._native is None:
-            self._native = (_native.Stepper(self.spec, self.kernel,
-                                            BOX_BOUND if self.checked else None,
-                                            _require_admissible)
-                            if _native.select(self.spec, x) == _native.NATIVE else self.python)
-        return self._native
+def _bind(kernel: Callable[[tuple], tuple], spec: Optional[_native.Spec], checked: bool):
+    if spec is not None and _native.select() == _native.NATIVE:
+        return _native.Stepper(spec, kernel, BOX_BOUND if checked else None, _require_admissible)
+    return _KernelStepper(kernel, checked)
 
 
-def _stepper(map_fn: StateMap, checked: bool = False) -> _Binding:
-    """``map_fn``'s stepping primitive, bound once per map and checked flag.
+def _stepper(map_fn: StateMap, checked: bool = False):
+    """``map_fn``'s stepping primitive: ``_native.Stepper`` when the map has
+    a compiled form (``.native``) and the compiled loop is available, else
+    ``_KernelStepper`` on its float kernel.
 
-    A map with a compiled form (``.native``) and a float kernel (``.kernel``)
-    keeps its bindings as ``._bindings`` for the life of the map, so its
-    compiled stepper serves every call on that map (``threestage`` builds
-    each H_k once).  Neither the kernel nor the form refers back to the
-    map, so the bindings go when the map does.  Any other map is bound
-    afresh.
+    A map with a compiled form and a float kernel (``.kernel``) keeps its
+    steppers as ``._steppers``, one per checked flag, for the life of the
+    map, so one compiled stepper serves every call on that map
+    (``threestage`` builds each H_k once).  The library and BOX_BOUND are
+    settled before the first stepper is bound and do not change within a
+    process.  Neither the kernel nor the form refers back to the map, so
+    the steppers go when the map does.  Any other map is bound afresh.
     """
     kernel = getattr(map_fn, "kernel", None)
     spec = getattr(map_fn, "native", None)
     if kernel is None or spec is None:
-        return _Binding(_float_kernel(map_fn), spec, checked)
-    bindings = vars(map_fn).setdefault("_bindings", {})
-    binding = bindings.get(checked)
-    if binding is None:
-        binding = bindings[checked] = _Binding(kernel, spec, checked)
-    return binding
+        return _bind(_float_kernel(map_fn), spec, checked)
+    steppers = vars(map_fn).setdefault("_steppers", {})
+    if checked not in steppers:
+        steppers[checked] = _bind(kernel, spec, checked)
+    return steppers[checked]
 
 
 def _power(map_fn: StateMap, m: int, checked: bool = False) -> Callable[[Vector], Vector]:
     """x -> map^m(x) as an array, through ``map_fn``'s primitive bound once."""
-    pick = _stepper(map_fn, checked)
+    stepper = _stepper(map_fn, checked)
 
     def apply(x) -> Vector:
-        x = _as_floats(x)
-        return np.array(pick(x).advance(x, m))
+        return np.array(stepper.advance(_as_floats(x), m))
 
     return apply
 
@@ -335,16 +312,10 @@ def images(map_fn: StateMap, starts, m: int,
 
     Returns ``(images, errors)`` as ``_KernelStepper.many`` does: each row
     equals ``_power(map_fn, m, checked)`` of its start bit for bit, or
-    ``errors`` holds the package error that call raises.  The batch steps
-    in the compiled loop, in one call, when the map has a compiled form and
-    every start is in ``_native``'s gate (finite, sign bit clear), else in
-    Python.
+    ``errors`` holds the package error that call raises.  On the compiled
+    loop the whole batch is one call.
     """
-    xs = np.asarray(starts, dtype=float)
-    binding = _stepper(map_fn, checked)
-    if len(xs) and binding.spec is not None and _native.rows_in_gate(xs):
-        return binding(tuple(xs[0].tolist())).many(xs, m)
-    return binding.python.many(xs, m)
+    return _stepper(map_fn, checked).many(starts, m)
 
 
 def _stepped(map_fn: StateMap, starts, m: int) -> Vector:
@@ -391,11 +362,11 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
 
     The orbit runs on tuples of floats.  A map carrying a compiled form
     (``.native``, as the ``threestage`` maps do) steps in ``_native``'s C
-    loop when ``stepping_path`` says so, and the whole schedule up to the
-    tail is then one compiled call; otherwise the same schedule runs in
-    Python, through its float kernel ``map_fn.kernel``, or through
-    ``map_fn`` itself, called once per computed step on a fresh float
-    array, when it has none.  All give the same bytes and repeat and raise
+    loop when the loop is available (``stepping_path``), and the whole
+    schedule up to the tail is then one compiled call; otherwise the same
+    schedule runs in Python, through its float kernel ``map_fn.kernel``, or
+    through ``map_fn`` itself, called once per computed step on a fresh
+    float array, when it has none.  All give the same bytes and repeat and raise
     the same errors at the same step.  Only the tail rows become a numpy
     array.  ``map_fn`` must be deterministic and return float arrays.
     """
@@ -404,7 +375,7 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
     if not 1 <= keep <= steps + 1:
         raise ValueError("keep must lie in [1, steps + 1]")
     x = _as_floats(x0)
-    stepper = _stepper(map_fn)(x)
+    stepper = _stepper(map_fn)
     first = steps + 1 - keep  # step of the tail's first row
     x, t, repeat = stepper.orbit(x, first)
     if repeat is not None:
@@ -604,7 +575,7 @@ def attraction_check(sys: TwoScaleSystem, trap: TrapSpec, x0,
     start = _as_floats(x0)
     rows = np.empty((horizon, x0.size))  # H_k^1(X0) ... H_k^horizon(X0), reused per k
     for k in trap.k_values:
-        _stepper(sys.complete(k), checked=True)(start).rows(start, rows)
+        _stepper(sys.complete(k), checked=True).rows(start, rows)
         dists = _distances(rows[::m], trap.center)
         entry: Optional[int] = None
         for n in range(len(dists) - 1, -1, -1):

@@ -196,7 +196,7 @@ def _run_trajectory(step: Callable, x0, horizon: int,
     so its cost is set by the repeat step, not by the horizon.  Then
     ``aggregation.stepping_path`` of the run.
     """
-    path = stepping_path(step, x0)
+    path = stepping_path(step)
     tail, repeat = iterate_tail(step, x0, horizon, keep)
     if not np.all(np.isfinite(tail[-1])):
         raise DomainExitError("trajectory left the admissible box",

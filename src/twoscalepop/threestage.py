@@ -243,6 +243,45 @@ def _closed_form_demography(constants: tuple[float, ...]) -> Callable:
     return apply
 
 
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for 53-bit floats
+_HUGE, _TINY = 2.0 ** 960, 2.0 ** -960
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as C's ``fma`` gives it (``math.fma`` is new
+    in Python 3.13).
+
+    Inside the range where nothing overflows or underflows, Dekker's split
+    product (T. J. Dekker, Numer. Math. 18, 1971) gives a * b exactly as
+    p + e, and ``math.fsum`` rounds p + e + c once (J. R. Shewchuk, Discrete
+    Comput. Geom. 18, 1997).  A zero or non-finite factor makes the float
+    product exact, and a non-finite c is the result; anything else is
+    summed exactly as fractions.  A NaN result may carry other NaN bits
+    than C's (the kernels treat any NaN image as an error).
+    """
+    p = a * b
+    if _TINY < abs(p) < _HUGE and abs(a) < _HUGE and abs(b) < _HUGE and abs(c) < _HUGE:
+        t = _SPLIT * a
+        a_hi = t - (t - a)
+        a_lo = a - a_hi
+        t = _SPLIT * b
+        b_hi = t - (t - b)
+        b_lo = b - b_hi
+        e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+        return math.fsum((p, e, c))
+    if a == 0.0 or b == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
+        return p + c
+    if not math.isfinite(c):
+        return c
+    from fractions import Fraction  # here, not at import: rarely needed
+
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
 def _with_kernel(kernel: Callable,
                  native: Optional[_native.Spec] = None) -> Callable[[Vector], Vector]:
     """The array map over a float kernel; the kernel rides along as
@@ -266,27 +305,21 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     operator: one dispersal product followed by the closed-form demography
     over its ten structural nonzeros; no 6x6 demography matrix is built.
     Outputs equal ``metapop.make_system(make_model(params), variant)`` bit
-    for bit, and that generic matrix pipeline is kept as the test oracle.
+    for bit where numpy's gemv rounds as below, and that generic matrix
+    pipeline is kept as the test oracle.
 
     Every map carries its float kernel as ``.kernel`` (tuple of floats in,
     tuple of floats out), and H_k and H carry their compiled form as
     ``.native``.  ``complete_map.for_k(k)`` gives H_k, built on first use
     and kept per k; it is what ``TwoScaleSystem.complete`` returns.  The
-    dispersal products stay numpy matrix-vector products, whose rounding is
-    the BLAS kernel's.  On OpenBLAS's SkylakeX kernels, rows 0-3 of
-    ``a.dot(x)`` equal the plain sums ``a0*x0 + a1*x1`` of their two
-    structural nonzeros, and rows 4-5 equal ``fma(a4, x4, a5*x5)`` with the
-    second product rounded first; non-FMA kernels give the plain sums on
-    every row.  A Python kernel could match the fused rows only through an
-    exact fused multiply-add, which ``math`` lacks before Python 3.13.
-
-    The compiled form packs the operator's twelve block entries and the
-    demography constants for ``_native``'s C loop, which forms rows 0-3 as
-    plain sums and rows 4-5 with C's exact ``fma``: the SkylakeX rounding
-    above.  Once per process ``_native`` probes that model against
-    ``a.dot`` on a few hundred random block-diagonal products, and on any
-    mismatch (a non-FMA BLAS kernel) H_k and H step in Python.  Nothing is
-    compiled or probed here.
+    dispersal product is formed in plain floats from the operator's twelve
+    block entries: rows 0-3 as ``a0*x0 + a1*x1``, rows 4-5 as
+    ``fma(a8, x4, a9*x5)`` with the second product rounded first.  The
+    compiled form packs those entries and the demography constants for
+    ``_native``'s C loop, which forms the product with the same operations,
+    so both give the same bytes on any CPU.  That rounding is also what
+    OpenBLAS's SkylakeX gemv gives, so the ``metapop`` oracle's BLAS
+    products agree on such a kernel.  Nothing is compiled here.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -306,23 +339,16 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
 
     def dispersed(a: NDArray[np.float64]) -> Callable[[Vector], Vector]:
         """x -> demography(a x): the map over the block-diagonal operator ``a``."""
-        # a.dot(x, out) reaches the same BLAS gemv as a @ x, with less call
-        # overhead; the input and output arrays are reused on every step,
-        # and either input form (array or tuple of floats) is copied in
-        # alike, so the array map passes its argument straight in
-        dot, xin, xout = a.dot, np.empty(STAGES * PATCHES), np.empty(STAGES * PATCHES)
+        entries = _native.dispersal_entries(a)
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = entries
 
         def kernel(x) -> tuple[float, ...]:
-            xin[:] = x
-            dot(xin, xout)
-            return demography(xout.tolist())
+            x0, x1, x2, x3, x4, x5 = x
+            return demography((a0 * x0 + a1 * x1, a2 * x0 + a3 * x1,
+                               a4 * x2 + a5 * x3, a6 * x2 + a7 * x3,
+                               _fma(a8, x4, a9 * x5), _fma(a10, x4, a11 * x5)))
 
-        def step(x) -> Vector:
-            return np.array(kernel(x))
-
-        step.kernel = kernel
-        step.native = _native.Spec(_native.COMPLETE, (*_native.dispersal_entries(a), *constants))
-        return step
+        return _with_kernel(kernel, _native.Spec(_native.COMPLETE, (*entries, *constants)))
 
     complete: dict[int, Callable[[Vector], Vector]] = {}
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import blas_rounding
 from twoscalepop import _native, scenarios
 
 
@@ -8,6 +9,13 @@ def pytest_report_header(config):
     # loads (building on first use) the compiled stepping loop, so the
     # header says which path this session's orbits step on, and why
     return f"twoscalepop stepping: {_native.describe()}"
+
+
+@pytest.fixture(scope="session")
+def gemv_rounds_as_the_kernels():
+    """Whether the ``metapop`` oracle's H_k and H bytes can equal the
+    kernels' on this BLAS (see ``blas_rounding``)."""
+    return blas_rounding.gemv_rounds_as_the_kernels()
 
 
 @pytest.fixture(scope="session")

@@ -282,16 +282,18 @@ def test_kernel_orbits_match_array_form_bit_for_bit(name, variant):
             assert _same_bits(tail, _plain_orbit(map_fn, x0, steps)[-keep:]), label
 
 
-def test_complete_binds_each_k_kernel_once(fig2_params):
+def test_complete_binds_each_k_kernel_once(fig2_params, gemv_rounds_as_the_kernels):
     # H_k is built once per k and kept; the metapop oracle offers no
-    # ``for_k``, so its H_k carries neither a float kernel nor a compiled form
+    # ``for_k``, so its H_k carries neither a float kernel nor a compiled form.
+    # Its orbits are BLAS gemv's, so they can equal H_k's bit for bit only
+    # where gemv rounds as the kernels do (blas_rounding)
     system = threestage.make_system(fig2_params, "slow_survival")
     assert system.complete(5) is system.complete(5)
     assert system.complete(5).kernel is not system.complete(10).kernel
     oracle = metapop.make_system(threestage.make_model(fig2_params), "slow_survival")
     assert not hasattr(oracle.complete(5), "kernel")
     assert not hasattr(oracle.complete(5), "native")
-    for k in (1, 5, 10):
+    for k in (1, 5, 10) if gemv_rounds_as_the_kernels else ():
         tail, repeat = aggregation.iterate_tail(system.complete(k), _X0, 3_000, 3)
         expected, oracle_repeat = aggregation.iterate_tail(oracle.complete(k), _X0, 3_000, 3)
         assert _same_bits(tail, expected) and repeat == oracle_repeat, k

@@ -7,7 +7,6 @@ import ctypes
 import dataclasses
 import gc
 import struct
-from array import array
 import os
 import subprocess
 import sys
@@ -40,10 +39,9 @@ def native_lib():
 
 @pytest.fixture
 def fresh_native(monkeypatch, tmp_path):
-    """An empty cache and no library or probe result yet in this process."""
+    """An empty cache and no library yet in this process."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(_native, "_library_state", None)
-    monkeypatch.setattr(_native, "_blas_state", None)
 
 
 def python_only(map_fn):
@@ -69,20 +67,10 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _plain_sums(a, x):
-    """The dispersal product of a BLAS kernel that fuses nothing, as bytes."""
-    return array("d", (a[0] * x[0] + a[1] * x[1], a[2] * x[0] + a[3] * x[1],
-                       a[4] * x[2] + a[5] * x[3], a[6] * x[2] + a[7] * x[3],
-                       a[8] * x[4] + a[9] * x[5], a[10] * x[4] + a[11] * x[5])).tobytes()
-
-
 @pytest.mark.parametrize("variant", (VARIANT_SLOW, VARIANT_RESCALED))
 @pytest.mark.parametrize("name", ("fig2", "fig3", "fig10"))
 def test_compiled_steps_match_python_kernels_bit_for_bit(native_lib, name, variant):
-    fused = not _native._probe(_plain_sums)
     for label, map_fn, x0 in _series(name, variant):
-        if label.startswith("H_") and not fused:
-            continue  # a BLAS kernel that fuses nothing: H_k has no compiled model
         x = tuple(x0.tolist())
         native, python = np.empty((20_000, len(x))), np.empty((20_000, len(x)))
         _native.Stepper(map_fn.native, map_fn.kernel).rows(x, native)
@@ -106,9 +94,7 @@ def test_iterate_tail_agrees_on_both_paths(native_lib, name):
         maps += [(f"local_{p + 1}", threestage.local_map(params, p), _X0[p::2])
                  for p in ((0, 1) if scenario.include_local else ())]
         for label, map_fn, x0 in maps:
-            if stepping_path(map_fn, x0) != _native.NATIVE:
-                assert label.startswith("H_"), label
-                continue
+            assert stepping_path(map_fn) == _native.NATIVE, label
             tail, repeat = iterate_tail(map_fn, x0, horizon, 8)
             expected, expected_repeat = iterate_tail(python_only(map_fn), x0, horizon, 8)
             assert _same_bits(tail, expected) and repeat == expected_repeat, label
@@ -133,22 +119,19 @@ def _same_error(a, b):
             and getattr(a, "step", None) == getattr(b, "step", None))
 
 
-def test_a_start_beyond_the_pole_raises_alike(fig2_params, monkeypatch):
+def test_a_start_beyond_the_pole_raises_alike(fig2_params):
     reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
     beyond = np.array([0.1, -10.0, 0.1])
-    assert stepping_path(reduced, beyond) == "python: start outside the gate"
     err = _raised(lambda: iterate_tail(reduced, beyond, 5))
     assert isinstance(err, NegativeDensityError)
     assert _same_error(err, _raised(lambda: iterate_tail(python_only(reduced), beyond, 5)))
 
 
-def test_a_failing_step_is_replayed_at_the_same_step(native_lib, fig2_params, monkeypatch):
-    # y1 = -10 sends y2 beyond the pole after one step; the reduced map uses
-    # no BLAS, so its compiled loop may run from outside the gate
-    monkeypatch.setattr(_native, "in_gate", lambda x: True)
+def test_a_failing_step_is_replayed_at_the_same_step(native_lib, fig2_params):
+    # y1 = -10 sends y2 beyond the pole after one step
     reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
     start = np.array([-10.0, 0.1, 0.0])
-    assert stepping_path(reduced, start) == _native.NATIVE
+    assert stepping_path(reduced) == _native.NATIVE
     for steps in (0, 1):
         tail, _ = iterate_tail(reduced, start, steps)
         assert _same_bits(tail, iterate_tail(python_only(reduced), start, steps)[0])
@@ -163,7 +146,7 @@ def test_a_failing_step_is_replayed_at_the_same_step(native_lib, fig2_params, mo
 def _same_tail_on_both_paths(map_fn, x0, steps, keep):
     """Check that ``iterate_tail`` gives the same tail bytes and repeat, or
     raises the same error, on both paths; return that repeat or error."""
-    assert stepping_path(map_fn, x0) == _native.NATIVE
+    assert stepping_path(map_fn) == _native.NATIVE
     python = python_only(map_fn)
     try:
         tail, repeat = iterate_tail(map_fn, x0, steps, keep)
@@ -175,7 +158,7 @@ def _same_tail_on_both_paths(map_fn, x0, steps, keep):
     return repeat
 
 
-def test_the_repeat_schedule_agrees_on_both_paths(native_lib, fig2_params, monkeypatch):
+def test_the_repeat_schedule_agrees_on_both_paths(native_lib, fig2_params):
     reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
     local = threestage.local_map(fig2_params, 0)
     # the origin is fixed: step 1 repeats step 0
@@ -187,7 +170,6 @@ def test_the_repeat_schedule_agrees_on_both_paths(native_lib, fig2_params, monke
     caught, period = iterate_tail(reduced, _Y0, 20_000)[1]
     assert _same_tail_on_both_paths(reduced, _Y0, caught + 7, 8) == (caught, period)
     assert _same_tail_on_both_paths(reduced, _Y0, caught + 6, 8) is None
-    monkeypatch.setattr(_native, "in_gate", lambda x: True)
     err = _same_tail_on_both_paths(reduced, (-10.0, 0.1, 0.0), 5, 6)
     assert isinstance(err, NegativeDensityError)
 
@@ -226,8 +208,6 @@ class _CountingLibrary:
 def test_a_drifting_orbit_runs_its_schedule_in_one_foreign_call(native_lib, monkeypatch,
                                                                fig3_params):
     hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(10)
-    if stepping_path(hk, _X0) != _native.NATIVE:  # settles the BLAS probe, too
-        pytest.skip("H_k steps in Python on this BLAS")
     spy = _CountingLibrary(native_lib)
     monkeypatch.setattr(_native, "_library_state", (spy, _native._library()[1]))
     tail, repeat = iterate_tail(hk, _X0, 20_000, 8)
@@ -242,8 +222,6 @@ def test_a_drifting_orbit_runs_its_schedule_in_one_foreign_call(native_lib, monk
 def test_an_overflowing_h_k_step_raises_alike(native_lib, fig3_params):
     hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
     start = np.full(6, 1.7e308)
-    if stepping_path(hk, start) != _native.NATIVE:
-        pytest.skip("H_k steps in Python on this BLAS")
     err = _raised(lambda: iterate_tail(hk, start, 10))
     assert isinstance(err, DomainExitError)
     assert _same_error(err, _raised(lambda: iterate_tail(python_only(hk), start, 10)))
@@ -253,16 +231,14 @@ def test_an_overflowing_h_k_step_raises_alike(native_lib, fig3_params):
 def test_a_checked_run_stamps_the_kernel_error_with_its_step(native_lib, fig3_params):
     hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
     start = (1.7e308,) * 6
-    if stepping_path(hk, start) != _native.NATIVE:
-        pytest.skip("H_k steps in Python on this BLAS")
-    native = _stepper(hk, checked=True)(start)
+    native = _stepper(hk, checked=True)
     assert isinstance(native, _native.Stepper)
     err = _raised(lambda: native.advance(start, 10))
     assert str(err) == "step produced a non-finite state" and err.step == 1
     assert _same_error(err, _raised(
-        lambda: _stepper(python_only(hk), checked=True)(start).advance(start, 10)))
+        lambda: _stepper(python_only(hk), checked=True).advance(start, 10)))
     # an unchecked run's steps count from no fixed origin, so it stamps nothing
-    assert _raised(lambda: _stepper(hk)(start).advance(start, 10)).step is None
+    assert _raised(lambda: _stepper(hk).advance(start, 10)).step is None
 
 
 def _box_exit_bound(hk, x0, steps=40):
@@ -277,34 +253,30 @@ def _box_exit_bound(hk, x0, steps=40):
 
 def test_a_box_exit_raises_alike(native_lib, fig3_params, monkeypatch):
     hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
-    if stepping_path(hk, _X0) != _native.NATIVE:
-        pytest.skip("H_k steps in Python on this BLAS")
     # at the shipped bound only a first step leaves the box, from near it
     big = np.array([0.0, 0.0, 2e8, 6.4e8, 8.2e8, 9.4e8])
     for x0, bound, step in ((big, aggregation.BOX_BOUND, 1),
                             (1e-4 * _X0, *_box_exit_bound(hk, 1e-4 * _X0))):
         monkeypatch.setattr(aggregation, "BOX_BOUND", bound)
-        # a map keeps its binding, and so the bound it was bound under
+        # a map keeps its steppers, and so the bound they were bound under
         hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
         err = _raised(lambda: aggregation.iterate(hk, x0, 50))
         assert str(err) == "state exceeded the box bound" and err.step == step
         assert _same_error(err, _raised(lambda: aggregation.iterate(python_only(hk), x0, 50)))
 
 
-def test_a_domain_exit_one_step_before_a_pole_wins(native_lib, fig2_params, monkeypatch):
+def test_a_domain_exit_one_step_before_a_pole_wins(native_lib, fig2_params):
     # from y1 = -10 the first state leaves the orthant and the second step
-    # meets the pole; the reduced map uses no BLAS, so its compiled loop may
-    # run from outside the gate
-    monkeypatch.setattr(_native, "in_gate", lambda x: True)
+    # meets the pole
     reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
     start = (-10.0, 0.1, 0.0)
-    native = _stepper(reduced, checked=True)(start)
+    native = _stepper(reduced, checked=True)
     assert isinstance(native, _native.Stepper)
     err = _raised(lambda: native.advance(start, 5))
     assert isinstance(err, DomainExitError) and err.step == 1
     assert _same_error(err, _raised(
-        lambda: _stepper(python_only(reduced), checked=True)(start).advance(start, 5)))
-    assert isinstance(_raised(lambda: _stepper(reduced)(start).advance(start, 5)),
+        lambda: _stepper(python_only(reduced), checked=True).advance(start, 5)))
+    assert isinstance(_raised(lambda: _stepper(reduced).advance(start, 5)),
                       NegativeDensityError)
 
 
@@ -316,18 +288,16 @@ def test_the_replay_must_raise(native_lib, fig2_params):
 
 
 def test_a_dropped_system_frees_its_steppers_at_once(native_lib, fig2_params):
-    # a binding is kept on its map and refers to nothing that refers back,
+    # a stepper is kept on its map and refers to nothing that refers back,
     # so no reference cycle holds the steppers (and their kernels' arrays)
     # until the cyclic collector runs
     system = threestage.make_system(fig2_params, VARIANT_SLOW)
     starts = np.tile(_X0, (4, 1))
-    if stepping_path(system.complete(10), _X0) != _native.NATIVE:
-        pytest.skip("H_k steps in Python on this BLAS")
     maps = (system.complete(10), system.limit_map)
     for map_fn in maps:
         images(map_fn, starts, 2)
         images(map_fn, starts, 2, checked=True)
-    held = [weakref.ref(_stepper(map_fn, checked)(tuple(_X0.tolist())))
+    held = [weakref.ref(_stepper(map_fn, checked))
             for map_fn in maps for checked in (False, True)]
     held += [weakref.ref(map_fn.kernel) for map_fn in maps]
     gc.disable()
@@ -338,38 +308,66 @@ def test_a_dropped_system_frees_its_steppers_at_once(native_lib, fig2_params):
         gc.enable()
 
 
-def test_maps_sharing_a_compiled_form_replay_their_own_kernels(native_lib, fig2_params,
-                                                                monkeypatch):
-    monkeypatch.setattr(_native, "in_gate", lambda x: True)
+def test_maps_sharing_a_compiled_form_replay_their_own_kernels(native_lib, fig2_params):
     reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
     lenient = threestage._with_kernel(lambda y: y, reduced.native)  # it never fails
     start = (-10.0, 0.1, 0.0)  # the second step meets the pole
     for _ in range(2):
-        assert isinstance(_raised(lambda: _stepper(reduced)(start).advance(start, 5)),
+        assert isinstance(_raised(lambda: _stepper(reduced).advance(start, 5)),
                           NegativeDensityError)
         with pytest.raises(RuntimeError, match="compiled step failed"):
-            _stepper(lenient)(start).advance(start, 5)
+            _stepper(lenient).advance(start, 5)
 
 
-@pytest.mark.parametrize("start", [
-    [0.1, 0.2, -0.0, 0.1, 0.1, 0.1],
-    [0.1, 0.2, 0.3, np.nan, 0.1, 0.1],
-    [0.1, -1e-3, 0.3, 0.2, 0.1, 0.1],
-])
-def test_starts_outside_the_gate_step_in_python(fig2_params, start):
-    system = threestage.make_system(fig2_params, VARIANT_SLOW)
-    for map_fn, x0 in ((system.complete(5), np.array(start)),
-                       (threestage.reduced_map(fig2_params, VARIANT_SLOW),
-                        metapop.aggregate(start, 2) * np.array([1.0, 1.0, -1.0]))):
-        assert stepping_path(map_fn, x0) == "python: start outside the gate"
-        try:
-            tail = iterate_tail(map_fn, x0, 50, 3)
-        except DomainExitError as err:
-            other = _raised(lambda: iterate_tail(python_only(map_fn), x0, 50, 3))
-            assert _same_error(err, other)
-        else:
-            expected = iterate_tail(python_only(map_fn), x0, 50, 3)
-            assert _same_bits(tail[0], expected[0]) and tail[1] == expected[1]
+def _unusual_starts(value):
+    """(label, map, start) on each map kind, with its first or second
+    coordinate replaced by ``value``, or, for ``"all_negative_zeros"``, every one."""
+    params = scenarios.fig2_params()
+    system = threestage.make_system(params, VARIANT_SLOW)
+    maps = (("H_5", system.complete(5), _X0), ("limit", system.limit_map, _X0),
+            ("reduced", threestage.reduced_map(params, VARIANT_SLOW), _Y0),
+            ("local_1", threestage.local_map(params, 0), _X0[0::2]))
+    for label, map_fn, x0 in maps:
+        if value == "all_negative_zeros":
+            yield label, map_fn, np.full(len(x0), -0.0)
+            continue
+        for i in (0, 1):
+            start = x0.copy()
+            start[i] = value
+            yield f"{label} x{i}", map_fn, start
+
+
+def _error_of(fn):
+    """What fn() raises, else None."""
+    try:
+        fn()
+    except Exception as err:
+        return err
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("value", [-0.0, np.nan, -1e-3, "all_negative_zeros", 5e-324, -10.0,
+                                   np.inf, 1.7e308])
+def test_unusual_starts_step_natively_alike(native_lib, value):
+    # -0.0, NaN, negative values before and past a pole, subnormals, inf
+    # and huge values: every start steps in the compiled loop, through
+    # orbit, rows (unchecked and checked) and many, and its bytes, errors
+    # and steps are the Python kernel's
+    for label, map_fn, x0 in _unusual_starts(value):
+        _same_tail_on_both_paths(map_fn, x0, 50, 3)
+        x = tuple(x0.tolist())
+        for checked in (False, True):
+            native, python = np.empty((20, len(x))), np.empty((20, len(x)))
+            err = _error_of(lambda: _stepper(map_fn, checked).rows(x, native))
+            expected = _error_of(lambda: _KernelStepper(map_fn.kernel, checked).rows(x, python))
+            if expected is None:
+                assert err is None and _same_bits(native, python), (label, checked)
+            else:
+                assert _same_error(err, expected), (label, checked)
+            starts = np.array([x0, x0 * 0.5, np.abs(x0)])
+            _same_batch(images(map_fn, starts, 7, checked),
+                        _per_row(python_only(map_fn), starts, 7, checked))
 
 
 def _python_system(system):
@@ -410,10 +408,9 @@ def _centre(name):
 @pytest.mark.parametrize("name, period", [("fig2", 1), ("fig2", 50), ("fig3", 2), ("fig10", 2)])
 def test_harnesses_give_the_same_bytes_on_both_paths(native_lib, name, period):
     system, centre = _centre(name)
-    if stepping_path(system.complete(1), centre) != _native.NATIVE:
-        pytest.skip("H_k steps in Python on this BLAS")
     python = _python_system(system)
-    assert stepping_path(python.complete(1), centre) == "python: no compiled form"
+    assert stepping_path(system.complete(1)) == _native.NATIVE
+    assert stepping_path(python.complete(1)) == "python: no compiled form"
     radius = (1e-3 * float(np.linalg.norm(centre)) if name == "fig3"
               else aggregation.default_radius(centre))
     trap = TrapSpec(centre, radius, period=period, sample_count=8, k_values=(1, 10, 50))
@@ -431,16 +428,18 @@ def test_harnesses_give_the_same_bytes_on_both_paths(native_lib, name, period):
 
 
 @pytest.mark.parametrize("coordinate", [-0.0, -1e-3])
-def test_ball_samples_outside_the_gate_step_in_python(native_lib, fig2_params, coordinate):
-    # around the origin, a fixed point of every map, half the ball is negative
+def test_ball_samples_around_the_origin_step_natively_alike(native_lib, fig2_params, coordinate):
+    # around the origin, a fixed point of every map, half the ball is
+    # negative; those samples step in the compiled loop like the rest
     system = threestage.make_system(fig2_params, VARIANT_SLOW)
     python = _python_system(system)
     trap = TrapSpec(np.zeros(6), 0.05, period=2, sample_count=8, k_values=(1, 10))
     samples = aggregation.ball_samples(trap.center, trap.radius, trap.sample_count)
-    assert not all(map(_native.in_gate, map(tuple, samples)))
+    assert (samples < 0.0).any()
     start = np.full(6, 0.02)
     start[2] = coordinate
-    assert stepping_path(system.complete(10), start) == "python: start outside the gate"
+    assert stepping_path(system.complete(10)) == _native.NATIVE
+    assert stepping_path(python.complete(10)) == "python: no compiled form"
     harnesses = {
         "trapping": lambda s: aggregation.trapping_check(s, trap),
         "convergence": lambda s: aggregation.convergence_table(s, [start, _X0], m=2,
@@ -497,7 +496,7 @@ def test_images_match_per_row_powers_on_both_paths(name, variant, checked):
             for m in (1, 2, 50):
                 expected = _per_row(fn, starts, m, checked)
                 _same_batch(images(fn, starts, m, checked), expected)
-                # one row outside the gate sends the whole batch to Python
+                # a row holding -0.0 steps in the same batch
                 signed = starts.copy()
                 signed[3, 1] = -0.0
                 _same_batch(images(fn, signed, m, checked), _per_row(fn, signed, m, checked))
@@ -505,15 +504,17 @@ def test_images_match_per_row_powers_on_both_paths(name, variant, checked):
             assert empty.shape == (0, starts.shape[1]) and errors == {}, label
 
 
-def test_a_batch_outside_the_gate_makes_no_compiled_call(native_lib, monkeypatch):
+def test_a_batch_with_signed_zeros_is_one_compiled_call(native_lib, monkeypatch):
     reduced = threestage.reduced_map(scenarios.fig2_params(), VARIANT_SLOW)
     spy = _CountingLibrary(native_lib)
     monkeypatch.setattr(_native, "_library_state", (spy, _native._library()[1]))
     starts = np.tile(_Y0, (4, 1))
-    images(reduced, starts, 5)
-    starts[2, 0] = -0.0
-    images(reduced, starts, 5)
+    starts[2] = -0.0
+    starts[3, 0] = -0.0
+    batch = images(reduced, starts, 5)
     assert spy.calls == ["twoscale_many"]
+    _same_batch(batch, _per_row(python_only(reduced), starts, 5))
+    assert np.signbit(batch[0][2]).all()  # the origin is fixed, -0.0 included
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -521,9 +522,10 @@ def test_a_batch_raises_each_rows_own_error(native_lib, fig2_params, fig3_params
     # reduced map: under a lowered box, row 1 leaves it at a step of at
     # least 3 (checked); row 3 leaves the orthant at step 1 (checked), and
     # unchecked meets the pole at step 2.  The origin is fixed
-    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
-    bound, step = _box_exit_bound(reduced, 1e-4 * _Y0)
+    bound, step = _box_exit_bound(threestage.reduced_map(fig2_params, VARIANT_SLOW), 1e-4 * _Y0)
     monkeypatch.setattr(aggregation, "BOX_BOUND", bound)
+    # a map keeps its steppers, and so the bound they were bound under
+    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
     starts = np.array([np.zeros(3), 1e-4 * _Y0, np.zeros(3), [-10.0, 0.1, 0.0]])
     for checked in (False, True):
         expected = _per_row(python_only(reduced), starts, step + 2, checked)
@@ -544,8 +546,6 @@ def test_a_batch_raises_each_rows_own_error(native_lib, fig2_params, fig3_params
     monkeypatch.setattr(aggregation, "BOX_BOUND", 1e9)
     hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
     starts = np.array([_X0, [0.0, 0.0, 2e8, 6.4e8, 8.2e8, 9.4e8], np.full(6, 1.7e308), _X0])
-    if stepping_path(hk, _X0) != _native.NATIVE:
-        pytest.skip("H_k steps in Python on this BLAS")
     batch = images(hk, starts, 4, checked=True)
     assert str(batch[1][1]) == "state exceeded the box bound" and batch[1][2].step == 1
     _same_batch(batch, _per_row(python_only(hk), starts, 4, checked=True))
@@ -559,8 +559,6 @@ def test_trapping_check_raises_the_first_samples_error(native_lib, fig2_params):
                                  limit_map=lambda x: np.asarray(x, dtype=float))
     trap = TrapSpec(np.full(6, 1e308), 3e307, period=1, sample_count=8, k_values=(1, 10))
     pts = aggregation.ball_samples(trap.center, trap.radius, trap.sample_count)
-    if stepping_path(system.complete(1), pts[0]) != _native.NATIVE:
-        pytest.skip("H_k steps in Python on this BLAS")
     errors = images(system.complete(1), pts, 1)[1]
     assert 0 < min(errors) and len(errors) < len(pts)
     # the sample loop trapping_check ran before batching: k outer, samples inner
@@ -571,8 +569,6 @@ def test_trapping_check_raises_the_first_samples_error(native_lib, fig2_params):
 
 def test_each_harness_batch_is_one_compiled_call(native_lib, monkeypatch):
     system, centre = _centre("fig2")
-    if stepping_path(system.complete(1), centre) != _native.NATIVE:
-        pytest.skip("H_k steps in Python on this BLAS")
     spy = _CountingLibrary(native_lib)
     monkeypatch.setattr(_native, "_library_state", (spy, _native._library()[1]))
     ks = (1, 2, 3, 5, 10, 50, 100, 200)
@@ -596,11 +592,9 @@ def test_one_map_binds_one_compiled_stepper(native_lib, monkeypatch, fig2_params
     monkeypatch.setattr(_native, "Stepper", Counted)
     system = threestage.make_system(fig2_params, VARIANT_SLOW)
     starts = np.random.default_rng(5).uniform(0.0, 0.1, (8, 6))
-    if stepping_path(system.complete(10), _X0) != _native.NATIVE:  # settles the probe
-        pytest.skip("H_k steps in Python on this BLAS")
     python = python_only(system.complete(10))
     expected = {checked: _per_row(python, starts, 3, checked) for checked in (False, True)}
-    # complete(10) gives the same map each time, so it keeps its binding
+    # complete(10) gives the same map each time, so it keeps its steppers
     for checked in (False, False, False, True, True):
         _same_batch(images(system.complete(10), starts, 3, checked), expected[checked])
     assert len(built) == 2  # one unchecked, one checked
@@ -610,10 +604,7 @@ def test_one_map_binds_one_compiled_stepper(native_lib, monkeypatch, fig2_params
 @pytest.mark.parametrize("name", ("fig2", "fig3", "fig10"))
 def test_the_limit_map_steps_compiled_bit_for_bit(native_lib, name, variant):
     limit = threestage.make_system(getattr(scenarios, f"{name}_params")(), variant).limit_map
-    if not _native._blas_matches(native_lib):
-        assert stepping_path(limit, _X0) == "python: BLAS probe mismatch"
-        return
-    assert stepping_path(limit, _X0) == _native.NATIVE
+    assert stepping_path(limit) == _native.NATIVE
     tail, repeat = iterate_tail(limit, _X0, 20_000, 8)
     expected, expected_repeat = iterate_tail(python_only(limit), _X0, 20_000, 8)
     assert _same_bits(tail, expected) and repeat == expected_repeat
@@ -626,8 +617,6 @@ def test_a_long_orbit_call_agrees_on_both_paths(native_lib, name, variant):
     # fig10's orbits drift, so nearly every step compares both tortoises
     limit = threestage.make_system(getattr(scenarios, f"{name}_params")(), variant).limit_map
     for label, map_fn, x0 in (("limit", limit, _X0), *_series(name, variant, (1, 10, 100))):
-        if label.startswith(("H_", "limit")) and not _native._blas_matches(native_lib):
-            continue  # H_k and H step in Python on this BLAS
         x = tuple(x0.tolist())
         state, taken, repeat = _native.Stepper(map_fn.native, map_fn.kernel).orbit(x, 20_000)
         expected, expected_taken, expected_repeat = _KernelStepper(map_fn.kernel).orbit(x, 20_000)
@@ -666,8 +655,6 @@ def test_every_exit_writes_back_its_state(native_lib, fig2_params, label):
     map_fn, x0 = {"H_10": (system.complete(10), _X0),
                   "reduced": (threestage.reduced_map(fig2_params, VARIANT_SLOW), _Y0),
                   "local_1": (threestage.local_map(fig2_params, 0), _X0[0::2])}[label]
-    if label == "H_10" and not _native._blas_matches(native_lib):
-        pytest.skip("H_k steps in Python on this BLAS")
     kernel, lib = map_fn.kernel, native_lib
     start = tuple(x0.tolist())
     orbit, onset = _cycle_onset(kernel, start)
@@ -695,16 +682,6 @@ def test_every_exit_writes_back_its_state(native_lib, fig2_params, label):
     assert _same_bits(state, aggregation.iterate(map_fn, small, step)[-1])
 
 
-def test_a_probe_mismatch_steps_the_limit_map_in_python(native_lib, monkeypatch, fig10_params):
-    limit = threestage.make_system(fig10_params, VARIANT_RESCALED).limit_map
-    monkeypatch.setattr(_native, "_blas_state", False)
-    assert stepping_path(limit, _X0) == "python: BLAS probe mismatch"
-    assert _native.describe().endswith("except H_k and H (python: BLAS probe mismatch)")
-    tail, repeat = iterate_tail(limit, _X0, 20_000, 8)
-    expected, expected_repeat = iterate_tail(python_only(limit), _X0, 20_000, 8)
-    assert _same_bits(tail, expected) and repeat == expected_repeat
-
-
 def test_the_c_source_compiles_without_warnings(tmp_path):
     cc = _native.shutil.which("cc")
     if cc is None:
@@ -723,28 +700,6 @@ def test_the_build_flags_keep_every_operation():
     assert "-ffp-contract=off" in flags
     assert not [f for f in flags if f in ("-ffast-math", "-Ofast", "-mfma")
                 or f.startswith(("-march=", "-mtune="))]
-
-
-def test_the_blas_probe_tells_the_rounding_models_apart(native_lib):
-    # exactly one model holds on an FMA BLAS kernel; a kernel that fuses
-    # nothing gives the plain sums, and the probe sends H_k to Python
-    if _native._probe(_plain_sums):
-        assert not _native._blas_matches(native_lib)
-    else:
-        assert _native._blas_matches(native_lib)
-
-
-def test_a_probe_mismatch_steps_h_k_in_python(fresh_native, monkeypatch, fig3_params):
-    monkeypatch.setattr(_native, "_probe", lambda dispersal: False)
-    if _native._library()[0] is None:
-        pytest.skip("compiled loop unavailable")
-    system = threestage.make_system(fig3_params, VARIANT_SLOW)
-    hk = system.complete(10)
-    assert stepping_path(hk, _X0) == "python: BLAS probe mismatch"
-    assert stepping_path(threestage.reduced_map(fig3_params, VARIANT_SLOW), _Y0) == "native"
-    tail, repeat = iterate_tail(hk, _X0, 2_000, 3)
-    expected, expected_repeat = iterate_tail(python_only(hk), _X0, 2_000, 3)
-    assert _same_bits(tail, expected) and repeat == expected_repeat
 
 
 @pytest.mark.parametrize("breakage, reason", [
@@ -766,7 +721,7 @@ def test_a_failed_build_steps_in_python(fresh_native, monkeypatch, tmp_path,
         monkeypatch.setattr(_native.tempfile, "mkdtemp", no_temp)
     for map_fn, x0 in ((threestage.make_system(fig3_params, VARIANT_SLOW).complete(5), _X0),
                        (threestage.reduced_map(fig3_params, VARIANT_SLOW), _Y0)):
-        assert stepping_path(map_fn, x0) == f"python: {reason}"
+        assert stepping_path(map_fn) == f"python: {reason}"
         tail, repeat = iterate_tail(map_fn, x0, 500, 2)
         expected, expected_repeat = iterate_tail(python_only(map_fn), x0, 500, 2)
         assert _same_bits(tail, expected) and repeat == expected_repeat
@@ -778,7 +733,7 @@ def test_an_unwritable_cache_builds_per_process(fresh_native, tmp_path, fig3_par
         pytest.skip("no compiler")
     (tmp_path / "cache").write_text("")  # the cache directory cannot be made
     reduced = threestage.reduced_map(fig3_params, VARIANT_SLOW)
-    assert stepping_path(reduced, _Y0) == _native.NATIVE
+    assert stepping_path(reduced) == _native.NATIVE
     where = _native._library()[1]
     assert not Path(where).exists()  # the temporary build is gone once loaded
 
@@ -795,21 +750,17 @@ def test_a_built_library_is_cached_by_source_and_flags(fresh_native, tmp_path):
 def test_run_records_its_stepping_path_but_does_not_write_it(tmp_path):
     lib = _native._library()[0]
     config = scenarios.builtin("fig2").configs[0].with_overrides(fast=True)
-    # -0.0 keeps patch 1's start, and so H_k's, outside the gate
+    # a start holding -0.0 steps on the same path as any other
     start = config.initial_state.copy()
     start[0] = -0.0
-    for x0, outside in ((config.initial_state, ()), (start, ("local_1", "k="))):
+    for x0 in (config.initial_state, start):
         run = dataclasses.replace(config, initial_state=x0)
         summary = cli.run_scenario(run, include_local=True)
         assert set(summary.stepping) == {"reduced", "local_1", "local_2",
                                          *(f"k={k}" for k in config.k_list)}
         for name, path in summary.stepping.items():
-            if name.startswith(outside or ("-",)):
-                assert path == "python: start outside the gate", name
-            elif lib is None:
+            if lib is None:
                 assert path.startswith("python: "), name
-            elif name.startswith("k=") and not _native._blas_matches(lib):
-                assert path == "python: BLAS probe mismatch", name
             else:
                 assert path == _native.NATIVE, name
         for path in cli.write_outputs(summary, tmp_path):
@@ -829,11 +780,11 @@ def test_import_and_build_compile_nothing():
             "p = scenarios.fig3_params()\n"
             "system = threestage.make_system(p, 'slow_survival')\n"
             "system.complete(10); threestage.reduced_map(p, 'slow_survival')\n"
-            "print(_native._library_state, _native._blas_state)")
+            "print(_native._library_state)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "None None"
+    assert proc.stdout.strip() == "None"
 
 
 def test_a_run_without_a_compiler_writes_the_same_bytes(tmp_path):
@@ -877,3 +828,49 @@ def test_check_without_a_compiler_prints_the_same_bytes(tmp_path, capsys):
     assert proc.stderr.splitlines()[-1] == "stepping: python: no compiler", proc.stderr
     code = cli.main(["check"])
     assert capsys.readouterr().out == proc.stdout and proc.returncode == code
+
+
+# 2 000-step orbits of H_1 and H (compiled), 200 steps of their Python
+# kernels and 200 lifts each, hashed; with whether gemv rounds as they do
+_BLAS_FREE_HASH = """
+import hashlib
+import numpy as np
+import blas_rounding
+from twoscalepop import _native, scenarios, threestage
+from twoscalepop.aggregation import _KernelStepper, iterate_tail
+
+x0 = np.array(scenarios.DEFAULT_INITIAL_STATE)
+digest = hashlib.sha256()
+for name, variant in (("fig2", "slow_survival"), ("fig3", "slow_survival"),
+                      ("fig10", "slow_survival"), ("fig10", "rescaled")):
+    system = threestage.make_system(getattr(scenarios, name + "_params")(), variant)
+    for map_fn in (system.complete(1), system.limit_map):
+        orbit = iterate_tail(map_fn, x0, 2_000, 2_001)[0]
+        python = np.empty((200, 6))
+        _KernelStepper(map_fn.kernel).rows(tuple(x0.tolist()), python)
+        lifts = [system.lift.kernel(tuple(system.projection(x).tolist())) for x in orbit[:200]]
+        digest.update(orbit.tobytes() + python.tobytes() + np.array(lifts).tobytes())
+print(_native.describe())
+print(blas_rounding.gemv_rounds_as_the_kernels())
+print(digest.hexdigest())
+"""
+
+
+def test_h_1_h_and_the_lift_do_not_depend_on_the_blas_kernel(native_lib):
+    # H_k for k >= 2 is left out: its dispersal power comes from
+    # np.linalg.matrix_power, whose products are a BLAS gemm's
+    tests = str(Path(__file__).resolve().parent)
+    env = _child_env()
+    env["PYTHONPATH"] = os.pathsep.join((tests, env["PYTHONPATH"]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    outputs = []
+    for extra in ({}, {"OPENBLAS_CORETYPE": "SandyBridge"}):
+        proc = subprocess.run([sys.executable, "-c", _BLAS_FREE_HASH], capture_output=True,
+                              text=True, env={**env, **extra})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    (native, native_gemv, native_hash), (sandy, sandy_gemv, sandy_hash) = outputs
+    assert native.startswith("native (") and sandy.startswith("native ("), (native, sandy)
+    if sandy_gemv == native_gemv:
+        pytest.skip("OPENBLAS_CORETYPE=SandyBridge leaves numpy's gemv rounding as it was")
+    assert sandy_hash == native_hash

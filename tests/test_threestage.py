@@ -1,3 +1,11 @@
+import ctypes
+import ctypes.util
+import math
+import random
+import struct
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +143,22 @@ def _outcome(step, y):
         return type(err), str(err)
 
 
+def _agree(left, right, exact: bool) -> bool:
+    """Equal bytes, or, unless ``exact``, equal to 1e-13 relative: what the
+    ``metapop`` oracle's H_k and H can promise on this BLAS (see
+    ``blas_rounding``)."""
+    if exact:
+        return np.asarray(left).tobytes() == np.asarray(right).tobytes()
+    return np.allclose(left, right, rtol=1e-13, atol=0.0)
+
+
+def _same_oracle_outcome(got, expected, exact: bool) -> bool:
+    """``_outcome``s equal, two images as ``_agree`` compares them."""
+    if isinstance(got, bytes) and isinstance(expected, bytes):
+        return _agree(np.frombuffer(got), np.frombuffer(expected), exact)
+    return got == expected
+
+
 def _kernel_states(seed, slopes):
     """KERNEL_STATES random 3-vectors over eight decades, zeros included,
     then y2 just before and just past the pole -1/slope of each slope."""
@@ -207,7 +231,7 @@ def test_local_kernel_matches_old_formula_bit_for_bit(name, patch):
 
 
 @pytest.mark.parametrize("variant", ("slow_survival", "rescaled"))
-def test_complete_kernel_raises_past_either_patch_pole(variant):
+def test_complete_kernel_raises_past_either_patch_pole(variant, gemv_rounds_as_the_kernels):
     params = scenarios.fig10_params()
     system = threestage.make_system(params, variant)
     kernel = lambda k, x: system.complete(k).kernel(x)
@@ -219,8 +243,10 @@ def test_complete_kernel_raises_past_either_patch_pole(variant):
             x = [0.1] * 6
             x[2 + patch] = z2
             for k in (1, 10):
-                assert (_outcome(lambda v: kernel(k, v), tuple(x))
-                        == _outcome(lambda v: oracle(k, np.array(v)), tuple(x))), (patch, z2, k)
+                assert _same_oracle_outcome(
+                    _outcome(lambda v: kernel(k, v), tuple(x)),
+                    _outcome(lambda v: oracle(k, np.array(v)), tuple(x)),
+                    gemv_rounds_as_the_kernels), (patch, z2, k)
         with pytest.raises(NegativeDensityError):
             kernel(10, tuple(x))
 
@@ -276,22 +302,26 @@ def _closed_form_and_oracle(name, variant):
             metapop.make_system(threestage.make_model(params), variant))
 
 
-def _assert_same_bits(label, fast, oracle, inputs):
+def _assert_same_bits(label, fast, oracle, inputs, exact=True):
     for i, x in enumerate(inputs):
         left, right = fast(x), oracle(x)
-        assert left.tobytes() == right.tobytes(), (label, i, x, left - right)
+        assert _agree(left, right, exact), (label, i, x, left - right)
 
 
 @pytest.mark.parametrize("variant", ("slow_survival", "rescaled"))
 @pytest.mark.parametrize("name", ("fig2", "fig3", "fig10"))
-def test_make_system_matches_matrix_oracle_bit_for_bit(name, variant):
+def test_make_system_matches_matrix_oracle_bit_for_bit(name, variant, gemv_rounds_as_the_kernels):
     # the closed-form demography must reproduce D(Z) Z / Dt(Z) Z of the
-    # generic pipeline exactly, not just to rounding
+    # generic pipeline exactly, not just to rounding.  The oracle forms its
+    # dispersal products with BLAS gemv, and H_k's and H's kernels in plain
+    # floats: their bytes can agree only where gemv rounds as the kernels
+    # do (blas_rounding); elsewhere they agree to 1e-13 relative
     fast, oracle = _closed_form_and_oracle(name, variant)
+    exact = gemv_rounds_as_the_kernels
     states = np.random.default_rng(11).uniform(0.0, 2.0, (2000, 6))
     for k in ORACLE_KS:
-        _assert_same_bits(f"H_{k}", fast.complete(k), oracle.complete(k), states)
-    _assert_same_bits("limit", fast.limit_map, oracle.limit_map, states)
+        _assert_same_bits(f"H_{k}", fast.complete(k), oracle.complete(k), states, exact)
+    _assert_same_bits("limit", fast.limit_map, oracle.limit_map, states, exact)
     totals = [oracle.projection(x) for x in states]
     _assert_same_bits("lift", fast.lift, oracle.lift, totals)
 
@@ -299,7 +329,7 @@ def test_make_system_matches_matrix_oracle_bit_for_bit(name, variant):
     h10_fast, h10_oracle = fast.complete(10), oracle.complete(10)
     for t in range(5000):
         nxt = h10_fast(x)
-        assert nxt.tobytes() == h10_oracle(x).tobytes(), ("H_10 orbit", t)
+        assert _agree(nxt, h10_oracle(x), exact), ("H_10 orbit", t)
         x = nxt
 
 
@@ -348,3 +378,88 @@ def test_homogeneous_variants_tie(seed):
     gap = abs(threestage.inherent_R0(params, "rescaled")
               - threestage.inherent_R0(params, "slow_survival"))
     assert gap <= 1e-12
+
+
+_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, sys.float_info.max,
+             -sys.float_info.max, 2.0 ** 960, 2.0 ** -960, -(2.0 ** 960), 1.0)
+
+
+def _exact_fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once: IEEE 754's rules where a term is not finite
+    or a factor is zero, else the exact sum as a fraction, rounded."""
+    if math.isnan(a) or math.isnan(b) or math.isnan(c):
+        return math.nan
+    if math.isinf(a) or math.isinf(b):
+        return a * b + c  # the product is exactly +-inf, or 0 * inf: NaN
+    if math.isinf(c):
+        return c
+    if a == 0.0 or b == 0.0:
+        return a * b + c  # an exact signed zero, plus c
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact == 0:
+        return 0.0  # nonzero terms that cancel give +0.0
+    sign = -1.0 if exact < 0 else 1.0
+    if abs(exact) >= 2 ** 1024 - 2 ** 970:  # at or past the midpoint to 2**1024
+        return sign * math.inf
+    # int / int is correctly rounded; a result that rounds to zero keeps the sign
+    return math.copysign(float(exact), sign)
+
+
+def _fma_triples(count: int):
+    """Random triples over exponents -1080..1023, with the specials mixed
+    in and c often cancelling a * b to within a unit in the last place."""
+    rng = random.Random(2024)
+
+    def value():
+        if rng.random() < 0.1:
+            return rng.choice(_SPECIALS)
+        return rng.choice((-1.0, 1.0)) * math.ldexp(rng.uniform(1.0, 2.0),
+                                                    rng.randint(-1080, 1023))
+
+    for i in range(count):
+        a, b = value(), value()
+        p = a * b
+        if i % 3 == 0 or not math.isfinite(p):
+            yield a, b, value()
+        else:
+            yield a, b, -(p if i % 3 == 1 else math.nextafter(p, math.inf))
+
+
+def _same_float(x: float, y: float) -> bool:
+    return math.isnan(x) and math.isnan(y) or struct.pack("<d", x) == struct.pack("<d", y)
+
+
+def test_fma_rounds_once_against_exact_fractions():
+    for a, b, c in _fma_triples(20_000):
+        assert _same_float(threestage._fma(a, b, c), _exact_fma(a, b, c)), (a, b, c)
+    for a in _SPECIALS:
+        for b in _SPECIALS:
+            for c in _SPECIALS:
+                assert _same_float(threestage._fma(a, b, c), _exact_fma(a, b, c)), (a, b, c)
+
+
+@pytest.mark.parametrize("a, b, c, expected", [
+    (0.0, math.inf, 1.0, math.nan),
+    (1e300, 1e300, -math.inf, -math.inf),      # a finite product: c decides
+    (2.0, sys.float_info.max, -sys.float_info.max, sys.float_info.max),  # past the range, back
+    (sys.float_info.max, 2.0, 0.0, math.inf),  # overflow rounds to inf
+    (-sys.float_info.max, 2.0, 0.0, -math.inf),
+    (-0.0, 1.0, 0.0, 0.0),
+    (-0.0, 1.0, -0.0, -0.0),
+    (5e-324, 0.5, 0.0, 0.0),                   # a tie below the smallest subnormal
+    (5e-324, -0.5, 0.0, -0.0),
+    (5e-324, 0.75, 0.0, 5e-324),
+    (1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, -1.0, 2.0 ** -53 - 2.0 ** -105),
+])
+def test_fma_edge_cases(a, b, c, expected):
+    assert _same_float(threestage._fma(a, b, c), expected)
+
+
+def test_fma_matches_libm():
+    name = ctypes.util.find_library("m")
+    if name is None:
+        pytest.skip("no libm to compare with")
+    fma = ctypes.CDLL(name).fma
+    fma.restype, fma.argtypes = ctypes.c_double, (ctypes.c_double,) * 3
+    for a, b, c in _fma_triples(40_000):
+        assert _same_float(threestage._fma(a, b, c), fma(a, b, c)), (a, b, c)
