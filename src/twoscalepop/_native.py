@@ -5,8 +5,8 @@ map with the same IEEE operations, in the same order, as their Python
 float kernels, so both give the same bytes.  Every orbit ``aggregation``
 steps -- ``iterate_tail``, ``iterate`` and the ball harnesses (trapping,
 attraction, instability, the convergence table) -- runs through it when
-the map carries a ``.native`` spec (a ``Spec``) and ``select`` answers
-``"native"``; otherwise, and as the test oracle, the Python kernel steps.
+the map carries a ``.native`` spec (a ``Spec``) and the library loads;
+otherwise, and as the test oracle, the Python kernel steps.
 
 ``iterate_tail``'s whole repeat schedule up to the tail is one call to the
 loop (``Stepper.orbit``), as is a batch of starts (``Stepper.many``).
@@ -20,7 +20,7 @@ system ``cc`` into ``$XDG_CACHE_HOME/twoscalepop/<sha256>.so`` (default
 file and moved into place, then loaded with ``ctypes``.  When the cache
 cannot be written the library is built in a per-process temporary
 directory instead.  With no ``cc``, a failed build, or no writable place,
-every orbit steps in Python, and ``select`` says why.
+every orbit steps in Python, and ``describe`` says why.
 
 The loop forms H_k's and H's dispersal product as their Python kernels do
 (see ``threestage.make_system``), with C's ``fma`` on rows 4-5, so the
@@ -53,8 +53,6 @@ FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 # twelve structural nonzeros, row by row, in the C loop's packing order
 _ROWS = np.repeat(np.arange(6), 2)
 _COLS = np.array([0, 1, 0, 1, 2, 3, 2, 3, 4, 5, 4, 5])
-_OFF_BLOCK = np.ones((6, 6), dtype=bool)
-_OFF_BLOCK[_ROWS, _COLS] = False
 
 
 @dataclass(frozen=True)
@@ -71,11 +69,10 @@ class Spec:
             raise ValueError("constants do not fit the map kind")
 
 
-def dispersal_entries(a: np.ndarray) -> Optional[list[float]]:
+def dispersal_entries(a: np.ndarray) -> list[float]:
     """The twelve structural nonzeros of a block-diagonal 6x6 power, row by
-    row; None when an entry off the three 2x2 blocks is not zero."""
-    if np.any(a[_OFF_BLOCK] != 0.0):
-        return None
+    row.  Every operator here is a ``block_diag`` of three 2x2 blocks or a
+    power of one, so each entry off the blocks is a sum of exact zeros."""
     return a[_ROWS, _COLS].tolist()
 
 
@@ -166,13 +163,6 @@ def _library() -> tuple:
     if _library_state is None:
         _library_state = _load()
     return _library_state
-
-
-def select() -> str:
-    """``"native"`` when orbits can run in the compiled loop, else
-    ``"python: <reason>"``."""
-    lib, reason = _library()
-    return NATIVE if lib is not None else f"python: {reason}"
 
 
 def describe() -> str:

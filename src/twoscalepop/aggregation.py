@@ -29,8 +29,8 @@ Vector = NDArray[np.float64]
 StateMap = Callable[[Vector], Vector]
 
 BOX_BOUND = 1e9
-DEFAULT_SEED = 42
-DEFAULT_HORIZON = 10**5
+SAMPLE_SEED = 42  # seeds the ball samples and the instability directions
+ATTRACTION_HORIZON = 10**5  # attraction_check's default horizon
 
 
 @dataclass(frozen=True)
@@ -264,11 +264,12 @@ def stepping_path(map_fn: StateMap) -> str:
     loop, else ``"python: <reason>"``."""
     if getattr(map_fn, "native", None) is None:
         return "python: no compiled form"
-    return _native.select()
+    lib, reason = _native._library()
+    return _native.NATIVE if lib is not None else f"python: {reason}"
 
 
 def _bind(kernel: Callable[[tuple], tuple], spec: Optional[_native.Spec], checked: bool):
-    if spec is not None and _native.select() == _native.NATIVE:
+    if spec is not None and _native._library()[0] is not None:
         return _native.Stepper(spec, kernel, BOX_BOUND if checked else None, _require_admissible)
     return _KernelStepper(kernel, checked)
 
@@ -313,8 +314,12 @@ def images(map_fn: StateMap, starts, m: int,
     Returns ``(images, errors)`` as ``_KernelStepper.many`` does: each row
     equals ``_power(map_fn, m, checked)`` of its start bit for bit, or
     ``errors`` holds the package error that call raises.  On the compiled
-    loop the whole batch is one call.
+    loop the whole batch is one call.  ``starts`` that do not form a 2-D
+    array raise ValueError on either path, and a batch of no rows comes
+    back as it went in.
     """
+    if np.ndim(starts) != 2:
+        raise ValueError("starts must form a 2-D (count, dim) array")
     return _stepper(map_fn, checked).many(starts, m)
 
 
@@ -509,7 +514,7 @@ def _kronecker_sphere_mesh(count: int, dim: int) -> Vector:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def ball_samples(center, radius: float, count: int, seed: int = DEFAULT_SEED) -> Vector:
+def ball_samples(center, radius: float, count: int, seed: int = SAMPLE_SEED) -> Vector:
     """Sample ``count`` points of the closed ball around ``center``.
 
     The first ceil(count/2) points form a deterministic mesh on the boundary
@@ -557,7 +562,7 @@ def trapping_check(sys: TwoScaleSystem, trap: TrapSpec) -> dict[int, TrapVerdict
 
 
 def attraction_check(sys: TwoScaleSystem, trap: TrapSpec, x0,
-                     horizon: int = DEFAULT_HORIZON) -> dict[int, AttractionVerdict]:
+                     horizon: int = ATTRACTION_HORIZON) -> dict[int, AttractionVerdict]:
     """Per-k entry test for the orbit of X0 under H_k.
 
     Watches the iterates H_k^(m*n+1)(X0) for n = 0, 1, ... up to ``horizon``
@@ -610,7 +615,7 @@ def instability_check(sys: TwoScaleSystem, trap: TrapSpec) -> dict[int, Instabil
     """
     _check_center(sys, trap)
     m = trap.period
-    rng = np.random.default_rng(DEFAULT_SEED)
+    rng = np.random.default_rng(SAMPLE_SEED)
     dirs = rng.standard_normal((trap.sample_count, trap.center.size))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     out: dict[int, InstabilityVerdict] = {}

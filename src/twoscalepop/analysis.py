@@ -77,6 +77,14 @@ class OrbitReport:
         return 1 if self.kind == KIND_EQUILIBRIUM else 2
 
 
+def _report(kind: str, points: tuple[Vector, ...], residual: float, jac,
+            synchronous: Optional[bool] = None) -> OrbitReport:
+    """The report of an orbit whose linearization (over one period) is ``jac``."""
+    rho = spectral_radius(jac)
+    return OrbitReport(kind=kind, points=points, residual=residual, spectral_radius=rho,
+                       classification=classify(rho), synchronous=synchronous)
+
+
 def _in_orthant(y: Vector) -> bool:
     return bool(np.all(np.isfinite(y)) and np.all(y >= 0.0))
 
@@ -94,14 +102,7 @@ def find_equilibrium(map_fn: ScalarMap, y0) -> OrbitReport:
     point, residual = newton_fixed_point(map_fn, y0)
     if not _in_orthant(point):
         raise LeftDomainError("solution left the domain")
-    rho = spectral_radius(fd_jacobian(map_fn, point))
-    return OrbitReport(
-        kind=KIND_EQUILIBRIUM,
-        points=(point,),
-        residual=residual,
-        spectral_radius=rho,
-        classification=classify(rho),
-    )
+    return _report(KIND_EQUILIBRIUM, (point,), residual, fd_jacobian(map_fn, point))
 
 
 def _synchronous_support(p1: Vector, p2: Vector) -> Optional[bool]:
@@ -161,23 +162,10 @@ def find_two_cycle(map_fn: ScalarMap, y0) -> OrbitReport:
                 collapsed_point = p1
                 collapsed_residual = float(np.linalg.norm(map_fn(p1) - p1))
             continue
-        rho = spectral_radius(jac2)
-        return OrbitReport(
-            kind=KIND_TWO_CYCLE,
-            points=(p1, p2),
-            residual=residual,
-            spectral_radius=rho,
-            classification=classify(rho),
-            synchronous=_synchronous_support(p1, p2),
-        )
-    eq_rho = spectral_radius(fd_jacobian(map_fn, collapsed_point))
-    report = OrbitReport(
-        kind=KIND_EQUILIBRIUM,
-        points=(collapsed_point,),
-        residual=collapsed_residual,
-        spectral_radius=eq_rho,
-        classification=classify(eq_rho),
-    )
+        return _report(KIND_TWO_CYCLE, (p1, p2), residual, jac2,
+                       _synchronous_support(p1, p2))
+    report = _report(KIND_EQUILIBRIUM, (collapsed_point,), collapsed_residual,
+                     fd_jacobian(map_fn, collapsed_point))
     raise CollapsedToEquilibriumError(
         "period-2 search landed on a fixed point twice", report=report
     )
@@ -214,7 +202,19 @@ class DesignSearchResult:
 
 
 def _fraction_grid() -> NDArray[np.float64]:
-    return np.linspace(0.0, 1.0, 65)
+    return np.linspace(0.0, 1.0, round(1.0 / GRID_RESOLUTION) + 1)
+
+
+def _search_result(cells: list, pick: Callable, **flags) -> DesignSearchResult:
+    """The result over the grid nodes ``cells`` meeting the target; ``pick``
+    (max or min) chooses the witness by criterion value."""
+    return DesignSearchResult(
+        grid_resolution=GRID_RESOLUTION,
+        cells=tuple(cells),
+        feasible_region_nonempty=bool(cells),
+        witness=pick(cells, key=lambda c: c[1]) if cells else None,
+        **flags,
+    )
 
 
 TARGET_RESCUE = "rescue"
@@ -256,15 +256,8 @@ def dispersal_search_survival(params: ThreeStageParams, target: str,
             value = bifurcation_from_coefficients(co).r0 - 1.0
             if (value > 0.0) if target == TARGET_RESCUE else (value < 0.0):
                 cells.append(((float(v1), float(v2)), float(value)))
-    pick = max if target == TARGET_RESCUE else min
-    witness = pick(cells, key=lambda c: c[1]) if cells else None
-    return DesignSearchResult(
-        grid_resolution=GRID_RESOLUTION,
-        cells=tuple(cells),
-        feasible_region_nonempty=bool(cells),
-        witness=witness,
-        hypothesis_satisfied=hypothesis,
-    )
+    return _search_result(cells, max if target == TARGET_RESCUE else min,
+                          hypothesis_satisfied=hypothesis)
 
 
 TARGET_POSITIVE = "positive"
@@ -279,9 +272,7 @@ def synchrony_feasibility_predicate(params: ThreeStageParams) -> bool:
     """
     if not params.is_patch_homogeneous():
         raise InhomogeneousParamsError("predicate needs patch-homogeneous rates")
-    s1, s2, s3 = (float(t) for t in params.survivals[:, 0])
-    c = float(params.crowding_c[0])
-    d = float(params.crowding_d[0])
+    s1, s2, s3, _, c, d = threestage.local_rates(params, 0)
     lhs = (1.0 - s2 * s3) * s1 * c
     rhs = 0.5 * (1.0 + math.sqrt(2.0)) * s1 * s2 * s3 * (1.0 - s3) * d
     return lhs < rhs
@@ -303,9 +294,7 @@ def dispersal_search_synchrony(params: ThreeStageParams, target_sign: str) -> De
 
     # patch homogeneity collapses the aggregated survivals to the shared
     # rates, leaving only the two quadratic fraction forms to sweep
-    s1, s2, s3 = (float(t) for t in params.survivals[:, 0])
-    c = float(params.crowding_c[0])
-    d = float(params.crowding_d[0])
+    s1, s2, s3, _, c, d = threestage.local_rates(params, 0)
     grid = _fraction_grid()
     v2 = grid[:, None]
     v3 = grid[None, :]
@@ -315,15 +304,9 @@ def dispersal_search_synchrony(params: ThreeStageParams, target_sign: str) -> De
     mask = values > 0.0 if want_positive else values < 0.0
     cells = [((float(grid[i]), float(grid[j])), float(values[i, j]))
              for i, j in zip(*np.nonzero(mask))]
-    pick = max if want_positive else min
-    witness = pick(cells, key=lambda c: c[1]) if cells else None
-    return DesignSearchResult(
-        grid_resolution=GRID_RESOLUTION,
-        cells=tuple(cells),
-        feasible_region_nonempty=bool(cells),
-        witness=witness,
-        predicate=synchrony_feasibility_predicate(params) if want_positive else None,
-    )
+    return _search_result(
+        cells, max if want_positive else min,
+        predicate=synchrony_feasibility_predicate(params) if want_positive else None)
 
 
 def synchrony_ratio_max(grid: int = 1024, refinements: int = 2) -> float:

@@ -462,42 +462,23 @@ def _is_positive_equilibrium(report: Optional[OrbitReport]) -> bool:
             and bool(np.all(np.asarray(report.points[0]) > 0.0)))
 
 
-def _local_verdicts(summary: RunSummary, expect_cycles: bool) -> list[Verdict]:
+# what an orbit is expected to be: its phrase in a verdict and its test
+_SYNCHRONOUS_CYCLE = ("a synchronous 2-cycle", _is_synchronous_cycle)
+_POSITIVE_EQUILIBRIUM = ("a positive equilibrium", _is_positive_equilibrium)
+
+
+def _coupling_verdicts(summaries: list[RunSummary], local: tuple[str, Callable],
+                       coupled: tuple[str, Callable]) -> list[Verdict]:
+    """Each isolated patch settles on ``local``, the coupled population on
+    ``coupled``: the local-to-coupled switch of fig2 and fig3."""
+    summary = summaries[0]
     out = []
-    for patch in (1, 2):
-        report = summary.orbit_reports.get(f"local_{patch}")
-        note = summary.orbit_notes.get(f"local_{patch}", "")
-        if expect_cycles:
-            label = f"isolated patch {patch} settles on a synchronous 2-cycle"
-            passed = _is_synchronous_cycle(report)
-        else:
-            label = f"isolated patch {patch} settles on a positive equilibrium"
-            passed = _is_positive_equilibrium(report)
-        out.append(Verdict(label, passed, _orbit_detail(report, note)))
-    return out
-
-
-def _verdicts_fig2(summaries: list[RunSummary]) -> list[Verdict]:
-    summary = summaries[0]
-    out = _local_verdicts(summary, expect_cycles=True)
-    report = summary.orbit_reports.get("reduced")
-    out.append(Verdict(
-        "coupled population settles on a positive equilibrium",
-        _is_positive_equilibrium(report),
-        _orbit_detail(report, summary.orbit_notes.get("reduced", "")),
-    ))
-    return out
-
-
-def _verdicts_fig3(summaries: list[RunSummary]) -> list[Verdict]:
-    summary = summaries[0]
-    out = _local_verdicts(summary, expect_cycles=False)
-    report = summary.orbit_reports.get("reduced")
-    out.append(Verdict(
-        "coupled population settles on a synchronous 2-cycle",
-        _is_synchronous_cycle(report),
-        _orbit_detail(report, summary.orbit_notes.get("reduced", "")),
-    ))
+    for series, who, (shape, check) in (("local_1", "isolated patch 1", local),
+                                        ("local_2", "isolated patch 2", local),
+                                        ("reduced", "coupled population", coupled)):
+        report = summary.orbit_reports.get(series)
+        out.append(Verdict(f"{who} settles on {shape}", check(report),
+                           _orbit_detail(report, summary.orbit_notes.get(series, ""))))
     return out
 
 
@@ -559,8 +540,8 @@ def _verdicts_sec42(summaries: list[RunSummary]) -> list[Verdict]:
 
 
 _VERDICT_BUILDERS = {
-    "fig2": _verdicts_fig2,
-    "fig3": _verdicts_fig3,
+    "fig2": lambda s: _coupling_verdicts(s, _SYNCHRONOUS_CYCLE, _POSITIVE_EQUILIBRIUM),
+    "fig3": lambda s: _coupling_verdicts(s, _POSITIVE_EQUILIBRIUM, _SYNCHRONOUS_CYCLE),
     "fig10": _verdicts_fig10,
     "sec42_compare": _verdicts_sec42,
 }
@@ -702,7 +683,7 @@ def run_check() -> int:
         dim = int(rng.integers(2, 4))
         matrix = rng.random((dim, dim)) + 0.05
         matrix /= matrix.sum(axis=0, keepdims=True)
-        left = spectral.perron_vector(matrix).vector
+        left = spectral.perron_vector(matrix)
         values, vectors = np.linalg.eig(matrix)
         lead = vectors[:, int(np.argmax(values.real))].real
         lead /= lead.sum()

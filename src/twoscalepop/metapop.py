@@ -137,7 +137,7 @@ def make_system(model: MetapopModel, variant: str) -> TwoScaleSystem:
     s = model.survival.ravel()
     spreads = []
     for i, m in enumerate(model.dispersal):
-        v = spectral.perron_vector(m).vector
+        v = spectral.perron_vector(m)
         if not slow:
             v = float(np.exp(np.log(model.survival[i]) @ v)) * v
         spreads.append(v)

@@ -182,17 +182,14 @@ def _builtins() -> dict[str, Scenario]:
         description="run a user config file: twoscalepop run path/to/run.toml",
         configs=(),
     )
+    # in listing order; "custom" documents the config-file entry point
     return {s.name: s for s in (fig2, fig3, fig10, sec42, custom)}
-
-
-# stable listing order; "custom" documents the config-file entry point
-SCENARIO_ORDER = ("fig2", "fig3", "fig10", "sec42_compare", "custom")
 
 
 def builtin(name: str) -> Scenario:
     table = _builtins()
     if name not in table:
-        known = ", ".join(SCENARIO_ORDER)
+        known = ", ".join(table)
         raise ConfigError("scenario", f"unknown scenario {name!r}; known: {known}")
     scenario = table[name]
     if not scenario.configs:
@@ -201,5 +198,4 @@ def builtin(name: str) -> Scenario:
 
 
 def describe() -> list[tuple[str, str]]:
-    table = _builtins()
-    return [(name, table[name].description) for name in SCENARIO_ORDER]
+    return [(name, s.description) for name, s in _builtins().items()]

@@ -54,17 +54,6 @@ class StochasticMatrix:
 
 
 @dataclass(frozen=True)
-class PerronData:
-    """Perron eigendata of a primitive stochastic matrix.
-
-    ``vector`` is the unique positive right eigenvector for eigenvalue 1,
-    normalized to sum 1.
-    """
-
-    vector: NDArray[np.float64]
-
-
-@dataclass(frozen=True)
 class RescaledLimit:
     """Limit data of (S^(1/k) M)^k as k grows.
 
@@ -119,8 +108,9 @@ def subdominant_modulus(matrix) -> float:
     return float(mods[-2]) if mods.size > 1 else 0.0
 
 
-def perron_vector(matrix) -> PerronData:
-    """Perron vector of a primitive stochastic matrix.
+def perron_vector(matrix) -> NDArray[np.float64]:
+    """Perron vector of a primitive stochastic matrix: its unique positive
+    right eigenvector for eigenvalue 1, normalized to sum 1.
 
     For 2x2 matrices [[1-p, q], [p, 1-q]] the closed form
     (q/(p+q), p/(p+q)) is returned exactly.  Larger matrices use power
@@ -138,8 +128,7 @@ def perron_vector(matrix) -> PerronData:
     if r == 2:
         p = m[1, 0]
         q = m[0, 1]
-        v = np.array([q / (p + q), p / (p + q)])
-        return PerronData(vector=v)
+        return np.array([q / (p + q), p / (p + q)])
     v = np.full(r, 1.0 / r)
     for _ in range(POWER_ITERATION_MAX):
         nxt = m @ v
@@ -150,12 +139,12 @@ def perron_vector(matrix) -> PerronData:
         v = nxt
     else:
         raise NonConvergenceError("power iteration did not converge", best=v)
-    return PerronData(vector=v)
+    return v
 
 
 def power_limit(matrix) -> NDArray[np.float64]:
     """lim M^k for primitive stochastic M: the rank-one matrix v * 1^T."""
-    v = perron_vector(matrix).vector
+    v = perron_vector(matrix)
     return np.outer(v, np.ones(v.size))
 
 
@@ -209,7 +198,7 @@ def rescaled_power_limit(survivals, matrix) -> RescaledLimit:
     """
     s = _survival_entries(survivals)
     m = ensure_primitive(matrix)
-    v = perron_vector(m).vector
+    v = perron_vector(m)
     gamma = float(np.exp(np.log(s) @ v))
     return RescaledLimit(gamma=gamma, limit_matrix=gamma * np.outer(v, np.ones(v.size)))
 

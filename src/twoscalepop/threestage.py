@@ -437,25 +437,22 @@ def coefficients_from_fractions(survivals, fertilities, crowding_c, crowding_d,
     if variant == VARIANT_RESCALED:
         s1, s2, s3 = (float(np.prod(s[i] ** v[i])) for i in range(STAGES))
         birth_w = phi * s2 * v[1]
-        b = float(birth_w.sum())
         h1_slopes = c * s2 * v[1]
         h2_w = v[2]
         h2_slopes = d * s2 * v[1]
-        h1 = _h_terms(birth_w, h1_slopes, b)
-        h2 = _h_terms(h2_w, h2_slopes, 1.0)
-        h1p = -float((birth_w * h1_slopes).sum()) / b
-        h2p = -float((h2_w * h2_slopes).sum())
+        h2_scale = 1.0  # x / 1.0 == x exactly
     else:
         s1, s2, s3 = (float(s[i] @ v[i]) for i in range(STAGES))
         birth_w = phi * s[1] * v[1]
-        b = float(birth_w.sum())
         h1_slopes = c * v[1]
         h2_w = s[2] * v[2]
         h2_slopes = d * v[1]
-        h1 = _h_terms(birth_w, h1_slopes, b)
-        h2 = _h_terms(h2_w, h2_slopes, s3)
-        h1p = -float((birth_w * h1_slopes).sum()) / b
-        h2p = -float((h2_w * h2_slopes).sum()) / s3
+        h2_scale = s3
+    b = float(birth_w.sum())
+    h1 = _h_terms(birth_w, h1_slopes, b)
+    h2 = _h_terms(h2_w, h2_slopes, h2_scale)
+    h1p = -float((birth_w * h1_slopes).sum()) / b
+    h2p = -float((h2_w * h2_slopes).sum()) / h2_scale
     return ReducedCoefficients(variant=variant, s1=s1, s2=s2, s3=s3, b=b,
                                h1_terms=h1, h2_terms=h2, h1_prime0=h1p, h2_prime0=h2p)
 

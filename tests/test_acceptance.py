@@ -240,7 +240,7 @@ def test_criterion_8_oracle_equivalence():
         lead = np.argmin(np.abs(values - 1.0))
         dense = np.real(vectors[:, lead])
         dense = np.abs(dense) / np.abs(dense).sum()
-        gap = np.max(np.abs(spectral.perron_vector(m).vector - dense))
+        gap = np.max(np.abs(spectral.perron_vector(m) - dense))
         worst = max(worst, float(gap))
     assert worst < 1e-8, f"perron mismatch {worst:.3e}"
 

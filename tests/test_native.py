@@ -504,6 +504,20 @@ def test_images_match_per_row_powers_on_both_paths(name, variant, checked):
             assert empty.shape == (0, starts.shape[1]) and errors == {}, label
 
 
+@pytest.mark.parametrize("compiled", (True, False))
+def test_images_check_the_batch_shape_alike_on_both_paths(fig2_params, compiled):
+    system = threestage.make_system(fig2_params, VARIANT_SLOW)
+    for label, map_fn, dim in (("reduced", threestage.reduced_map(fig2_params, VARIANT_SLOW), 3),
+                               ("H_5", system.complete(5), 6), ("limit", system.limit_map, 6)):
+        fn = map_fn if compiled else python_only(map_fn)
+        for checked in (False, True):
+            for starts in ([], [0.1] * dim, np.zeros((2, dim, 1)), 0.5):
+                with pytest.raises(ValueError, match=r"^starts must form a 2-D \(count, dim\) array$"):
+                    images(fn, starts, 3, checked)
+            out, errors = images(fn, np.zeros((0, dim)), 3, checked)
+            assert out.shape == (0, dim) and out.dtype == np.float64 and errors == {}, label
+
+
 def test_a_batch_with_signed_zeros_is_one_compiled_call(native_lib, monkeypatch):
     reduced = threestage.reduced_map(scenarios.fig2_params(), VARIANT_SLOW)
     spy = _CountingLibrary(native_lib)

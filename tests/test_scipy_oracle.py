@@ -81,7 +81,7 @@ def _operator_blocks(params):
     model = threestage.make_model(params)
     ones = np.ones(model.patches)
     yield "model dispersal", list(model.dispersal)
-    yield "outer spreads", [np.outer(spectral.perron_vector(m).vector, ones)
+    yield "outer spreads", [np.outer(spectral.perron_vector(m), ones)
                             for m in model.dispersal]
 
 

@@ -43,8 +43,9 @@ def test_perron_vector_closed_form_two_patches():
     # eigenvalue 1-p-q
     p, q = 0.27, 0.09
     m = np.array([[1 - p, q], [p, 1 - q]])
-    data = spectral.perron_vector(m)
-    assert np.allclose(data.vector, [q / (p + q), p / (p + q)], atol=1e-12)
+    v = spectral.perron_vector(m)
+    assert isinstance(v, np.ndarray)
+    assert np.allclose(v, [q / (p + q), p / (p + q)], atol=1e-12)
     assert spectral.subdominant_modulus(m) == pytest.approx(1 - p - q, abs=1e-12)
 
 
@@ -55,7 +56,7 @@ def test_power_limit_is_rank_one_projection():
     brute = np.linalg.matrix_power(m, 400)
     assert np.max(np.abs(limit - brute)) < 1e-10
     # every column equals the Perron vector
-    v = spectral.perron_vector(m).vector
+    v = spectral.perron_vector(m)
     assert np.max(np.abs(limit - v[:, None])) < 1e-12
 
 
@@ -71,7 +72,7 @@ def test_rescaled_power_limit_structure():
     m = random_stochastic(rng, 3)
     s = rng.uniform(0.2, 0.9, 3)
     lim = spectral.rescaled_power_limit(s, m)
-    v = spectral.perron_vector(m).vector
+    v = spectral.perron_vector(m)
     assert lim.gamma == pytest.approx(float(np.prod(s ** v)), abs=1e-12)
     assert np.allclose(lim.limit_matrix, lim.gamma * np.outer(v, np.ones(3)), atol=1e-14)
     # powers approach the limit
@@ -105,8 +106,7 @@ def test_spectral_radius_known_values():
 def test_perron_vector_properties(seed, r):
     rng = np.random.default_rng(seed)
     m = random_stochastic(rng, r)
-    data = spectral.perron_vector(m)
-    v = data.vector
+    v = spectral.perron_vector(m)
     assert np.all(v > 0)
     assert abs(v.sum() - 1.0) < 1e-12
     assert np.max(np.abs(m @ v - v)) < 1e-10

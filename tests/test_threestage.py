@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoscalepop import metapop, scenarios, threestage
+from twoscalepop import _native, metapop, scenarios, threestage
 from twoscalepop.errors import DomainExitError, NegativeDensityError
 from twoscalepop.threestage import ThreeStageParams
 
@@ -71,7 +71,7 @@ def test_dispersal_matrices_are_stochastic_with_prescribed_fractions():
     from twoscalepop import spectral
     for mat, v in zip(threestage.dispersal_matrices(params), (0.3, 0.6, 0.1)):
         assert np.allclose(mat.sum(axis=0), 1.0, atol=1e-14)
-        assert spectral.perron_vector(mat).vector[0] == pytest.approx(v, abs=1e-12)
+        assert spectral.perron_vector(mat)[0] == pytest.approx(v, abs=1e-12)
 
 
 def test_homogeneous_reduced_coefficients(fig2_params):
@@ -294,6 +294,26 @@ def test_make_system_dimensions(fig2_params):
     assert (sys.state_dim, sys.reduced_dim) == (6, 3)
     with pytest.raises(ValueError):
         threestage.make_system(fig2_params, "bogus")
+
+
+@pytest.mark.parametrize("variant", ("slow_survival", "rescaled"))
+@pytest.mark.parametrize("name", ("fig2", "fig3", "fig10", "extinction_flip"))
+def test_every_dispersal_operator_is_exactly_zero_off_its_blocks(monkeypatch, name, variant):
+    # H_k and H step only the twelve block entries, so the rest of each
+    # operator they are built over must be +0.0, sign bit included
+    operators = []
+    entries = _native.dispersal_entries
+    monkeypatch.setattr(_native, "dispersal_entries",
+                        lambda a: operators.append(a.copy()) or entries(a))
+    system = threestage.make_system(getattr(scenarios, f"{name}_params")(), variant)
+    for k in (1, 2, 5, 10, 50, 100, 200):
+        system.complete(k)
+    assert len(operators) == 8  # H, then H_k for each k
+    off_block = np.ones((6, 6), dtype=bool)
+    off_block[_native._ROWS, _native._COLS] = False
+    for a in operators:
+        assert a.shape == (6, 6) and a.dtype == np.float64
+        assert a[off_block].tobytes() == np.zeros(24).tobytes()
 
 
 def _closed_form_and_oracle(name, variant):
