@@ -179,7 +179,9 @@ class _KernelStepper:
     n)`` steps each row of the (count, dim) array ``xs`` ``n`` times and
     returns ``(images, errors)``: ``errors`` maps a row to the package error
     its own ``advance`` raises, and that row of ``images`` holds no image;
-    any other exception propagates at once.
+    any other exception propagates at once.  Given the state's ``dim`` (a
+    map's compiled form fixes it), ``many`` rejects a batch of another
+    width with ``_native.Stepper``'s ValueError.
 
     A ``checked`` stepper's ``advance`` and ``rows`` raise
     ``DomainExitError`` at the first state outside the admissible set
@@ -194,9 +196,11 @@ class _KernelStepper:
     this one is its oracle and fallback.
     """
 
-    def __init__(self, step: Callable[[tuple], tuple], checked: bool = False):
+    def __init__(self, step: Callable[[tuple], tuple], checked: bool = False,
+                 dim: Optional[int] = None):
         self.step = step
         self.checked = checked
+        self.dim = dim
 
     def advance(self, x: tuple, n: int) -> tuple:
         if self.checked:
@@ -211,6 +215,8 @@ class _KernelStepper:
 
     def many(self, xs: Vector, n: int) -> tuple[Vector, dict[int, TwoScalePopError]]:
         images, errors = np.array(xs, dtype=float), {}
+        if self.dim is not None and images.shape[1:] != (self.dim,):
+            raise ValueError(f"starts must form a (count, {self.dim}) array")
         for i, x in enumerate(images.tolist()):
             try:
                 images[i] = self.advance(tuple(x), n)
@@ -271,7 +277,7 @@ def stepping_path(map_fn: StateMap) -> str:
 def _bind(kernel: Callable[[tuple], tuple], spec: Optional[_native.Spec], checked: bool):
     if spec is not None and _native._library()[0] is not None:
         return _native.Stepper(spec, kernel, BOX_BOUND if checked else None, _require_admissible)
-    return _KernelStepper(kernel, checked)
+    return _KernelStepper(kernel, checked, None if spec is None else _native._SHAPES[spec.kind][0])
 
 
 def _stepper(map_fn: StateMap, checked: bool = False):

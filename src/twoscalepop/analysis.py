@@ -26,7 +26,7 @@ from .errors import (
     LeftDomainError,
     NonConvergenceError,
 )
-from .metapop import VARIANT_RESCALED, VARIANT_SLOW
+from .metapop import VARIANT_RESCALED, VARIANT_SLOW, VARIANTS
 from .solvers import fd_jacobian, newton_fixed_point
 from .spectral import spectral_radius
 from .threestage import ThreeStageParams, bifurcation_from_coefficients, coefficients_from_fractions
@@ -347,14 +347,17 @@ class VariantComparison:
     extinction_flip: bool
 
 
-def compare_variants(params: ThreeStageParams) -> VariantComparison:
+def compare_variants(params: ThreeStageParams, data: Optional[dict] = None) -> VariantComparison:
     """Reproduction numbers and cycle coefficients of both survival timings.
 
     extinction_flip marks parameter sets whose reproduction numbers straddle
-    1, so the timing of survival alone decides persistence.
+    1, so the timing of survival alone decides persistence.  ``data``, when
+    given, must map both variants to their ``threestage.BifurcationData``;
+    a caller that already holds them passes them instead of deriving them
+    again.
     """
-    slow = threestage.bifurcation_data(params, VARIANT_SLOW)
-    resc = threestage.bifurcation_data(params, VARIANT_RESCALED)
+    data = data or {variant: threestage.bifurcation_data(params, variant) for variant in VARIANTS}
+    slow, resc = data[VARIANT_SLOW], data[VARIANT_RESCALED]
     if abs(resc.r0 - slow.r0) <= 1e-12:
         ordering = ORDER_TIED
     elif resc.r0 < slow.r0:

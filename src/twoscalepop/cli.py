@@ -30,10 +30,10 @@ from .errors import (
     NonConvergenceError,
     TwoScalePopError,
 )
-from .metapop import VARIANT_RESCALED, VARIANT_SLOW
+from .metapop import VARIANT_RESCALED, VARIANT_SLOW, VARIANTS
 from .scenarios import Scenario, ScenarioConfig
 from .solvers import fd_jacobian
-from .threestage import ReducedCoefficients, ThreeStageParams
+from .threestage import BifurcationData, ReducedCoefficients, ThreeStageParams
 
 EXIT_OK = 0
 EXIT_VERDICT_FAILED = 1
@@ -204,13 +204,12 @@ def _run_trajectory(step: Callable, x0, horizon: int,
     return tail, repeat, path
 
 
-def _cycle_seed(co: ReducedCoefficients):
-    """First-order synchronous-cycle point, when the branch exists."""
-    data = threestage.bifurcation_from_coefficients(co)
+def _cycle_seed(co: ReducedCoefficients, data: BifurcationData):
+    """First-order synchronous-cycle point, when the branch exists; ``data``
+    is ``threestage.bifurcation_from_coefficients(co)``."""
     if data.a_minus <= 0.0 or data.r0 <= 1.0:
         return None
-    gap = 1.0 - co.s2 * co.s3
-    eps = (1.0 - data.r0) * gap / data.c_w  # c_w < 0, so eps > 0 here
+    eps = (1.0 - data.r0) * (1.0 - co.s2 * co.s3) / data.c_w  # c_w < 0, so eps > 0 here
     return np.array([0.0, eps * co.s1, 0.0])
 
 
@@ -245,9 +244,12 @@ def detect_orbit(step: Callable, endpoint, cycle_seed=None):
         return None, f"orbit search failed: {err}"
 
 
-def _scalar_table(params: ThreeStageParams, variant: str) -> dict[str, float]:
-    data = threestage.bifurcation_data(params, variant)
-    comparison = analysis.compare_variants(params)
+def _scalar_table(params: ThreeStageParams, variant: str, variants: dict[str, BifurcationData],
+                  local: list[tuple[ReducedCoefficients, BifurcationData]]) -> dict[str, float]:
+    """The bifurcation scalars of the run ``variant``, of both ``variants``
+    and of each isolated patch (``local``: its coefficients and scalars)."""
+    data = variants[variant]
+    comparison = analysis.compare_variants(params, variants)
     out = {
         "r0": data.r0,
         "c_within": data.c_w,
@@ -257,10 +259,9 @@ def _scalar_table(params: ThreeStageParams, variant: str) -> dict[str, float]:
         "r0_slow": comparison.r0_slow,
         "r0_rescaled": comparison.r0_rescaled,
     }
-    for patch in (0, 1):
-        r0, a_minus = threestage.local_quantities(params, patch)
-        out[f"r0_local_{patch + 1}"] = r0
-        out[f"a_minus_local_{patch + 1}"] = a_minus
+    for patch, (_, patch_data) in enumerate(local):
+        out[f"r0_local_{patch + 1}"] = patch_data.r0
+        out[f"a_minus_local_{patch + 1}"] = patch_data.a_minus
     if params.is_patch_homogeneous():
         out["synchrony_rescue_feasible"] = float(
             analysis.synchrony_feasibility_predicate(params))
@@ -268,10 +269,22 @@ def _scalar_table(params: ThreeStageParams, variant: str) -> dict[str, float]:
 
 
 def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSummary:
-    """Simulate the reduced and complete systems and identify their orbits."""
+    """Simulate the reduced and complete systems and identify their orbits.
+
+    Each constant of the reduction is derived once per call and passed to
+    every helper that reads it: the run variant's coefficients, both
+    variants' bifurcation scalars and each isolated patch's coefficients.
+    Nothing is kept between calls.
+    """
     params, variant = config.params, config.variant
     system = threestage.make_system(params, variant)
-    reduced_step = threestage.reduced_map(params, variant)
+    coefficients = {other: threestage.reduced_coefficients(params, other) for other in VARIANTS}
+    co = coefficients[variant]
+    variants = {other: threestage.bifurcation_from_coefficients(c)
+                for other, c in coefficients.items()}
+    local = [(c, threestage.bifurcation_from_coefficients(c))
+             for c in (threestage.local_coefficients(params, patch) for patch in (0, 1))]
+    reduced_step = threestage.reduced_map(params, variant, co)
     x0 = config.initial_state
     y0 = metapop.aggregate(x0, threestage.PATCHES)
     tail = config.tail
@@ -287,8 +300,8 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
 
     orbit_reports: dict[str, Optional[OrbitReport]] = {}
     orbit_notes: dict[str, str] = {}
-    cycle_seed = _cycle_seed(threestage.reduced_coefficients(params, variant))
-    report, note = detect_orbit(reduced_step, reduced_tail[-1], cycle_seed)
+    report, note = detect_orbit(reduced_step, reduced_tail[-1],
+                                _cycle_seed(co, variants[variant]))
     orbit_reports["reduced"] = report
     orbit_notes["reduced"] = note
 
@@ -300,8 +313,8 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
             (local_tails[patch], repeats[f"local_{patch + 1}"],
              stepping[f"local_{patch + 1}"]) = _run_trajectory(
                 local_step, x0[patch::2], config.horizon, tail)
-            cycle_seed = _cycle_seed(threestage.local_coefficients(params, patch))
-            report, note = detect_orbit(local_step, local_tails[patch][-1], cycle_seed)
+            report, note = detect_orbit(local_step, local_tails[patch][-1],
+                                        _cycle_seed(*local[patch]))
             orbit_reports[f"local_{patch + 1}"] = report
             orbit_notes[f"local_{patch + 1}"] = note
         if same:
@@ -323,7 +336,7 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
         local_tails=local_tails,
         orbit_reports=orbit_reports,
         orbit_notes=orbit_notes,
-        scalars=_scalar_table(params, variant),
+        scalars=_scalar_table(params, variant, variants, local),
         convergence=convergence,
         repeats=repeats,
         stepping=stepping,
@@ -347,32 +360,30 @@ def _write_csv(path: Path, header, rows) -> None:
         raise IOFailureError(path, f"cannot write: {err}") from err
 
 
+def _rows(t0: int, tail: np.ndarray, *labels: str) -> list[tuple]:
+    """One CSV row per state of ``tail``: its step, ``labels``, its values."""
+    return [(str(t0 + i), *labels, *map(_fmt, row)) for i, row in enumerate(tail.tolist())]
+
+
 def write_outputs(summary: RunSummary, out_dir: Path, prefix: str = "") -> list[Path]:
-    """Write the trajectory CSVs for one run; returns the written paths."""
+    """Write the trajectory CSVs for one run; returns the written paths.
+
+    Rows are formatted from plain floats (``tolist``), and each complete
+    tail's stage totals are formed in one ``metapop.aggregate`` call.
+    """
     t0 = summary.tail_start
-    paths = []
-
-    path = out_dir / f"{prefix}reduced.csv"
-    rows = [(str(t0 + i), *map(_fmt, row))
-            for i, row in enumerate(summary.reduced_tail)]
-    _write_csv(path, REDUCED_HEADER, rows)
-    paths.append(path)
-
-    path = out_dir / f"{prefix}complete.csv"
-    rows = []
+    complete = []
     for k in summary.config.k_list:
-        for i, state in enumerate(summary.complete_tails[k]):
-            totals = metapop.aggregate(state, threestage.PATCHES)
-            rows.append((str(t0 + i), str(k),
-                         *map(_fmt, state), *map(_fmt, totals)))
-    _write_csv(path, COMPLETE_HEADER, rows)
-    paths.append(path)
-
-    for patch, tail in sorted(summary.local_tails.items()):
-        path = out_dir / f"{prefix}local{patch + 1}.csv"
-        rows = [(str(t0 + i), *map(_fmt, row)) for i, row in enumerate(tail)]
-        _write_csv(path, REDUCED_HEADER, rows)
-        paths.append(path)
+        tail = summary.complete_tails[k]
+        totals = metapop.aggregate(tail, threestage.PATCHES)
+        complete += _rows(t0, np.hstack([tail, totals]), str(k))
+    files = [("reduced", REDUCED_HEADER, _rows(t0, summary.reduced_tail)),
+             ("complete", COMPLETE_HEADER, complete)]
+    files += [(f"local{patch + 1}", REDUCED_HEADER, _rows(t0, tail))
+              for patch, tail in sorted(summary.local_tails.items())]
+    paths = [out_dir / f"{prefix}{name}.csv" for name, _, _ in files]
+    for path, (_, header, rows) in zip(paths, files):
+        _write_csv(path, header, rows)
     return paths
 
 

@@ -22,18 +22,24 @@ NEWTON_MAX_HALVINGS = 20
 
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of ``f`` at ``x`` (``FD_STEP``).
+
+    ``f`` is evaluated at the perturbed points only, so the row count comes
+    from the columns.  No error path moves: Newton and the orbit searches
+    have already evaluated ``f`` at ``x`` itself, and the other callers
+    (``instability_check``'s centre, ``check``'s lifted equilibrium) pass
+    an admissible state, where the package's maps raise nothing.
+    """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    fx = np.asarray(f(x), dtype=float)
-    jac = np.empty((fx.size, n))
-    for j in range(n):
+    columns = []
+    for j in range(x.size):
         h = FD_STEP * max(1.0, abs(x[j]))
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        jac[:, j] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
-    return jac
+        columns.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h))
+    return np.column_stack(columns)
 
 
 def newton_fixed_point(map_fn: Callable[[np.ndarray], np.ndarray],

@@ -28,6 +28,10 @@ DIAGNOSIS_REDUCIBLE_OR_PERIODIC = "reducible_or_periodic"
 class StochasticMatrix:
     """A validated primitive column-stochastic matrix.
 
+    ``ensure_primitive`` returns its entries without testing them again,
+    so the functions that validate through it (``perron_vector``,
+    ``power_limit``, ``rescaled_power_limit``, ...) reuse the verdict.
+
     Parameters
     ----------
     entries : ndarray
@@ -197,8 +201,7 @@ def rescaled_power_limit(survivals, matrix) -> RescaledLimit:
     survival rates.
     """
     s = _survival_entries(survivals)
-    m = ensure_primitive(matrix)
-    v = perron_vector(m)
+    v = perron_vector(matrix)
     gamma = float(np.exp(np.log(s) @ v))
     return RescaledLimit(gamma=gamma, limit_matrix=gamma * np.outer(v, np.ones(v.size)))
 

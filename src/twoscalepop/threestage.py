@@ -298,9 +298,10 @@ def _with_kernel(kernel: Callable,
 def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     """The complete family H_k, its limit H and the lift T of one variant.
 
-    Everything constant is built once here: the validated dispersal blocks,
-    the powered dispersal matrix per k (on first use), the limit dispersal
-    operator and the Perron spread vectors (times gamma_i when rescaled).
+    Everything constant is built once here: the dispersal blocks (each
+    validated once, as a ``spectral.StochasticMatrix``), the powered
+    dispersal matrix per k (on first use), the limit dispersal operator and
+    the Perron spread vectors (times gamma_i when rescaled).
     H_k and H have one form, built by one constructor over their dispersal
     operator: one dispersal product followed by the closed-form demography
     over its ten structural nonzeros; no 6x6 demography matrix is built.
@@ -323,8 +324,9 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    mats = [spectral.ensure_primitive(m) for m in dispersal_matrices(params)]
-    base = spectral.block_diag(*mats)
+    # validated once: the limits below reuse the verdict of each block
+    mats = [spectral.StochasticMatrix(m) for m in dispersal_matrices(params)]
+    base = spectral.block_diag(*(m.entries for m in mats))
     survivals = params.survivals.ravel()  # (stage, patch) matches the state order
     if variant == VARIANT_SLOW:
         limit_blocks = [spectral.power_limit(m) for m in mats]
@@ -474,9 +476,15 @@ def reduced_matrix(co: ReducedCoefficients, y2: float) -> NDArray[np.float64]:
     ])
 
 
-def reduced_map(params: ThreeStageParams, variant: str) -> Callable[[Vector], Vector]:
-    """Fast closure for the 3-dimensional reduced dynamics; float kernel as ``.kernel``."""
-    co = reduced_coefficients(params, variant)
+def reduced_map(params: ThreeStageParams, variant: str,
+                co: Optional[ReducedCoefficients] = None) -> Callable[[Vector], Vector]:
+    """Fast closure for the 3-dimensional reduced dynamics; float kernel as ``.kernel``.
+
+    ``co``, when given, must be ``reduced_coefficients(params, variant)``;
+    a caller that already holds them passes them instead of deriving them
+    again.
+    """
+    co = co or reduced_coefficients(params, variant)
     s1, s2, s3, b = co.s1, co.s2, co.s3, co.b
     w11, w12, slope11, slope12 = co.h1_terms
     w21, w22, slope21, slope22 = co.h2_terms
@@ -610,7 +618,7 @@ def branch_prediction(params: ThreeStageParams, variant: str, epsilon: float) ->
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     co = reduced_coefficients(params, variant)
-    data = bifurcation_data(params, variant)
+    data = bifurcation_from_coefficients(co)
     gap = 1.0 - co.s2 * co.s3
     return BranchPrediction(
         epsilon=epsilon,

@@ -223,3 +223,39 @@ def test_compare_variants_orderings(fig2_params, flip_params):
     assert flipped.ordering == analysis.ORDER_RESCALED_LOWER
     assert flipped.extinction_flip
     assert flipped.r0_rescaled < 1.0 < flipped.r0_slow
+
+
+def _central_differences(f, x):
+    """The central-difference formula written out, one column per coordinate."""
+    jac = np.empty((np.asarray(f(x)).size, x.size))
+    for j in range(x.size):
+        h = solvers.FD_STEP * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        jac[:, j] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
+    return jac
+
+
+@pytest.mark.parametrize("name, variant", [("fig2", "slow_survival"), ("fig3", "slow_survival"),
+                                           ("fig10", "rescaled")])
+def test_fd_jacobian_bytes_and_evaluations(name, variant):
+    params = getattr(scenarios, f"{name}_params")()
+    x0 = np.array(scenarios.DEFAULT_INITIAL_STATE)
+    maps = [("reduced", threestage.reduced_map(params, variant), metapop.aggregate(x0, 2)),
+            ("limit", threestage.make_system(params, variant).limit_map, x0)]
+    maps += [(f"local_{patch + 1}", threestage.local_map(params, patch), x0[patch::2])
+             for patch in (0, 1)]
+    for label, map_fn, x in maps:
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return map_fn(z)
+
+        jac = solvers.fd_jacobian(counted, x)
+        # two evaluations per column; the caller has evaluated f(x) already
+        assert len(calls) == 2 * x.size, label
+        expected = _central_differences(map_fn, x)
+        assert jac.shape == expected.shape and jac.dtype == np.float64, label
+        assert jac.tobytes() == expected.tobytes(), label

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 import twoscalepop
-from twoscalepop import cli, scenarios, threestage
-from twoscalepop.aggregation import iterate_tail
+from twoscalepop import cli, metapop, scenarios, spectral, threestage
+from twoscalepop.aggregation import ConvergenceTable, iterate_tail
 from twoscalepop.errors import ConfigError, IOFailureError
+from twoscalepop.metapop import VARIANT_RESCALED, VARIANT_SLOW
 
 CONFIG_TEXT = """\
 # three stages, two patches
@@ -223,6 +225,98 @@ def test_fmt_uses_twelve_significant_digits():
     assert cli._fmt(123456789012345.0) == "1.23456789012e+14"
 
 
+def _csv_text(header, rows) -> str:
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+def test_write_outputs_formats_each_value_as_fmt_does(tmp_path):
+    # -0.0, a subnormal, an extinct-tail magnitude, a large and an exact value
+    special = [-0.0, 5e-324, 2.2250738585072014e-309, 1e-72, 3.1e-72, 1e15, 7.0, 1 / 3]
+    rng = np.random.default_rng(3)
+
+    def tail(dim):
+        values = rng.choice(special, size=(4, dim))
+        values[0] = -0.0
+        return values
+
+    cfg = dataclasses.replace(scenarios.builtin("fig2").configs[0], k_list=(1, 50))
+    summary = cli.RunSummary(
+        config=cfg, tail_start=97, reduced_tail=tail(3),
+        complete_tails={1: tail(6), 50: tail(6)}, local_tails={0: tail(3), 1: tail(3)},
+        orbit_reports={}, orbit_notes={}, scalars={},
+        convergence=ConvergenceTable(gaps={}, skipped=()), repeats={}, stepping={})
+    paths = cli.write_outputs(summary, tmp_path, "p_")
+    assert [p.name for p in paths] == ["p_reduced.csv", "p_complete.csv",
+                                       "p_local1.csv", "p_local2.csv"]
+
+    def fmt(values):
+        return [cli._fmt(float(v)) for v in values]
+
+    complete = [(str(97 + i), str(k), *fmt(state),
+                 *fmt(metapop.aggregate(state, threestage.PATCHES)))
+                for k in cfg.k_list for i, state in enumerate(summary.complete_tails[k])]
+    expected = {
+        "p_reduced.csv": _csv_text(cli.REDUCED_HEADER, [
+            (str(97 + i), *fmt(row)) for i, row in enumerate(summary.reduced_tail)]),
+        "p_complete.csv": _csv_text(cli.COMPLETE_HEADER, complete),
+        **{f"p_local{patch + 1}.csv": _csv_text(cli.REDUCED_HEADER, [
+            (str(97 + i), *fmt(row)) for i, row in enumerate(summary.local_tails[patch])])
+           for patch in (0, 1)},
+    }
+    for path in paths:
+        assert path.read_bytes().decode() == expected[path.name], path.name
+    assert "\r\n97,1,-0,-0,-0,-0,-0,-0," in expected["p_complete.csv"]
+    assert "4.94065645841e-324" in expected["p_complete.csv"]
+
+
+def _count_constants(monkeypatch):
+    """Spy on each coefficient build and primitivity test, and on make_system."""
+    counts = {"builds": [], "primitivity": 0, "systems": 0}
+    build, test, make_system = (threestage.coefficients_from_fractions,
+                                spectral.is_primitive_stochastic, threestage.make_system)
+
+    def counted_build(*args, **kwargs):
+        fractions, variant = args[4], args[5]
+        counts["builds"].append((variant, tuple(np.asarray(fractions, dtype=float).tolist())))
+        return build(*args, **kwargs)
+
+    def counted_test(matrix):
+        counts["primitivity"] += 1
+        return test(matrix)
+
+    def counted_system(*args, **kwargs):
+        counts["systems"] += 1
+        return make_system(*args, **kwargs)
+
+    monkeypatch.setattr(threestage, "coefficients_from_fractions", counted_build)
+    monkeypatch.setattr(spectral, "is_primitive_stochastic", counted_test)
+    monkeypatch.setattr(threestage, "make_system", counted_system)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["fig2", "sec42_compare"])
+def test_a_run_derives_each_constant_once_per_call(monkeypatch, name):
+    scenario = scenarios.builtin(name)
+    counts = _count_constants(monkeypatch)
+    for cfg in scenario.configs:
+        cfg = cfg.with_overrides(fast=True)
+        fractions = tuple(cfg.params.fraction_table()[:, 0].tolist())
+        # one build per variant (the run's and the other one, for the
+        # comparison) and one per isolated patch (its one-hot shares)
+        expected = sorted([(VARIANT_SLOW, fractions), (VARIANT_RESCALED, fractions),
+                           (VARIANT_SLOW, (1.0, 1.0, 1.0)), (VARIANT_SLOW, (0.0, 0.0, 0.0))])
+        for _ in range(2):  # the second call counts the same: nothing is kept
+            counts.update(builds=[], primitivity=0, systems=0)
+            cli.run_scenario(cfg, include_local=scenario.include_local)
+            assert sorted(counts["builds"]) == expected, cfg.variant
+            assert counts["systems"] == 1
+            assert counts["primitivity"] == 3, cfg.variant
+
+
 # --- run command ------------------------------------------------------------
 
 def test_run_custom_config_writes_expected_files(tmp_path, capsys):
@@ -352,7 +446,8 @@ def test_identical_patches_reuse_patch_one(tmp_path):
     # patch 2 stepped and searched on its own
     step = threestage.local_map(cfg.params, 1)
     tail, repeat = iterate_tail(step, cfg.initial_state[1::2], cfg.horizon, cfg.tail)
-    seed = cli._cycle_seed(threestage.local_coefficients(cfg.params, 1))
+    co = threestage.local_coefficients(cfg.params, 1)
+    seed = cli._cycle_seed(co, threestage.bifurcation_from_coefficients(co))
     report, note = cli.detect_orbit(step, tail[-1], seed)
     assert summary.repeats["local_2"] == repeat
     assert _report_bits(summary.orbit_reports["local_2"]) == _report_bits(report)

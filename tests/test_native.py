@@ -518,6 +518,24 @@ def test_images_check_the_batch_shape_alike_on_both_paths(fig2_params, compiled)
             assert out.shape == (0, dim) and out.dtype == np.float64 and errors == {}, label
 
 
+@pytest.mark.parametrize("compiled", (True, False))
+def test_images_check_the_batch_width_alike_on_both_paths(fig2_params, monkeypatch, request,
+                                                          compiled):
+    if compiled:
+        request.getfixturevalue("native_lib")
+    else:
+        monkeypatch.setattr(_native, "_library_state", (None, "no compiler"))
+    system = threestage.make_system(fig2_params, VARIANT_SLOW)
+    for label, map_fn, dim in (("reduced", threestage.reduced_map(fig2_params, VARIANT_SLOW), 3),
+                               ("limit", system.limit_map, 6)):
+        assert stepping_path(map_fn) == ("native" if compiled else "python: no compiler"), label
+        for checked in (False, True):
+            for width in (dim - 1, dim + 1):
+                message = rf"^starts must form a \(count, {dim}\) array$"
+                with pytest.raises(ValueError, match=message):
+                    images(map_fn, np.zeros((2, width)), 1, checked)
+
+
 def test_a_batch_with_signed_zeros_is_one_compiled_call(native_lib, monkeypatch):
     reduced = threestage.reduced_map(scenarios.fig2_params(), VARIANT_SLOW)
     spy = _CountingLibrary(native_lib)
