@@ -15,7 +15,9 @@ built from Perron vectors (scaled by geometric-mean survivals gamma_i in
 the rescaled variant), which yields the reduced q-dimensional maps.
 
 This generic matrix pipeline is the test oracle for the closed-form
-``threestage`` maps.
+``threestage`` maps.  Every map takes one state or a stack of states (state
+on the last axis) and forms each state's image with the same floating-point
+operations either way.
 """
 from __future__ import annotations
 
@@ -59,7 +61,8 @@ class MetapopModel:
     stage and ``survival`` the (q, r) table of per-stage per-patch survival
     rates in (0, 1]; both are validated once, here, and stored read-only.
     ``demography(X)`` returns the full qr x qr matrix with diagonal blocks,
-    which the survivals factor columnwise as D = Dt * S.
+    or the stack of them for a stack of states, which the survivals factor
+    columnwise as D = Dt * S.
     """
 
     stages: int
@@ -103,21 +106,36 @@ def demography_factored(model: MetapopModel, x) -> tuple[NDArray[np.float64], ND
     return d, dt
 
 
-def factorization_gap(model: MetapopModel, x) -> float:
-    """max |D - Dt*S| entrywise; should sit at rounding level."""
+def factorization_gap(model: MetapopModel, x):
+    """max |D - Dt*S| entrywise, one float per state; should sit at
+    rounding level."""
     d, dt = demography_factored(model, x)
-    return float(np.max(np.abs(d - dt * model.survival.ravel()[None, :])))
+    return np.max(np.abs(d - dt * model.survival.ravel()[None, :]), axis=(-2, -1))
+
+
+def _times(a, x) -> Vector:
+    """a x for each state on the last axis of x; a is one matrix or a stack.
+
+    Each state gets the gemv that ``a @ x`` makes for it alone; ``x @ a.T``
+    would be a gemm with other roundings, and a stack of exactly q r states
+    must not be taken for a matrix.
+    """
+    return np.matmul(a, x[..., None])[..., 0]
 
 
 def _apply_demography(model: MetapopModel, z: Vector, variant: str) -> Vector:
-    """D(Z) Z (slow survival) or Dt(Z) Z (rescaled), checked for finiteness."""
+    """D(Z) Z (slow survival) or Dt(Z) Z (rescaled), checked for finiteness.
+
+    A non-finite image raises with the first such state of a stack.
+    """
     if variant == VARIANT_SLOW:
         d = np.asarray(model.demography(z), dtype=float)
     else:
         _, d = demography_factored(model, z)
-    x = d @ z
-    if not np.all(np.isfinite(x)):
-        raise DomainExitError("step produced a non-finite state", state=x)
+    x = _times(d, z)
+    bad = ~np.isfinite(x).all(axis=-1)
+    if bad.any():
+        raise DomainExitError("step produced a non-finite state", state=x[bad][0])
     return x
 
 
@@ -143,6 +161,7 @@ def make_system(model: MetapopModel, variant: str) -> TwoScaleSystem:
         spreads.append(v)
     ones = np.ones(model.patches)
     limit = spectral.block_diag(*[np.outer(v, ones) for v in spreads])
+    spread_table = np.array(spreads)
     powers: dict[int, NDArray[np.float64]] = {}
 
     def complete_map(k: int, x) -> Vector:
@@ -153,14 +172,14 @@ def make_system(model: MetapopModel, variant: str) -> TwoScaleSystem:
             else:
                 a = np.linalg.matrix_power(np.exp(np.log(s) / k)[:, None] * base, k)
             powers[k] = a
-        return _apply_demography(model, a @ np.asarray(x, dtype=float), variant)
+        return _apply_demography(model, _times(a, np.asarray(x, dtype=float)), variant)
 
     def limit_map(x) -> Vector:
-        return _apply_demography(model, limit @ np.asarray(x, dtype=float), variant)
+        return _apply_demography(model, _times(limit, np.asarray(x, dtype=float)), variant)
 
     def lift(y) -> Vector:
         y = np.asarray(y, dtype=float)
-        x = np.concatenate([v * y[i] for i, v in enumerate(spreads)])
+        x = (spread_table * y[..., None]).reshape(*y.shape[:-1], -1)
         return _apply_demography(model, x, variant)
 
     return TwoScaleSystem(

@@ -73,18 +73,20 @@ def is_primitive_stochastic(matrix) -> str:
 
     Returns one of ``"ok"``, ``"not_stochastic"``,
     ``"reducible_or_periodic"``.  Primitivity is decided exactly by checking
-    strict positivity of M to the Wielandt exponent (r-1)^2 + 1.
+    strict positivity of M to the Wielandt exponent (r-1)^2 + 1.  A stack
+    (..., r, r) gets one diagnosis: the first test that any of its matrices
+    fails.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("expected a square matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("entries must be finite")
     if m.min() < 0.0 or m.max() > 1.0 + COLUMN_SUM_TOL:
         return DIAGNOSIS_NOT_STOCHASTIC
-    if np.max(np.abs(m.sum(axis=0) - 1.0)) > COLUMN_SUM_TOL:
+    if np.max(np.abs(m.sum(axis=-2) - 1.0)) > COLUMN_SUM_TOL:
         return DIAGNOSIS_NOT_STOCHASTIC
-    r = m.shape[0]
+    r = m.shape[-1]
     wielandt = (r - 1) ** 2 + 1
     if np.min(np.linalg.matrix_power(m, wielandt)) <= 0.0:
         return DIAGNOSIS_REDUCIBLE_OR_PERIODIC
@@ -119,7 +121,9 @@ def perron_vector(matrix) -> NDArray[np.float64]:
     For 2x2 matrices [[1-p, q], [p, 1-q]] the closed form
     (q/(p+q), p/(p+q)) is returned exactly.  Larger matrices use power
     iteration with 1-norm tolerance ``POWER_ITERATION_TOL``, renormalizing
-    to sum 1 at every step.
+    to sum 1 at every step.  A stack (..., r, r) gives the stack of Perron
+    vectors: its matrices step together, each leaving at its own
+    convergence step, so each vector equals the one of its matrix alone.
 
     Raises
     ------
@@ -128,22 +132,26 @@ def perron_vector(matrix) -> NDArray[np.float64]:
         iterations (general dimension only).
     """
     m = ensure_primitive(matrix)
-    r = m.shape[0]
+    r = m.shape[-1]
     if r == 2:
-        p = m[1, 0]
-        q = m[0, 1]
-        return np.array([q / (p + q), p / (p + q)])
-    v = np.full(r, 1.0 / r)
+        # the transpose's leading axes serve one matrix (scalar p, q) and a stack alike
+        t = m.T
+        p, q = t[0, 1], t[1, 0]
+        total = p + q
+        return np.array([q / total, p / total]).T
+    stack = m.reshape(-1, r, r)
+    v = np.full(stack.shape[:-1], 1.0 / r)
+    live = np.arange(len(stack))
     for _ in range(POWER_ITERATION_MAX):
-        nxt = m @ v
-        nxt /= nxt.sum()
-        if np.abs(nxt - v).sum() < POWER_ITERATION_TOL:
-            v = nxt
-            break
-        v = nxt
-    else:
-        raise NonConvergenceError("power iteration did not converge", best=v)
-    return v
+        cur = v[live]
+        nxt = np.matmul(stack[live], cur[..., None])[..., 0]  # m @ v per matrix
+        nxt /= nxt.sum(axis=-1, keepdims=True)
+        v[live] = nxt
+        # written so that a NaN step never counts as converged
+        live = live[~(np.abs(nxt - cur).sum(axis=-1) < POWER_ITERATION_TOL)]
+        if live.size == 0:
+            return v.reshape(m.shape[:-1])
+    raise NonConvergenceError("power iteration did not converge", best=v.reshape(m.shape[:-1]))
 
 
 def power_limit(matrix) -> NDArray[np.float64]:

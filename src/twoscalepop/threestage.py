@@ -125,21 +125,23 @@ class ThreeStageParams:
 _POLE = "density argument at or beyond the response pole"
 
 
-def _guarded_reciprocal(den: float) -> float:
+def _guarded_reciprocal(den):
     # rational responses stay smooth for small negative densities; only a
-    # nonpositive denominator (at or beyond the pole) is a caller error
-    if den <= 0.0:
+    # nonpositive denominator (at or beyond the pole) is a caller error.
+    # den is a float or an array; a float pays no array test
+    at_pole = den <= 0.0
+    if at_pole.any() if isinstance(at_pole, np.ndarray) else at_pole:
         raise NegativeDensityError(_POLE)
     return 1.0 / den
 
 
-def fertility_response(phi: float, c: float, x2: float) -> float:
-    """phi / (1 + c x2)."""
+def fertility_response(phi, c, x2):
+    """phi / (1 + c x2), elementwise for arrays."""
     return phi * _guarded_reciprocal(1.0 + c * x2)
 
 
-def recovery_response(d: float, x2: float) -> float:
-    """1 / (1 + d x2)."""
+def recovery_response(d, x2):
+    """1 / (1 + d x2), elementwise for arrays."""
     return _guarded_reciprocal(1.0 + d * x2)
 
 
@@ -155,21 +157,24 @@ def demography_matrix(params: ThreeStageParams, x) -> NDArray[np.float64]:
     """The 6x6 demography D at state X, formed as residual * diag(survival).
 
     State order is (x1^1, x1^2, x2^1, x2^2, x3^1, x3^2); the matrix has
-    exactly ten structurally nonzero entries.
+    exactly ten structurally nonzero entries.  A stack of states (state on
+    the last axis) gives the stack of their matrices, entry for entry the
+    same floats.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (STAGES * PATCHES,):
+    if x.ndim == 0 or x.shape[-1] != STAGES * PATCHES:
         raise ValueError("state must have six coordinates")
-    dt = np.zeros((6, 6))
+    x2 = x[..., 2:4]  # active adults, one per patch
+    f = fertility_response(params.fertilities, params.crowding_c, x2)
+    g = recovery_response(params.crowding_d, x2)
+    dt = np.zeros((*x.shape[:-1], 6, 6))
     for a in range(PATCHES):
-        x2 = float(x[2 + a])
-        f = fertility_response(params.fertilities[a], params.crowding_c[a], x2)
-        g = recovery_response(params.crowding_d[a], x2)
-        dt[0 + a, 2 + a] = f
-        dt[2 + a, 0 + a] = 1.0
-        dt[2 + a, 4 + a] = g
-        dt[4 + a, 2 + a] = 1.0
-        dt[4 + a, 4 + a] = 1.0 - g
+        ga = g[..., a]
+        dt[..., 0 + a, 2 + a] = f[..., a]
+        dt[..., 2 + a, 0 + a] = 1.0
+        dt[..., 2 + a, 4 + a] = ga
+        dt[..., 4 + a, 2 + a] = 1.0
+        dt[..., 4 + a, 4 + a] = 1.0 - ga
     # column order (stage, patch) matches the state order
     return dt * params.survivals.ravel()[None, :]
 

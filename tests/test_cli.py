@@ -534,7 +534,18 @@ def _spy_on_runs(monkeypatch, shift_call=None, shift=lambda tail: tail + 1e-6):
 
 def test_check_battery_passes(capsys, monkeypatch):
     configs = _spy_on_runs(monkeypatch)
+    systems = []
+    make_system = threestage.make_system
+
+    def counted_system(params, variant):
+        systems.append(variant)
+        return make_system(params, variant)
+
+    monkeypatch.setattr(threestage, "make_system", counted_system)
     assert cli.main(["check"]) == 0
+    # one system per instance (the slow one is reused for the spectral link
+    # and the convergence table) and one per probe run
+    assert len(systems) == 2 + len(configs)
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out

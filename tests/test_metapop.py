@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from twoscalepop import aggregation, metapop, scenarios, threestage
-from twoscalepop.errors import DomainExitError, NonpositiveSurvivalError, ReducibleOrPeriodicError
+from twoscalepop.errors import (DomainExitError, NegativeDensityError, NonpositiveSurvivalError,
+                               ReducibleOrPeriodicError)
 
 
 def test_aggregate_sums_patches_stage_major():
@@ -209,3 +210,70 @@ def test_model_validates_rates_at_construction():
         _model((mixing, mixing), np.array([[0.5, -0.2], [0.5, 0.5]]))
     with pytest.raises(ValueError):
         _model((mixing, mixing), np.array([[0.5, 1.2], [0.5, 0.5]]))
+
+
+# --- stacks of states ---------------------------------------------------------
+
+def _oracle_maps(params, variant):
+    system = metapop.make_system(threestage.make_model(params), variant)
+    return {"lift": system.lift, "limit": system.limit_map,
+            "complete(1)": system.complete(1), "complete(5)": system.complete(5),
+            "reduced": aggregation.reduced_map(system)}
+
+
+def _stacks(rng, width):
+    # a stack of one, a stack of exactly six states (the width of a 6x6
+    # operator, so it must not be taken for a matrix) and a nested stack
+    return [rng.uniform(0.0, 0.3, shape + (width,)) for shape in ((1,), (6,), (2, 3))]
+
+
+@pytest.mark.parametrize("variant", metapop.VARIANTS)
+@pytest.mark.parametrize("name", ("fig2", "fig3", "fig10"))
+def test_oracle_maps_a_stack_as_each_state_alone(name, variant):
+    params = getattr(scenarios, f"{name}_params")()
+    model = threestage.make_model(params)
+    rng = np.random.default_rng(31)
+    for label, fn in _oracle_maps(params, variant).items():
+        width = 3 if label in ("lift", "reduced") else 6
+        for stack in _stacks(rng, width):
+            got = fn(stack)
+            assert got.shape == stack.shape[:-1] + (6 if label == "lift" else width,)
+            for index in np.ndindex(stack.shape[:-1]):
+                assert got[index].tobytes() == fn(stack[index]).tobytes(), (label, index)
+    for stack in _stacks(rng, 6):
+        d = threestage.demography_matrix(params, stack)
+        gaps = metapop.factorization_gap(model, stack)
+        assert d.shape == stack.shape + (6,) and gaps.shape == stack.shape[:-1]
+        for index in np.ndindex(stack.shape[:-1]):
+            one = threestage.demography_matrix(params, stack[index])
+            assert d[index].tobytes() == one.tobytes(), index
+            assert gaps[index].tobytes() == np.float64(
+                metapop.factorization_gap(model, stack[index])).tobytes(), index
+
+
+@pytest.mark.parametrize("variant", metapop.VARIANTS)
+def test_a_stack_with_one_state_past_a_pole_raises(fig2_params, variant):
+    states = np.full((5, 6), 0.05)
+    states[3, 2:4] = -1e3  # far past both patches' response poles
+    with pytest.raises(NegativeDensityError):
+        threestage.demography_matrix(fig2_params, states)
+    for label, fn in _oracle_maps(fig2_params, variant).items():
+        inputs = metapop.aggregate(states, 2) if label in ("lift", "reduced") else states
+        fn(np.delete(inputs, 3, axis=0))  # the other rows step
+        with pytest.raises(NegativeDensityError):
+            fn(inputs)
+
+
+@pytest.mark.parametrize("variant", metapop.VARIANTS)
+def test_a_stack_reports_its_first_nonfinite_image(fig2_params, variant):
+    limit = metapop.make_system(threestage.make_model(fig2_params), variant).limit_map
+    stack = np.full((5, 6), 0.05)
+    stack[1, 0] = np.nan
+    stack[3] = 1e308  # overflows to inf
+    with np.errstate(over="ignore"), pytest.raises(DomainExitError) as err:
+        limit(stack)
+    with pytest.raises(DomainExitError) as alone:
+        limit(stack[1])
+    assert err.value.state.shape == (6,)
+    assert err.value.state.tobytes() == alone.value.state.tobytes()
+    assert np.array_equal(err.value.state, alone.value.state, equal_nan=True)

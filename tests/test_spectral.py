@@ -120,3 +120,29 @@ def test_power_limit_columns_agree(seed):
     m = random_stochastic(rng, int(rng.integers(2, 4)))
     limit = spectral.power_limit(m)
     assert np.max(np.abs(limit - limit[:, :1])) < 1e-12
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_perron_vectors_of_a_stack_match_each_matrix_alone(r):
+    # the iteration steps the stack together and lets each matrix leave at
+    # its own convergence step, so each vector keeps its solo bytes
+    rng = np.random.default_rng(40 + r)
+    for shape in ((1,), (7,), (2, 3)):
+        stack = np.array([random_stochastic(rng, r) for _ in range(int(np.prod(shape)))])
+        stack = stack.reshape(shape + (r, r))
+        assert spectral.is_primitive_stochastic(stack) == spectral.DIAGNOSIS_OK
+        got = spectral.perron_vector(stack)
+        assert got.shape == shape + (r,)
+        for index in np.ndindex(shape):
+            assert got[index].tobytes() == spectral.perron_vector(stack[index]).tobytes(), index
+
+
+def test_a_stack_with_one_periodic_matrix_is_rejected():
+    rng = np.random.default_rng(9)
+    stack = np.array([random_stochastic(rng, 3) for _ in range(4)])
+    stack[2] = np.eye(3)[[1, 2, 0]]  # a cyclic permutation: stochastic, periodic
+    assert spectral.is_primitive_stochastic(stack) == spectral.DIAGNOSIS_REDUCIBLE_OR_PERIODIC
+    with pytest.raises(ReducibleOrPeriodicError):
+        spectral.perron_vector(stack)
+    stack[1, 0, 0] += 0.5
+    assert spectral.is_primitive_stochastic(stack) == spectral.DIAGNOSIS_NOT_STOCHASTIC
