@@ -113,16 +113,6 @@ def factorization_gap(model: MetapopModel, x):
     return np.max(np.abs(d - dt * model.survival.ravel()[None, :]), axis=(-2, -1))
 
 
-def _times(a, x) -> Vector:
-    """a x for each state on the last axis of x; a is one matrix or a stack.
-
-    Each state gets the gemv that ``a @ x`` makes for it alone; ``x @ a.T``
-    would be a gemm with other roundings, and a stack of exactly q r states
-    must not be taken for a matrix.
-    """
-    return np.matmul(a, x[..., None])[..., 0]
-
-
 def _apply_demography(model: MetapopModel, z: Vector, variant: str) -> Vector:
     """D(Z) Z (slow survival) or Dt(Z) Z (rescaled), checked for finiteness.
 
@@ -132,7 +122,7 @@ def _apply_demography(model: MetapopModel, z: Vector, variant: str) -> Vector:
         d = np.asarray(model.demography(z), dtype=float)
     else:
         _, d = demography_factored(model, z)
-    x = _times(d, z)
+    x = spectral.times(d, z)
     bad = ~np.isfinite(x).all(axis=-1)
     if bad.any():
         raise DomainExitError("step produced a non-finite state", state=x[bad][0])
@@ -172,10 +162,10 @@ def make_system(model: MetapopModel, variant: str) -> TwoScaleSystem:
             else:
                 a = np.linalg.matrix_power(np.exp(np.log(s) / k)[:, None] * base, k)
             powers[k] = a
-        return _apply_demography(model, _times(a, np.asarray(x, dtype=float)), variant)
+        return _apply_demography(model, spectral.times(a, np.asarray(x, dtype=float)), variant)
 
     def limit_map(x) -> Vector:
-        return _apply_demography(model, _times(limit, np.asarray(x, dtype=float)), variant)
+        return _apply_demography(model, spectral.times(limit, np.asarray(x, dtype=float)), variant)
 
     def lift(y) -> Vector:
         y = np.asarray(y, dtype=float)

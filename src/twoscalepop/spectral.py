@@ -93,10 +93,14 @@ def is_primitive_stochastic(matrix) -> str:
     return DIAGNOSIS_OK
 
 
-def ensure_primitive(matrix) -> NDArray[np.float64]:
+def ensure_primitive(matrix, *, stack: bool = False) -> NDArray[np.float64]:
+    """Entries of a validated primitive stochastic matrix; a stack
+    (..., r, r) only with ``stack=True``."""
     if isinstance(matrix, StochasticMatrix):
         return matrix.entries
     m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 and not stack:
+        raise ValueError("expected a square matrix")
     diagnosis = is_primitive_stochastic(m)
     if diagnosis == DIAGNOSIS_NOT_STOCHASTIC:
         raise NotStochasticError("columns must sum to 1 with entries in [0, 1]")
@@ -131,7 +135,11 @@ def perron_vector(matrix) -> NDArray[np.float64]:
         If power iteration fails to settle within ``POWER_ITERATION_MAX``
         iterations (general dimension only).
     """
-    m = ensure_primitive(matrix)
+    return _perron(ensure_primitive(matrix, stack=True))
+
+
+def _perron(m) -> NDArray[np.float64]:
+    """``perron_vector`` of validated entries."""
     r = m.shape[-1]
     if r == 2:
         # the transpose's leading axes serve one matrix (scalar p, q) and a stack alike
@@ -144,7 +152,7 @@ def perron_vector(matrix) -> NDArray[np.float64]:
     live = np.arange(len(stack))
     for _ in range(POWER_ITERATION_MAX):
         cur = v[live]
-        nxt = np.matmul(stack[live], cur[..., None])[..., 0]  # m @ v per matrix
+        nxt = times(stack[live], cur)
         nxt /= nxt.sum(axis=-1, keepdims=True)
         v[live] = nxt
         # written so that a NaN step never counts as converged
@@ -154,9 +162,19 @@ def perron_vector(matrix) -> NDArray[np.float64]:
     raise NonConvergenceError("power iteration did not converge", best=v.reshape(m.shape[:-1]))
 
 
+def times(a, x) -> NDArray[np.float64]:
+    """a x for each vector on the last axis of x; a is one matrix or a stack.
+
+    Each vector gets the gemv that ``a @ x`` makes for it alone; ``x @ a.T``
+    would be a gemm with other roundings, and a stack of exactly as many
+    vectors as a has columns must not be taken for a matrix.
+    """
+    return np.matmul(a, x[..., None])[..., 0]
+
+
 def power_limit(matrix) -> NDArray[np.float64]:
     """lim M^k for primitive stochastic M: the rank-one matrix v * 1^T."""
-    v = perron_vector(matrix)
+    v = _perron(ensure_primitive(matrix))
     return np.outer(v, np.ones(v.size))
 
 
@@ -209,7 +227,7 @@ def rescaled_power_limit(survivals, matrix) -> RescaledLimit:
     survival rates.
     """
     s = _survival_entries(survivals)
-    v = perron_vector(matrix)
+    v = _perron(ensure_primitive(matrix))
     gamma = float(np.exp(np.log(s) @ v))
     return RescaledLimit(gamma=gamma, limit_matrix=gamma * np.outer(v, np.ones(v.size)))
 

@@ -127,10 +127,8 @@ _POLE = "density argument at or beyond the response pole"
 
 def _guarded_reciprocal(den):
     # rational responses stay smooth for small negative densities; only a
-    # nonpositive denominator (at or beyond the pole) is a caller error.
-    # den is a float or an array; a float pays no array test
-    at_pole = den <= 0.0
-    if at_pole.any() if isinstance(at_pole, np.ndarray) else at_pole:
+    # nonpositive denominator (at or beyond the pole) is a caller error
+    if np.less_equal(den, 0.0).any():
         raise NegativeDensityError(_POLE)
     return 1.0 / den
 

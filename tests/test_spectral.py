@@ -146,3 +146,16 @@ def test_a_stack_with_one_periodic_matrix_is_rejected():
         spectral.perron_vector(stack)
     stack[1, 0, 0] += 0.5
     assert spectral.is_primitive_stochastic(stack) == spectral.DIAGNOSIS_NOT_STOCHASTIC
+
+
+def test_only_perron_vector_takes_a_stack():
+    # every other consumer is built for one matrix and must not read a
+    # stack's leading axis as a dimension
+    stack = np.array([[[0.7, 0.4], [0.3, 0.6]]] * 2)
+    assert spectral.perron_vector(stack).shape == (2, 2)
+    for consume in (spectral.StochasticMatrix, spectral.power_limit,
+                    spectral.subdominant_modulus,
+                    lambda m: spectral.rescaled_power([0.5, 0.9], m, 3),
+                    lambda m: spectral.rescaled_power_limit([0.5, 0.9], m)):
+        with pytest.raises(ValueError, match="square matrix"):
+            consume(stack)

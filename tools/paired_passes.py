@@ -1,15 +1,15 @@
 """Time one perfbench workload on two source trees in alternating passes.
 
     python tools/paired_passes.py PARENT_TREE --workload W --seed S --passes N
-        [--tree TREE] [--warmup K] [--size full|small]
+        [--tree TREE]
 
 Loads PARENT_TREE's and TREE's (by default the checkout holding this
 script) ``twoscalepop`` package and ``perfbench/workloads.py`` into this one
 process, emptying ``sys.modules`` of both between the two loads, so each
-tree's workload runs its own code.  Then it runs K untimed warm-up pairs
-and N timed pairs of passes, parent first in even pairs and change first in
-odd ones, and checks every pass's outputs against that tree's
-``perfbench/reference.json``.
+tree's workload runs its own code, at full size.  Then it runs
+``WARMUP_PAIRS`` untimed pairs and N timed pairs of passes, parent first
+in even pairs and change first in odd ones, and checks every pass's
+outputs against that tree's ``perfbench/reference.json``.
 
 Prints each tree's median pass time and interquartile range, the median
 of the paired differences (change minus parent) and the number of pairs the
@@ -35,6 +35,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 LABELS = ("parent", "change")
+WARMUP_PAIRS = 3
 
 
 def _purge() -> None:
@@ -47,7 +48,7 @@ def _purge() -> None:
 class Tree:
     """One source tree's built workload, its reference and its checks."""
 
-    def __init__(self, root: Path, workload: str, seed: int, size: str):
+    def __init__(self, root: Path, workload: str, seed: int):
         paths = [str(root / "src"), str(root / "perfbench")]
         _purge()
         sys.path[:0] = paths
@@ -61,8 +62,8 @@ class Tree:
             raise RuntimeError(f"twoscalepop loaded from {package}, not from {root}")
         _purge()
         self.workloads = workloads
-        self.workload = workloads.build(workload, seed, size)
-        self.reference = workloads.load_reference(workload, seed, size)
+        self.workload = workloads.build(workload, seed, "full")
+        self.reference = workloads.load_reference(workload, seed, "full")
         self.failed: list[str] = []
 
     def one_pass(self, out_root: Path) -> float:
@@ -90,29 +91,27 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--passes", type=int, required=True, help="timed pairs")
-    parser.add_argument("--warmup", type=int, default=3, help="untimed pairs first")
-    parser.add_argument("--size", choices=("full", "small"), default="full")
     args = parser.parse_args(argv)
     if args.passes < 2:
         parser.error("--passes must be at least 2")
 
     roots = (args.parent.resolve(), args.tree.resolve())
-    trees = {label: Tree(root, args.workload, args.seed, args.size)
+    trees = {label: Tree(root, args.workload, args.seed)
              for label, root in zip(LABELS, roots)}
     walls: dict[str, list[float]] = {label: [] for label in LABELS}
     scratch = Path(tempfile.mkdtemp(prefix="paired-passes-"))
     try:
-        for pair in range(args.warmup + args.passes):
+        for pair in range(WARMUP_PAIRS + args.passes):
             order = LABELS if pair % 2 == 0 else LABELS[::-1]
             for label in order:
                 wall = trees[label].one_pass(scratch / f"{label}-{pair}")
-                if pair >= args.warmup:
+                if pair >= WARMUP_PAIRS:
                     walls[label].append(wall)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
     print(f"{args.workload} seed {args.seed}, {args.passes} pairs after "
-          f"{args.warmup} warm-up pairs (ms per pass)")
+          f"{WARMUP_PAIRS} warm-up pairs (ms per pass)")
     for label, root in zip(LABELS, roots):
         median, iqr = _spread(walls[label])
         print(f"  {label:<6} median {median * 1e3:.3f}  IQR {iqr * 1e3:.3f}  ({root})")
