@@ -43,9 +43,16 @@ COMPLETE_HEADER = ("t", "k", "x1_1", "x1_2", "x2_1", "x2_2", "x3_1", "x3_2",
                    "y1", "y2", "y3")
 REDUCED_HEADER = ("t", "y1", "y2", "y3")
 
-_CONFIG_SECTIONS = ("model", "params", "dispersal", "run", "init")
 _PARAM_KEYS = ("s1_1", "s1_2", "s2_1", "s2_2", "s3_1", "s3_2",
                "phi_1", "phi_2", "c_1", "c_2", "d_1", "d_2")
+# section -> its known keys; sections are checked for unknown keys in this order
+_CONFIG_KEYS = {
+    "model": ("variant",),
+    "params": _PARAM_KEYS,
+    "dispersal": ("v1_1", "v2_1", "v3_1", "mixing"),
+    "run": ("k_list", "horizon", "tail", "seed"),
+    "init": ("x",),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +86,6 @@ def _as_int(value, field: str) -> int:
     return value
 
 
-def _reject_unknown(table: dict, section: str, known) -> None:
-    extra = set(table.get(section, {})) - set(known)
-    if extra:
-        raise ConfigError(section, f"unknown keys: {sorted(extra)}")
-
-
 def load_config(path) -> ScenarioConfig:
     """Read and validate one run config file."""
     path = Path(path)
@@ -94,19 +95,15 @@ def load_config(path) -> ScenarioConfig:
         raise IOFailureError(path, f"cannot read config: {err}") from err
     table = parse_config_text(text, source=path.name)
 
-    unknown = set(table) - set(_CONFIG_SECTIONS)
+    unknown = set(table) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError("config", f"unknown sections: {sorted(unknown)}")
-    model = table.get("model", {})
-    params_sec = table.get("params", {})
-    dispersal = table.get("dispersal", {})
-    run = table.get("run", {})
-    init = table.get("init", {})
-    _reject_unknown(table, "model", ("variant",))
-    _reject_unknown(table, "params", _PARAM_KEYS)
-    _reject_unknown(table, "dispersal", ("v1_1", "v2_1", "v3_1", "mixing"))
-    _reject_unknown(table, "run", ("k_list", "horizon", "tail", "seed"))
-    _reject_unknown(table, "init", ("x",))
+    for section, known in _CONFIG_KEYS.items():
+        extra = set(table.get(section, {})) - set(known)
+        if extra:
+            raise ConfigError(section, f"unknown keys: {sorted(extra)}")
+    model, params_sec, dispersal, run, init = (table.get(section, {})
+                                               for section in _CONFIG_KEYS)
 
     if "variant" not in model:
         raise ConfigError("model.variant", "required")
@@ -501,13 +498,12 @@ def _verdicts_fig10(summaries: list[RunSummary]) -> list[Verdict]:
     summary = summaries[0]
     tail = summary.reduced_tail
     alternation = float(np.max(np.abs(tail[2:] - tail[:-2]))) if len(tail) > 2 else np.inf
-    phase_gap = float(np.max(np.abs(tail[-1] - tail[-2])))
+    phase_gap = float(np.max(np.abs(tail[-1] - tail[-2]))) if len(tail) > 1 else np.inf
     is_cycle = alternation < analysis.RESIDUAL_BOUND and phase_gap > 1e-6
-    out = [Verdict(
-        "reduced tail alternates as a 2-cycle",
-        is_cycle,
-        f"alternation residual {alternation:.3e}, phase gap {phase_gap:.3e}",
-    )]
+    detail = f"alternation residual {alternation:.3e}, phase gap {phase_gap:.3e}"
+    if len(tail) < 3:
+        detail += f"; a {len(tail)}-state tail is too short to show a 2-cycle"
+    out = [Verdict("reduced tail alternates as a 2-cycle", is_cycle, detail)]
 
     reduced_totals = _tail_totals(summary.reduced_tail)
     scale = float(np.mean(reduced_totals))

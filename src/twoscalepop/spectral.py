@@ -7,8 +7,6 @@ use the 1-norm.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -22,50 +20,6 @@ POWER_ITERATION_MAX = 10**5
 DIAGNOSIS_OK = "ok"
 DIAGNOSIS_NOT_STOCHASTIC = "not_stochastic"
 DIAGNOSIS_REDUCIBLE_OR_PERIODIC = "reducible_or_periodic"
-
-
-@dataclass(frozen=True)
-class StochasticMatrix:
-    """A validated primitive column-stochastic matrix.
-
-    ``ensure_primitive`` returns its entries without testing them again,
-    so the functions that validate through it (``perron_vector``,
-    ``power_limit``, ``rescaled_power_limit``, ...) reuse the verdict.
-
-    Parameters
-    ----------
-    entries : ndarray
-        Square nonnegative matrix whose columns each sum to 1 within
-        ``COLUMN_SUM_TOL``.
-
-    Raises
-    ------
-    NotStochasticError
-        If a column sum deviates or an entry falls outside [0, 1].
-    ReducibleOrPeriodicError
-        If the matrix fails the primitivity test.
-    """
-
-    entries: NDArray[np.float64]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           ensure_primitive(np.array(self.entries, dtype=float)))
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class RescaledLimit:
-    """Limit data of (S^(1/k) M)^k as k grows.
-
-    ``limit_matrix`` is gamma * (v outer 1), rank one by construction.
-    """
-
-    gamma: float
-    limit_matrix: NDArray[np.float64]
 
 
 def is_primitive_stochastic(matrix) -> str:
@@ -96,8 +50,6 @@ def is_primitive_stochastic(matrix) -> str:
 def ensure_primitive(matrix, *, stack: bool = False) -> NDArray[np.float64]:
     """Entries of a validated primitive stochastic matrix; a stack
     (..., r, r) only with ``stack=True``."""
-    if isinstance(matrix, StochasticMatrix):
-        return matrix.entries
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 and not stack:
         raise ValueError("expected a square matrix")
@@ -196,10 +148,8 @@ def block_diag(*blocks) -> NDArray[np.float64]:
 
 def _survival_entries(survivals) -> NDArray[np.float64]:
     s = np.asarray(survivals, dtype=float)
-    if s.ndim == 2:
-        if not np.array_equal(s, np.diag(np.diag(s)), equal_nan=True):
-            raise ValueError("survival matrix must be diagonal")
-        s = np.diag(s)
+    if s.ndim != 1:
+        raise ValueError("survival rates must be a vector")
     # written so that a NaN survival fails it too
     if not np.all(s > 0.0):
         raise NonpositiveSurvivalError("survival rates must be strictly positive")
@@ -207,9 +157,9 @@ def _survival_entries(survivals) -> NDArray[np.float64]:
 
 
 def rescaled_power(survivals, matrix, k: int) -> NDArray[np.float64]:
-    """(S^(1/k) M)^k with the k-th root taken as exp(log(s)/k).
+    """(S^(1/k) M)^k with the k-th root taken as exp(log(s)/k), for S the
+    diagonal matrix of ``survivals``.
 
-    ``survivals`` may be the diagonal entries or the diagonal matrix itself.
     For k = 1 this is exactly S M.
     """
     if k < 1:
@@ -220,8 +170,9 @@ def rescaled_power(survivals, matrix, k: int) -> NDArray[np.float64]:
     return np.linalg.matrix_power(root[:, None] * m, k)
 
 
-def rescaled_power_limit(survivals, matrix) -> RescaledLimit:
-    """Rank-one limit of (S^(1/k) M)^k for diagonal S.
+def rescaled_power_limit(survivals, matrix) -> NDArray[np.float64]:
+    """Rank-one limit of (S^(1/k) M)^k for S the diagonal matrix of
+    ``survivals``: gamma * v * 1^T.
 
     gamma = exp(sum_a log(s_a) v_a), the v-weighted geometric mean of the
     survival rates.
@@ -229,7 +180,7 @@ def rescaled_power_limit(survivals, matrix) -> RescaledLimit:
     s = _survival_entries(survivals)
     v = _perron(ensure_primitive(matrix))
     gamma = float(np.exp(np.log(s) @ v))
-    return RescaledLimit(gamma=gamma, limit_matrix=gamma * np.outer(v, np.ones(v.size)))
+    return gamma * np.outer(v, np.ones(v.size))
 
 
 def spectral_radius(matrix) -> float:

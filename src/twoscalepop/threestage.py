@@ -301,10 +301,12 @@ def _with_kernel(kernel: Callable,
 def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     """The complete family H_k, its limit H and the lift T of one variant.
 
-    Everything constant is built once here: the dispersal blocks (each
-    validated once, as a ``spectral.StochasticMatrix``), the powered
-    dispersal matrix per k (on first use), the limit dispersal operator and
-    the Perron spread vectors (times gamma_i when rescaled).
+    Everything constant is built once here: the dispersal blocks, the
+    powered dispersal matrix per k (on first use), the limit dispersal
+    operator and the Perron spread vectors (times gamma_i when rescaled).
+    ``ThreeStageParams`` bounds every migration rate inside (0, 1), and
+    ``spectral.power_limit``/``rescaled_power_limit`` test each block once
+    more as they form its limit block.
     H_k and H have one form, built by one constructor over their dispersal
     operator: one dispersal product followed by the closed-form demography
     over its ten structural nonzeros; no 6x6 demography matrix is built.
@@ -327,14 +329,13 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    # validated once: the limits below reuse the verdict of each block
-    mats = [spectral.StochasticMatrix(m) for m in dispersal_matrices(params)]
-    base = spectral.block_diag(*(m.entries for m in mats))
+    mats = dispersal_matrices(params)
+    base = spectral.block_diag(*mats)
     survivals = params.survivals.ravel()  # (stage, patch) matches the state order
     if variant == VARIANT_SLOW:
         limit_blocks = [spectral.power_limit(m) for m in mats]
     else:
-        limit_blocks = [spectral.rescaled_power_limit(params.survivals[i], m).limit_matrix
+        limit_blocks = [spectral.rescaled_power_limit(params.survivals[i], m)
                         for i, m in enumerate(mats)]
     # each column of a limit block is v_i (gamma_i v_i when rescaled)
     sp1a, sp1b, sp2a, sp2b, sp3a, sp3b = np.concatenate(

@@ -36,7 +36,7 @@ def test_criterion_1_rescaled_limit_convergence():
         m = rng.random((r, r)) + 0.05
         m /= m.sum(axis=0, keepdims=True)
         s = rng.uniform(0.2, 0.95, r)
-        limit = spectral.rescaled_power_limit(s, m).limit_matrix
+        limit = spectral.rescaled_power_limit(s, m)
         e128 = np.linalg.norm(spectral.rescaled_power(s, m, 128) - limit, 1)
         e2048 = np.linalg.norm(spectral.rescaled_power(s, m, 2048) - limit, 1)
         assert e2048 < 1e-2, f"gap at k=2048 is {e2048:.3e}"

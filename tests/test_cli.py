@@ -196,14 +196,26 @@ def test_load_config_rejects_unknown_names(tmp_path):
         cli.load_config(write_config(tmp_path, CONFIG_TEXT + "\n[extra]\nz = 1\n"))
     with pytest.raises(ConfigError, match="unknown"):
         cli.load_config(write_config(tmp_path, CONFIG_TEXT + "\n[model2]\n"))
-    bad_key = CONFIG_TEXT.replace("tail = 5", "tial = 5")
-    with pytest.raises(ConfigError, match="unknown"):
-        cli.load_config(write_config(tmp_path, bad_key))
     # runs always have three stages and two patches: no key sets them
     for key in ("stages = 3", "patches = 2"):
         text = CONFIG_TEXT.replace('variant = "slow_survival"', f'variant = "slow_survival"\n{key}')
         with pytest.raises(ConfigError, match="unknown keys"):
             cli.load_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize("section, line", [
+    ("model", 'variant = "slow_survival"'),
+    ("params", "s1_1 = 0.5"),
+    ("dispersal", "v1_1 = 0.3"),
+    ("run", "tail = 5"),
+    ("init", "x = [0.02, 0.02, 0.05, 0.05, 0.02, 0.02]"),
+])
+def test_load_config_names_the_section_of_an_unknown_key(tmp_path, section, line):
+    text = CONFIG_TEXT.replace(line, f"{line}\ntial = 5")
+    with pytest.raises(ConfigError) as err:
+        cli.load_config(write_config(tmp_path, text))
+    assert err.value.field == section
+    assert str(err.value) == f"{section}: unknown keys: ['tial']"
 
 
 def test_load_config_rejects_out_of_range_values(tmp_path):
@@ -390,6 +402,18 @@ def test_run_builtin_fig10_fast(tmp_path, capsys):
     _, reduced_rows = read_csv(run_dir / "reduced.csv")
     assert len(reduced_rows) == 6
     capsys.readouterr()
+
+
+def test_run_fig10_with_a_one_state_tail_fails_its_cycle_verdict(tmp_path, capsys):
+    # --tail 1 is valid, but a 2-cycle needs three tail states to show
+    out = tmp_path / "o"
+    assert cli.main(["run", "fig10", "--fast", "--tail", "1", "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert "Traceback" not in printed.out + printed.err
+    verdict = next(line for line in printed.out.splitlines() if "2-cycle" in line)
+    assert verdict.strip().startswith("reduced tail alternates as a 2-cycle: FAIL")
+    assert "phase gap inf" in verdict and "too short" in verdict
+    assert verdict in (out / "fig10" / "summary.txt").read_text()
 
 
 def test_run_sec42_compare_fast(tmp_path, capsys):

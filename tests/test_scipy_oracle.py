@@ -76,7 +76,7 @@ def _operator_blocks(params):
     mats = [spectral.ensure_primitive(m) for m in threestage.dispersal_matrices(params)]
     yield "dispersal", mats
     yield "slow limit", [spectral.power_limit(m) for m in mats]
-    yield "rescaled limit", [spectral.rescaled_power_limit(params.survivals[i], m).limit_matrix
+    yield "rescaled limit", [spectral.rescaled_power_limit(params.survivals[i], m)
                              for i, m in enumerate(mats)]
     model = threestage.make_model(params)
     ones = np.ones(model.patches)

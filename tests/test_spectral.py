@@ -13,22 +13,22 @@ from conftest import random_stochastic
 
 def test_rejects_columns_that_do_not_sum_to_one():
     with pytest.raises(NotStochasticError):
-        spectral.StochasticMatrix(np.array([[0.6, 0.3], [0.5, 0.7]]))
+        spectral.ensure_primitive(np.array([[0.6, 0.3], [0.5, 0.7]]))
 
 
 def test_rejects_negative_entries():
     with pytest.raises(NotStochasticError):
-        spectral.StochasticMatrix(np.array([[1.2, 0.0], [-0.2, 1.0]]))
+        spectral.ensure_primitive(np.array([[1.2, 0.0], [-0.2, 1.0]]))
 
 
 def test_rejects_periodic_matrix():
     with pytest.raises(ReducibleOrPeriodicError):
-        spectral.StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        spectral.ensure_primitive(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_rejects_reducible_matrix():
     with pytest.raises(ReducibleOrPeriodicError):
-        spectral.StochasticMatrix(np.eye(3))
+        spectral.ensure_primitive(np.eye(3))
 
 
 def test_diagnosis_strings():
@@ -73,11 +73,13 @@ def test_rescaled_power_limit_structure():
     s = rng.uniform(0.2, 0.9, 3)
     lim = spectral.rescaled_power_limit(s, m)
     v = spectral.perron_vector(m)
-    assert lim.gamma == pytest.approx(float(np.prod(s ** v)), abs=1e-12)
-    assert np.allclose(lim.limit_matrix, lim.gamma * np.outer(v, np.ones(3)), atol=1e-14)
+    # gamma * v * 1^T: equal columns gamma v, gamma the v-weighted
+    # geometric mean of the survivals
+    assert np.array_equal(lim, np.repeat(lim[:, :1], 3, axis=1))
+    assert lim[:, 0] / v == pytest.approx(np.full(3, np.prod(s ** v)), abs=1e-12)
     # powers approach the limit
-    e128 = np.linalg.norm(spectral.rescaled_power(s, m, 128) - lim.limit_matrix, 1)
-    e2048 = np.linalg.norm(spectral.rescaled_power(s, m, 2048) - lim.limit_matrix, 1)
+    e128 = np.linalg.norm(spectral.rescaled_power(s, m, 128) - lim, 1)
+    e2048 = np.linalg.norm(spectral.rescaled_power(s, m, 2048) - lim, 1)
     assert e2048 < e128
     assert e2048 < 1e-2
 
@@ -92,8 +94,15 @@ def test_rescaled_powers_reject_nonpositive_or_nan_survival(bad, position):
         spectral.rescaled_power(s, m, 2)
     with pytest.raises(NonpositiveSurvivalError):
         spectral.rescaled_power_limit(s, m)
-    with pytest.raises(NonpositiveSurvivalError):
-        spectral.rescaled_power(np.diag(s), m, 2)
+
+
+def test_rescaled_powers_take_survivals_as_a_vector():
+    m = np.array([[0.7, 0.4], [0.3, 0.6]])
+    for survivals in (np.diag([0.5, 0.8]), np.full((2, 2), 0.5), 0.5):
+        with pytest.raises(ValueError, match="must be a vector"):
+            spectral.rescaled_power(survivals, m, 2)
+        with pytest.raises(ValueError, match="must be a vector"):
+            spectral.rescaled_power_limit(survivals, m)
 
 
 def test_spectral_radius_known_values():
@@ -153,7 +162,7 @@ def test_only_perron_vector_takes_a_stack():
     # stack's leading axis as a dimension
     stack = np.array([[[0.7, 0.4], [0.3, 0.6]]] * 2)
     assert spectral.perron_vector(stack).shape == (2, 2)
-    for consume in (spectral.StochasticMatrix, spectral.power_limit,
+    for consume in (spectral.ensure_primitive, spectral.power_limit,
                     spectral.subdominant_modulus,
                     lambda m: spectral.rescaled_power([0.5, 0.9], m, 3),
                     lambda m: spectral.rescaled_power_limit([0.5, 0.9], m)):
