@@ -10,9 +10,11 @@ otherwise, and as the test oracle, the Python kernel steps.
 
 ``iterate_tail``'s whole repeat schedule up to the tail is one call to the
 loop (``Stepper.orbit``), as is a batch of starts (``Stepper.many``).
-A checked run (given an admissibility bound) stops at the first state
-that is not finite, nonnegative and at most the bound; the C loop tests
-each state after storing it and before the next step, as Python does.
+A checked run stops at the first state outside the admissible set: finite,
+nonnegative, coordinates at most ``BOX_BOUND``.  The C loop tests each
+state after storing it and before the next step, as Python does.  Both
+steppers read the one ``BOX_BOUND`` here, and ``aggregation`` binds a
+stepper for each call that steps a map, keeping none on the map.
 
 Nothing happens at import.  On first use the C source is compiled with the
 system ``cc`` into ``$XDG_CACHE_HOME/twoscalepop/<sha256>.so`` (default
@@ -46,6 +48,7 @@ _SHAPES = {COMPLETE: (6, 30), REDUCED: (3, 12), LOCAL: (3, 6)}  # (state, consta
 _RAN, _MATCHED_FIRST, _MATCHED_SECOND, _FAILS, _INADMISSIBLE = 0, 1, 2, 3, 4
 
 NATIVE = "native"
+BOX_BOUND = 1e9  # the admissible set's bound on every coordinate
 SOURCE = Path(__file__).with_name("_native.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
@@ -74,6 +77,17 @@ def dispersal_entries(a: np.ndarray) -> list[float]:
     row.  Every operator here is a ``block_diag`` of three 2x2 blocks or a
     power of one, so each entry off the blocks is a sum of exact zeros."""
     return a[_ROWS, _COLS].tolist()
+
+
+def _require_admissible(x, step: int) -> None:
+    """Raise ``DomainExitError`` at ``step`` unless ``x`` is admissible."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainExitError("state has a non-finite coordinate", step=step, state=x)
+    if np.any(x < 0.0):
+        raise DomainExitError("state left the nonnegative orthant", step=step, state=x)
+    if np.any(x > BOX_BOUND):
+        raise DomainExitError("state exceeded the box bound", step=step, state=x)
 
 
 # process-wide state, settled on first use: (library, path or reason)
@@ -176,16 +190,15 @@ class Stepper:
 
     ``kernel`` is the map's Python float kernel: when the loop reports that
     a step fails, the kernel replays that step to raise its exact error.
-    With ``bound`` set the stepper is checked: a run stops at the first
-    state that is not finite, nonnegative and at most ``bound``, and
-    ``reject(state, step)`` raises its error; an error the kernel's replay
-    raises without a step is stamped with it.  Steps count from the run's
-    start.  ``orbit`` runs unchecked.  ``many`` replays each row whose run
-    fails through ``advance``, to raise that row's own error.
+    A ``checked`` stepper stops a run at the first state outside the
+    admissible set under the ``BOX_BOUND`` of its binding and raises
+    ``_require_admissible``'s error; an error the kernel's replay raises
+    without a step is stamped with it.  Steps count from the run's start.
+    ``orbit`` runs unchecked.  ``many`` replays each row whose run fails
+    through ``advance``, to raise that row's own error.
     """
 
-    def __init__(self, spec: Spec, kernel: Callable, bound: Optional[float] = None,
-                 reject: Optional[Callable[[tuple, int], None]] = None):
+    def __init__(self, spec: Spec, kernel: Callable, checked: bool = False):
         lib = _library()[0]
         self._advance, self._orbit = lib.twoscale_advance, lib.twoscale_orbit
         self._many = lib.twoscale_many
@@ -196,8 +209,7 @@ class Stepper:
         self._period = ctypes.c_int64()
         self._status = ctypes.c_int()
         self._kernel = kernel
-        self._bound = None if bound is None else (ctypes.c_double * 1)(bound)
-        self._reject = reject
+        self._bound = (ctypes.c_double * 1)(BOX_BOUND) if checked else None
 
     def _finish(self, taken: int) -> tuple:
         x = tuple(self._x[:])  # a list first: much faster than iterating the array
@@ -212,7 +224,7 @@ class Stepper:
             raise RuntimeError("the compiled step failed where the Python kernel "
                                f"does not, after {taken} steps from the run's start")
         if status == _INADMISSIBLE:
-            self._reject(x, taken)
+            _require_admissible(x, taken)
             raise RuntimeError(f"the compiled check refused step {taken}, "
                                "which the Python check admits")
         return x

@@ -28,7 +28,6 @@ from .solvers import fd_jacobian
 Vector = NDArray[np.float64]
 StateMap = Callable[[Vector], Vector]
 
-BOX_BOUND = 1e9
 SAMPLE_SEED = 42  # seeds the ball samples and the instability directions
 ATTRACTION_HORIZON = 10**5  # attraction_check's default horizon
 
@@ -55,10 +54,11 @@ class TwoScaleSystem:
 
         When ``complete_map`` offers ``for_k``, H_k is ``complete_map.for_k(k)``,
         with whatever float kernel (``.kernel``) and compiled form
-        (``.native``) that map carries; ``threestage`` builds each H_k once
-        and returns the same map for the same k.  Otherwise H_k calls
-        ``complete_map(k, x)`` and carries neither, so a wrapper that
-        replaces ``complete_map`` is called on every step.
+        (``.native``) that map carries; ``threestage`` builds each H_k's
+        dispersal power once and returns the same map for the same k.  The
+        map holds no stepping state, so threads may step it at once.
+        Otherwise H_k calls ``complete_map(k, x)`` and carries neither, so
+        a wrapper that replaces ``complete_map`` is called on every step.
         """
         if k < 1:
             raise ValueError("k must be a positive integer")
@@ -129,42 +129,24 @@ def default_radius(center) -> float:
     return 0.05 * scale if scale > 0.0 else 0.05
 
 
-def _require_admissible(x, step: int) -> None:
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainExitError("state has a non-finite coordinate", step=step, state=x)
-    if np.any(x < 0.0):
-        raise DomainExitError("state left the nonnegative orthant", step=step, state=x)
-    if np.any(x > BOX_BOUND):
-        raise DomainExitError("state exceeded the box bound", step=step, state=x)
-
-
-def _float_kernel(map_fn: StateMap) -> Callable[[tuple], tuple]:
-    """The kernel ``map_fn`` carries as ``.kernel``, else one over its array form."""
-    kernel = getattr(map_fn, "kernel", None)
-    if kernel is not None:
-        return kernel
-    return lambda x: tuple(np.asarray(map_fn(np.array(x)), dtype=float).tolist())
-
-
 def _as_floats(x) -> tuple:
     return tuple(np.asarray(x, dtype=float).tolist())
 
 
-def iterate(map_fn: StateMap, x0, steps: int) -> list[Vector]:
-    """Orbit segment [X0, map(X0), ..., map^steps(X0)].
+def iterate(map_fn: StateMap, x0, steps: int) -> Vector:
+    """Orbit segment [X0, map(X0), ..., map^steps(X0)] as a (steps + 1, dim) array.
 
     Raises DomainExitError as soon as an iterate leaves the admissible set
-    (nonnegative orthant, coordinates at most BOX_BOUND, finite).
+    (nonnegative orthant, coordinates at most ``_native.BOX_BOUND``, finite).
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     x = np.asarray(x0, dtype=float)
-    _require_admissible(x, 0)
-    rows = np.empty((steps, x.size))
-    start = _as_floats(x)
-    _stepper(map_fn, checked=True).rows(start, rows)
-    return [x, *rows]
+    _native._require_admissible(x, 0)
+    orbit = np.empty((steps + 1, x.size))
+    orbit[0] = x
+    _stepper(map_fn, checked=True).rows(_as_floats(x), orbit[1:])
+    return orbit
 
 
 class _KernelStepper:
@@ -185,12 +167,12 @@ class _KernelStepper:
 
     A ``checked`` stepper's ``advance`` and ``rows`` raise
     ``DomainExitError`` at the first state outside the admissible set
-    (finite, nonnegative, coordinates at most BOX_BOUND).  The float test
-    fails exactly when ``_require_admissible`` raises -- a finite sum means
-    finite coordinates, and coordinates at most BOX_BOUND cannot overflow
-    it -- so the array check runs only then, to raise its message.  An
-    error the kernel raises without a step is stamped with it.  Steps count
-    from the run's start.  ``orbit`` runs unchecked.
+    (finite, nonnegative, coordinates at most ``_native.BOX_BOUND``).  The
+    float test fails exactly when ``_native._require_admissible`` raises --
+    a finite sum means finite coordinates, and coordinates at most the
+    bound cannot overflow it -- so the array check runs only then, to raise
+    its message.  An error the kernel raises without a step is stamped with
+    it.  Steps count from the run's start.  ``orbit`` runs unchecked.
 
     ``_native.Stepper`` is the same primitive on the compiled loop, and
     this one is its oracle and fallback.
@@ -225,7 +207,7 @@ class _KernelStepper:
         return images, errors
 
     def _run(self, x: tuple, n: int, out: Optional[Vector]) -> tuple:
-        step, checked = self.step, self.checked
+        step, checked, bound = self.step, self.checked, _native.BOX_BOUND
         t = 0
         try:
             for t in range(1, n + 1):
@@ -233,8 +215,8 @@ class _KernelStepper:
                 if out is not None:
                     out[t - 1] = x
                 if checked and not (math.isfinite(sum(x)) and min(x) >= 0.0
-                                    and max(x) <= BOX_BOUND):
-                    _require_admissible(x, t)
+                                    and max(x) <= bound):
+                    _native._require_admissible(x, t)
         except DomainExitError as err:
             if checked and err.step is None:
                 err.step = t
@@ -274,38 +256,29 @@ def stepping_path(map_fn: StateMap) -> str:
     return _native.NATIVE if lib is not None else f"python: {reason}"
 
 
-def _bind(kernel: Callable[[tuple], tuple], spec: Optional[_native.Spec], checked: bool):
+def _stepper(map_fn: StateMap, checked: bool = False):
+    """A new stepping primitive for ``map_fn``: ``_native.Stepper`` when the
+    map has a compiled form (``.native``) and the compiled loop is
+    available, else ``_KernelStepper`` on its float kernel (``.kernel``, or
+    one over the map's array form).
+
+    Each call binds its own stepper, and the map keeps none, so threads
+    stepping one map at once never share a stepper's buffers.  Binding a
+    compiled stepper takes a few microseconds, next to the milliseconds
+    of the orbits and batches it steps.
+    """
+    kernel = getattr(map_fn, "kernel", None)
+    if kernel is None:
+        kernel = lambda x: tuple(np.asarray(map_fn(np.array(x)), dtype=float).tolist())
+    spec = getattr(map_fn, "native", None)
     if spec is not None and _native._library()[0] is not None:
-        return _native.Stepper(spec, kernel, BOX_BOUND if checked else None, _require_admissible)
+        return _native.Stepper(spec, kernel, checked)
     return _KernelStepper(kernel, checked, None if spec is None else _native._SHAPES[spec.kind][0])
 
 
-def _stepper(map_fn: StateMap, checked: bool = False):
-    """``map_fn``'s stepping primitive: ``_native.Stepper`` when the map has
-    a compiled form (``.native``) and the compiled loop is available, else
-    ``_KernelStepper`` on its float kernel.
-
-    A map with a compiled form and a float kernel (``.kernel``) keeps its
-    steppers as ``._steppers``, one per checked flag, for the life of the
-    map, so one compiled stepper serves every call on that map
-    (``threestage`` builds each H_k once).  The library and BOX_BOUND are
-    settled before the first stepper is bound and do not change within a
-    process.  Neither the kernel nor the form refers back to the map, so
-    the steppers go when the map does.  Any other map is bound afresh.
-    """
-    kernel = getattr(map_fn, "kernel", None)
-    spec = getattr(map_fn, "native", None)
-    if kernel is None or spec is None:
-        return _bind(_float_kernel(map_fn), spec, checked)
-    steppers = vars(map_fn).setdefault("_steppers", {})
-    if checked not in steppers:
-        steppers[checked] = _bind(kernel, spec, checked)
-    return steppers[checked]
-
-
-def _power(map_fn: StateMap, m: int, checked: bool = False) -> Callable[[Vector], Vector]:
-    """x -> map^m(x) as an array, through ``map_fn``'s primitive bound once."""
-    stepper = _stepper(map_fn, checked)
+def _power(map_fn: StateMap, m: int) -> Callable[[Vector], Vector]:
+    """x -> map^m(x) as an array, unchecked, through one stepper bound here."""
+    stepper = _stepper(map_fn)
 
     def apply(x) -> Vector:
         return np.array(stepper.advance(_as_floats(x), m))
@@ -318,7 +291,7 @@ def images(map_fn: StateMap, starts, m: int,
     """Each row of ``starts`` stepped ``m`` times by ``map_fn``, as one batch.
 
     Returns ``(images, errors)`` as ``_KernelStepper.many`` does: each row
-    equals ``_power(map_fn, m, checked)`` of its start bit for bit, or
+    equals ``_stepper(map_fn, checked).advance(start, m)`` bit for bit, or
     ``errors`` holds the package error that call raises.  On the compiled
     loop the whole batch is one call.  ``starts`` that do not form a 2-D
     array raise ValueError on either path, and a batch of no rows comes
@@ -579,15 +552,10 @@ def attraction_check(sys: TwoScaleSystem, trap: TrapSpec, x0,
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     _check_center(sys, trap)
-    m = trap.period
     out: dict[int, AttractionVerdict] = {}
-    x0 = np.asarray(x0, dtype=float)
-    _require_admissible(x0, 0)
-    start = _as_floats(x0)
-    rows = np.empty((horizon, x0.size))  # H_k^1(X0) ... H_k^horizon(X0), reused per k
     for k in trap.k_values:
-        _stepper(sys.complete(k), checked=True).rows(start, rows)
-        dists = _distances(rows[::m], trap.center)
+        # one orbit at a time: it goes once its distances are taken
+        dists = _distances(iterate(sys.complete(k), x0, horizon)[1::trap.period], trap.center)
         entry: Optional[int] = None
         for n in range(len(dists) - 1, -1, -1):
             if dists[n] >= trap.radius:

@@ -567,7 +567,8 @@ def build_verdicts(name: str, summaries: list[RunSummary]) -> list[Verdict]:
 def run_command(args) -> int:
     target = args.scenario
     path = Path(target)
-    if target.endswith(".toml") or path.is_file():
+    user_config = target.endswith(".toml") or path.is_file()
+    if user_config:
         config = load_config(path)
         scenario = Scenario(name=config.name, description="user config file",
                             configs=(config,))
@@ -591,7 +592,8 @@ def run_command(args) -> int:
         written.extend(write_outputs(summary, out_dir, prefix))
         summaries.append(summary)
 
-    verdicts = build_verdicts(scenario.name, summaries)
+    # a user config named like a built-in scenario is still a user config
+    verdicts = [] if user_config else build_verdicts(scenario.name, summaries)
     text = render_summary(scenario, summaries, verdicts, fast=args.fast)
     summary_path = out_dir / "summary.txt"
     try:

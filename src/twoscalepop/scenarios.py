@@ -70,13 +70,14 @@ class ScenarioConfig:
 
     def with_overrides(self, fast: bool = False, tail: Optional[int] = None,
                        seed: Optional[int] = None) -> "ScenarioConfig":
+        tail = self.tail if tail is None else tail
         horizon = self.horizon
-        if fast:
-            horizon = max(horizon // FAST_DIVISOR, self.tail + 1, 10)
+        if fast:  # keep the horizon above the tail the run will use
+            horizon = max(horizon // FAST_DIVISOR, tail + 1, 10)
         return replace(
             self,
             horizon=horizon,
-            tail=self.tail if tail is None else tail,
+            tail=tail,
             seed=self.seed if seed is None else seed,
         )
 

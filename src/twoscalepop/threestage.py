@@ -317,15 +317,17 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     Every map carries its float kernel as ``.kernel`` (tuple of floats in,
     tuple of floats out), and H_k and H carry their compiled form as
     ``.native``.  ``complete_map.for_k(k)`` gives H_k, built on first use
-    and kept per k; it is what ``TwoScaleSystem.complete`` returns.  The
-    dispersal product is formed in plain floats from the operator's twelve
-    block entries: rows 0-3 as ``a0*x0 + a1*x1``, rows 4-5 as
-    ``fma(a8, x4, a9*x5)`` with the second product rounded first.  The
-    compiled form packs those entries and the demography constants for
-    ``_native``'s C loop, which forms the product with the same operations,
-    so both give the same bytes on any CPU.  That rounding is also what
-    OpenBLAS's SkylakeX gemv gives, so the ``metapop`` oracle's BLAS
-    products agree on such a kernel.  Nothing is compiled here.
+    and kept per k; it is what ``TwoScaleSystem.complete`` returns.  A map
+    holds nothing else: ``aggregation`` binds a new stepper for each call
+    that steps it.  The dispersal product is formed in plain floats from
+    the operator's twelve block entries: rows 0-3 as ``a0*x0 + a1*x1``,
+    rows 4-5 as ``fma(a8, x4, a9*x5)`` with the second product rounded
+    first.  The compiled form packs those entries and the demography
+    constants for ``_native``'s C loop, which forms the product with the
+    same operations, so both give the same bytes on any CPU.  That rounding
+    is also what OpenBLAS's SkylakeX gemv gives, so the ``metapop``
+    oracle's BLAS products agree on such a kernel.  Nothing is compiled
+    here.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -512,10 +514,6 @@ def reduced_map(params: ThreeStageParams, variant: str,
 
     return _with_kernel(kernel, _native.Spec(_native.REDUCED, (
         s1, s2, s3, b, w11, w12, slope11, slope12, w21, w22, slope21, slope22)))
-
-
-def reduced_step(params: ThreeStageParams, variant: str, y) -> Vector:
-    return reduced_map(params, variant)(y)
 
 
 def inherent_R0(params: ThreeStageParams, variant: str) -> float:

@@ -42,7 +42,7 @@ def test_complete_requires_positive_k():
 
 def test_iterate_returns_full_orbit_segment():
     orbit = aggregation.iterate(lambda x: 0.5 * x, np.ones(2), 4)
-    assert len(orbit) == 5
+    assert orbit.shape == (5, 2) and orbit.dtype == np.float64
     assert np.allclose(orbit[-1], np.full(2, 0.0625))
 
 

@@ -380,6 +380,32 @@ def test_run_tail_override(tmp_path):
     assert rows[-1][0] == "300"
 
 
+@pytest.mark.parametrize("name", ("fig2.toml", "sec42_compare.toml"))
+def test_a_user_config_named_like_a_scenario_gets_no_verdicts(tmp_path, capsys, name):
+    # the built-in verdicts read runs the file does not make: fig2's need
+    # isolated-patch runs, sec42_compare's a rescaled run
+    out = tmp_path / "o"
+    assert cli.main(["run", str(write_config(tmp_path, name=name)), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "verdicts:\n  (none declared for user configs)\nresult: PASS\n" in printed
+    assert "Traceback" not in printed
+    assert (out / name[:-len(".toml")] / "summary.txt").read_text() in printed
+
+
+def test_fast_keeps_the_horizon_above_the_tail_given(tmp_path, capsys):
+    config = scenarios.builtin("fig10").configs[0]
+    assert (config.horizon, config.tail) == (10_000, 6)
+    fast = config.with_overrides(fast=True)
+    assert (fast.horizon, fast.tail) == (100, 6)  # no --tail: as before
+    fast = config.with_overrides(fast=True, tail=200)
+    assert (fast.horizon, fast.tail) == (201, 200)
+    out = tmp_path / "o"
+    assert cli.main(["run", "fig10", "--fast", "--tail", "200", "--out", str(out)]) != cli.EXIT_CONFIG
+    _, rows = read_csv(out / "fig10" / "reduced.csv")
+    assert [row[0] for row in rows] == [str(t) for t in range(2, 202)]
+    capsys.readouterr()
+
+
 def test_run_seed_flag_accepted(tmp_path):
     config_path = write_config(tmp_path)
     assert cli.main(["run", str(config_path), "--out", str(tmp_path / "s"),

@@ -5,12 +5,11 @@ paths and compares bytes, exceptions and repeat reports.
 """
 import ctypes
 import dataclasses
-import gc
 import struct
 import os
 import subprocess
 import sys
-import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -255,11 +254,9 @@ def test_a_box_exit_raises_alike(native_lib, fig3_params, monkeypatch):
     hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
     # at the shipped bound only a first step leaves the box, from near it
     big = np.array([0.0, 0.0, 2e8, 6.4e8, 8.2e8, 9.4e8])
-    for x0, bound, step in ((big, aggregation.BOX_BOUND, 1),
+    for x0, bound, step in ((big, _native.BOX_BOUND, 1),
                             (1e-4 * _X0, *_box_exit_bound(hk, 1e-4 * _X0))):
-        monkeypatch.setattr(aggregation, "BOX_BOUND", bound)
-        # a map keeps its steppers, and so the bound they were bound under
-        hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
+        monkeypatch.setattr(_native, "BOX_BOUND", bound)
         err = _raised(lambda: aggregation.iterate(hk, x0, 50))
         assert str(err) == "state exceeded the box bound" and err.step == step
         assert _same_error(err, _raised(lambda: aggregation.iterate(python_only(hk), x0, 50)))
@@ -285,27 +282,6 @@ def test_the_replay_must_raise(native_lib, fig2_params):
     stepper = _native.Stepper(reduced.native, lambda x: x)  # a kernel that never fails
     with pytest.raises(RuntimeError, match="compiled step failed"):
         stepper.advance((-10.0, 0.1, 0.0), 5)
-
-
-def test_a_dropped_system_frees_its_steppers_at_once(native_lib, fig2_params):
-    # a stepper is kept on its map and refers to nothing that refers back,
-    # so no reference cycle holds the steppers (and their kernels' arrays)
-    # until the cyclic collector runs
-    system = threestage.make_system(fig2_params, VARIANT_SLOW)
-    starts = np.tile(_X0, (4, 1))
-    maps = (system.complete(10), system.limit_map)
-    for map_fn in maps:
-        images(map_fn, starts, 2)
-        images(map_fn, starts, 2, checked=True)
-    held = [weakref.ref(_stepper(map_fn, checked))
-            for map_fn in maps for checked in (False, True)]
-    held += [weakref.ref(map_fn.kernel) for map_fn in maps]
-    gc.disable()
-    try:
-        del system, maps, map_fn
-        assert [ref() for ref in held] == [None] * len(held)
-    finally:
-        gc.enable()
 
 
 def test_maps_sharing_a_compiled_form_replay_their_own_kernels(native_lib, fig2_params):
@@ -458,11 +434,11 @@ def test_ball_samples_around_the_origin_step_natively_alike(native_lib, fig2_par
 
 
 def _per_row(map_fn, starts, m, checked=False):
-    """(images, errors) of ``_power`` called on each start alone."""
-    power, out, errors = _power(map_fn, m, checked), {}, {}
+    """(images, errors) of ``m`` steps from each start alone."""
+    stepper, out, errors = _stepper(map_fn, checked), {}, {}
     for i, x in enumerate(starts):
         try:
-            out[i] = power(x)
+            out[i] = stepper.advance(aggregation._as_floats(x), m)
         except Exception as err:
             errors[i] = err
     return out, errors
@@ -554,10 +530,9 @@ def test_a_batch_raises_each_rows_own_error(native_lib, fig2_params, fig3_params
     # reduced map: under a lowered box, row 1 leaves it at a step of at
     # least 3 (checked); row 3 leaves the orthant at step 1 (checked), and
     # unchecked meets the pole at step 2.  The origin is fixed
-    bound, step = _box_exit_bound(threestage.reduced_map(fig2_params, VARIANT_SLOW), 1e-4 * _Y0)
-    monkeypatch.setattr(aggregation, "BOX_BOUND", bound)
-    # a map keeps its steppers, and so the bound they were bound under
     reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
+    bound, step = _box_exit_bound(reduced, 1e-4 * _Y0)
+    monkeypatch.setattr(_native, "BOX_BOUND", bound)
     starts = np.array([np.zeros(3), 1e-4 * _Y0, np.zeros(3), [-10.0, 0.1, 0.0]])
     for checked in (False, True):
         expected = _per_row(python_only(reduced), starts, step + 2, checked)
@@ -570,12 +545,11 @@ def test_a_batch_raises_each_rows_own_error(native_lib, fig2_params, fig3_params
             assert isinstance(expected[1][3], NegativeDensityError)
         _same_batch(images(reduced, starts, step + 2, checked), expected)
         # the compiled batch replays rows 1 and 3 to raise their errors
-        compiled = _native.Stepper(reduced.native, reduced.kernel,
-                                   bound if checked else None, aggregation._require_admissible)
+        compiled = _native.Stepper(reduced.native, reduced.kernel, checked)
         _same_batch(compiled.many(starts, step + 2), expected)
         _same_batch(_KernelStepper(reduced.kernel, checked).many(starts, step + 2), expected)
     # H_5 in the compiled loop: a box exit at step 1 and an overflow
-    monkeypatch.setattr(aggregation, "BOX_BOUND", 1e9)
+    monkeypatch.undo()  # the shipped bound again
     hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
     starts = np.array([_X0, [0.0, 0.0, 2e8, 6.4e8, 8.2e8, 9.4e8], np.full(6, 1.7e308), _X0])
     batch = images(hk, starts, 4, checked=True)
@@ -613,23 +587,29 @@ def test_each_harness_batch_is_one_compiled_call(native_lib, monkeypatch):
     assert spy.calls == ["twoscale_many"] * (1 + 5)
 
 
-def test_one_map_binds_one_compiled_stepper(native_lib, monkeypatch, fig2_params):
-    built = []
+def test_threads_stepping_one_map_get_the_serial_bytes(native_lib, fig3_params):
+    # each call binds its own stepper and the map keeps none, so threads
+    # stepping one H_k at once (the compiled loop releases the GIL) share
+    # nothing they write.  fig3's orbits drift, so each tail is one long call
+    hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(10)
+    starts = [scale * _X0 for scale in np.linspace(0.5, 1.5, 8)]
 
-    class Counted(_native.Stepper):
-        def __init__(self, *args):
-            built.append(args[0])
-            super().__init__(*args)
+    def work(i):
+        return (iterate_tail(hk, starts[i], 20_000, 8)[0],
+                images(hk, np.roll(starts, i, axis=0), 200, checked=i % 2 == 1)[0])
 
-    monkeypatch.setattr(_native, "Stepper", Counted)
-    system = threestage.make_system(fig2_params, VARIANT_SLOW)
-    starts = np.random.default_rng(5).uniform(0.0, 0.1, (8, 6))
-    python = python_only(system.complete(10))
-    expected = {checked: _per_row(python, starts, 3, checked) for checked in (False, True)}
-    # complete(10) gives the same map each time, so it keeps its steppers
-    for checked in (False, False, False, True, True):
-        _same_batch(images(system.complete(10), starts, 3, checked), expected[checked])
-    assert len(built) == 2  # one unchecked, one checked
+    serial = [work(i) for i in range(len(starts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more switches between the threads' calls
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(16):
+                threaded = pool.map(work, range(len(starts)), timeout=60)
+                for i, (tail, batch) in enumerate(threaded):
+                    assert _same_bits(tail, serial[i][0]) and _same_bits(batch, serial[i][1]), i
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(vars(hk)) == {"kernel", "native"}  # stepping left nothing on the map
 
 
 @pytest.mark.parametrize("variant", (VARIANT_SLOW, VARIANT_RESCALED))

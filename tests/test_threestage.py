@@ -123,15 +123,6 @@ def test_local_coefficients_give_the_isolated_patch_map(fig10_params):
             assert np.allclose(step(y), expected, rtol=1e-14, atol=1e-16)
 
 
-def test_reduced_map_matches_reduced_step(fig10_params):
-    rng = np.random.default_rng(8)
-    for variant in ("slow_survival", "rescaled"):
-        step = threestage.reduced_map(fig10_params, variant)
-        for _ in range(5):
-            y = rng.uniform(0.0, 0.5, 3)
-            assert np.array_equal(step(y), threestage.reduced_step(fig10_params, variant, y))
-
-
 KERNEL_STATES = 20_000
 
 
@@ -265,7 +256,7 @@ def test_reduced_matrix_drives_the_map(fig2_params):
     co = threestage.reduced_coefficients(fig2_params, "slow_survival")
     y = np.array([0.11, 0.07, 0.02])
     via_matrix = threestage.reduced_matrix(co, float(y[1])) @ y
-    direct = threestage.reduced_step(fig2_params, "slow_survival", y)
+    direct = threestage.reduced_map(fig2_params, "slow_survival")(y)
     assert np.max(np.abs(via_matrix - direct)) < 1e-15
 
 

@@ -9,6 +9,9 @@ checkout holding this script), each tree importing twoscalepop from its own
 - full-horizon ``twoscalepop run NAME`` for fig2, fig3, fig10 and
   sec42_compare, comparing the output directories with ``diff -r``, the
   exit codes and stdout;
+- ``twoscalepop run example.toml``, README's example config (taken from
+  TREE's README.md and written as ``example.toml`` into each work
+  directory), compared the same way, so the config-file path is covered;
 - ``twoscalepop check``, comparing stdout and the exit code.
 
 Each is done twice: with the environment as it is (so the compiled loop
@@ -28,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 SCENARIOS = ("fig2", "fig3", "fig10", "sec42_compare")
+EXAMPLE = "example.toml"
 DESCRIBE = "from twoscalepop import _native; print(_native.describe())"
 
 
@@ -48,21 +52,32 @@ def _run(args: list[str], env: dict, cwd: Path) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def _compare(trees: dict[str, Path], scratch: Path, with_cc: bool) -> list[str]:
+def _readme_example(tree: Path) -> str:
+    """The example config under README's "Config files" heading."""
+    readme = (tree / "README.md").read_text()
+    return readme.split("## Config files", 1)[1].split("```toml\n", 1)[1].split("```", 1)[0]
+
+
+def _compare(trees: dict[str, Path], scratch: Path, with_cc: bool, example: str) -> list[str]:
     """Differences between the two trees in one environment, one line each."""
     mode = "cc" if with_cc else "no cc"
     envs, dirs = {}, {}
     for label, tree in trees.items():
         dirs[label] = scratch / label
         dirs[label].mkdir()
+        (dirs[label] / EXAMPLE).write_text(example)
         envs[label] = _env(tree, dirs[label], with_cc)
         path = _run(["-c", DESCRIBE], envs[label], dirs[label]).stdout.strip()
         print(f"[{mode}] {label} steps on: {path}")
 
     differences = []
-    commands = [(name, ["-m", "twoscalepop.cli", "run", name, "--out", "out"])
-                for name in SCENARIOS] + [("check", ["-m", "twoscalepop.cli", "check"])]
-    for name, args in commands:
+    # (label, arguments, output directory under out/, if any); a config
+    # file's outputs land in out/<its stem>
+    run = ["-m", "twoscalepop.cli", "run"]
+    commands = [(name, [*run, name, "--out", "out"], name) for name in SCENARIOS]
+    commands += [(EXAMPLE, [*run, EXAMPLE, "--out", "out"], Path(EXAMPLE).stem),
+                 ("check", ["-m", "twoscalepop.cli", "check"], None)]
+    for name, args, out in commands:
         parent, change = (_run(args, envs[label], dirs[label]) for label in trees)
         same = True
         if parent.returncode != change.returncode:
@@ -71,8 +86,8 @@ def _compare(trees: dict[str, Path], scratch: Path, with_cc: bool) -> list[str]:
         if parent.stdout != change.stdout:
             differences.append(f"[{mode}] {name}: stdout differs")
             same = False
-        if name != "check":
-            diff = subprocess.run(["diff", "-r", *(str(dirs[label] / "out" / name)
+        if out is not None:
+            diff = subprocess.run(["diff", "-r", *(str(dirs[label] / "out" / out)
                                                    for label in trees)],
                                   capture_output=True, text=True)
             if diff.returncode != 0:
@@ -94,11 +109,12 @@ def main(argv=None) -> int:
             parser.error(f"{label} tree {tree} has no src/twoscalepop")
     if shutil.which("cc") is None:
         print("note: no cc on PATH, so both environments step orbits in Python")
+    example = _readme_example(trees["change"])
     differences = []
     for with_cc in (True, False):
         scratch = Path(tempfile.mkdtemp(prefix="same-outputs-"))
         try:
-            differences += _compare(trees, scratch, with_cc)
+            differences += _compare(trees, scratch, with_cc, example)
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
     for line in differences:
