@@ -29,7 +29,7 @@ from .errors import (
 from .metapop import VARIANT_RESCALED, VARIANT_SLOW, VARIANTS
 from .solvers import fd_jacobian, newton_fixed_point
 from .spectral import spectral_radius
-from .threestage import ThreeStageParams, bifurcation_from_coefficients, coefficients_from_fractions
+from .threestage import ThreeStageParams, coefficients_from_fractions
 
 Vector = NDArray[np.float64]
 ScalarMap = Callable[[Vector], Vector]
@@ -234,7 +234,7 @@ def dispersal_search_survival(params: ThreeStageParams, target: str,
     s = params.survivals
     phi = params.fertilities
     v3 = float(params.fraction_table()[2, 0])
-    r0_local = [threestage.local_quantities(params, a)[0] for a in range(2)]
+    r0_local = [threestage.local_coefficients(params, a).r0 for a in range(2)]
     stages_23_match = (abs(s[1, 0] - s[1, 1]) <= 1e-12 and abs(s[2, 0] - s[2, 1]) <= 1e-12)
     hypothesis = False
     if stages_23_match:
@@ -253,7 +253,7 @@ def dispersal_search_survival(params: ThreeStageParams, target: str,
             co = coefficients_from_fractions(
                 params.survivals, params.fertilities, params.crowding_c,
                 params.crowding_d, (v1, v2, v3), variant)
-            value = bifurcation_from_coefficients(co).r0 - 1.0
+            value = co.r0 - 1.0
             if (value > 0.0) if target == TARGET_RESCUE else (value < 0.0):
                 cells.append(((float(v1), float(v2)), float(value)))
     return _search_result(cells, max if target == TARGET_RESCUE else min,
@@ -341,23 +341,23 @@ ORDER_TIED = "tied"
 class VariantComparison:
     r0_slow: float
     r0_rescaled: float
-    a_minus_slow: float
-    a_minus_rescaled: float
     ordering: str
     extinction_flip: bool
 
 
-def compare_variants(params: ThreeStageParams, data: Optional[dict] = None) -> VariantComparison:
-    """Reproduction numbers and cycle coefficients of both survival timings.
+def compare_variants(params: ThreeStageParams,
+                     coefficients: Optional[dict] = None) -> VariantComparison:
+    """Reproduction numbers of both survival timings and how they order.
 
     extinction_flip marks parameter sets whose reproduction numbers straddle
-    1, so the timing of survival alone decides persistence.  ``data``, when
-    given, must map both variants to their ``threestage.BifurcationData``;
-    a caller that already holds them passes them instead of deriving them
-    again.
+    1, so the timing of survival alone decides persistence.
+    ``coefficients``, when given, must map both variants to their
+    ``threestage.reduced_coefficients``; a caller that already holds them
+    passes them instead of deriving them again.
     """
-    data = data or {variant: threestage.bifurcation_data(params, variant) for variant in VARIANTS}
-    slow, resc = data[VARIANT_SLOW], data[VARIANT_RESCALED]
+    coefficients = coefficients or {variant: threestage.reduced_coefficients(params, variant)
+                                    for variant in VARIANTS}
+    slow, resc = coefficients[VARIANT_SLOW], coefficients[VARIANT_RESCALED]
     if abs(resc.r0 - slow.r0) <= 1e-12:
         ordering = ORDER_TIED
     elif resc.r0 < slow.r0:
@@ -373,8 +373,6 @@ def compare_variants(params: ThreeStageParams, data: Optional[dict] = None) -> V
     return VariantComparison(
         r0_slow=slow.r0,
         r0_rescaled=resc.r0,
-        a_minus_slow=slow.a_minus,
-        a_minus_rescaled=resc.a_minus,
         ordering=ordering,
         extinction_flip=bool((slow.r0 - 1.0) * (resc.r0 - 1.0) < 0.0),
     )

@@ -33,7 +33,7 @@ from .errors import (
 from .metapop import VARIANT_RESCALED, VARIANT_SLOW, VARIANTS
 from .scenarios import Scenario, ScenarioConfig
 from .solvers import fd_jacobian
-from .threestage import BifurcationData, ReducedCoefficients, ThreeStageParams
+from .threestage import ReducedCoefficients, ThreeStageParams
 
 EXIT_OK = 0
 EXIT_VERDICT_FAILED = 1
@@ -201,12 +201,11 @@ def _run_trajectory(step: Callable, x0, horizon: int,
     return tail, repeat, path
 
 
-def _cycle_seed(co: ReducedCoefficients, data: BifurcationData):
-    """First-order synchronous-cycle point, when the branch exists; ``data``
-    is ``threestage.bifurcation_from_coefficients(co)``."""
-    if data.a_minus <= 0.0 or data.r0 <= 1.0:
+def _cycle_seed(co: ReducedCoefficients):
+    """First-order synchronous-cycle point, when the branch exists."""
+    if co.a_minus <= 0.0 or co.r0 <= 1.0:
         return None
-    eps = (1.0 - data.r0) * (1.0 - co.s2 * co.s3) / data.c_w  # c_w < 0, so eps > 0 here
+    eps = (1.0 - co.r0) * (1.0 - co.s2 * co.s3) / co.c_w  # c_w < 0, so eps > 0 here
     return np.array([0.0, eps * co.s1, 0.0])
 
 
@@ -241,24 +240,26 @@ def detect_orbit(step: Callable, endpoint, cycle_seed=None):
         return None, f"orbit search failed: {err}"
 
 
-def _scalar_table(params: ThreeStageParams, variant: str, variants: dict[str, BifurcationData],
-                  local: list[tuple[ReducedCoefficients, BifurcationData]]) -> dict[str, float]:
-    """The bifurcation scalars of the run ``variant``, of both ``variants``
-    and of each isolated patch (``local``: its coefficients and scalars)."""
-    data = variants[variant]
-    comparison = analysis.compare_variants(params, variants)
+def _scalar_table(params: ThreeStageParams, variant: str,
+                  coefficients: dict[str, ReducedCoefficients],
+                  local: list[ReducedCoefficients]) -> dict[str, float]:
+    """The bifurcation scalars of the run ``variant``, read from the
+    coefficients of both variants (``coefficients``) and of each isolated
+    patch (``local``)."""
+    co = coefficients[variant]
+    comparison = analysis.compare_variants(params, coefficients)
     out = {
-        "r0": data.r0,
-        "c_within": data.c_w,
-        "c_between": data.c_b,
-        "a_plus": data.a_plus,
-        "a_minus": data.a_minus,
+        "r0": co.r0,
+        "c_within": co.c_w,
+        "c_between": co.c_b,
+        "a_plus": co.a_plus,
+        "a_minus": co.a_minus,
         "r0_slow": comparison.r0_slow,
         "r0_rescaled": comparison.r0_rescaled,
     }
-    for patch, (_, patch_data) in enumerate(local):
-        out[f"r0_local_{patch + 1}"] = patch_data.r0
-        out[f"a_minus_local_{patch + 1}"] = patch_data.a_minus
+    for patch, patch_co in enumerate(local):
+        out[f"r0_local_{patch + 1}"] = patch_co.r0
+        out[f"a_minus_local_{patch + 1}"] = patch_co.a_minus
     if params.is_patch_homogeneous():
         out["synchrony_rescue_feasible"] = float(
             analysis.synchrony_feasibility_predicate(params))
@@ -269,18 +270,15 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
     """Simulate the reduced and complete systems and identify their orbits.
 
     Each constant of the reduction is derived once per call and passed to
-    every helper that reads it: the run variant's coefficients, both
-    variants' bifurcation scalars and each isolated patch's coefficients.
+    every helper that reads it: one coefficient record per variant and
+    one per isolated patch, each carrying its bifurcation scalars.
     Nothing is kept between calls.
     """
     params, variant = config.params, config.variant
     system = threestage.make_system(params, variant)
     coefficients = {other: threestage.reduced_coefficients(params, other) for other in VARIANTS}
     co = coefficients[variant]
-    variants = {other: threestage.bifurcation_from_coefficients(c)
-                for other, c in coefficients.items()}
-    local = [(c, threestage.bifurcation_from_coefficients(c))
-             for c in (threestage.local_coefficients(params, patch) for patch in (0, 1))]
+    local = [threestage.local_coefficients(params, patch) for patch in (0, 1)]
     reduced_step = threestage.reduced_map(params, variant, co)
     x0 = config.initial_state
     y0 = metapop.aggregate(x0, threestage.PATCHES)
@@ -297,8 +295,7 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
 
     orbit_reports: dict[str, Optional[OrbitReport]] = {}
     orbit_notes: dict[str, str] = {}
-    report, note = detect_orbit(reduced_step, reduced_tail[-1],
-                                _cycle_seed(co, variants[variant]))
+    report, note = detect_orbit(reduced_step, reduced_tail[-1], _cycle_seed(co))
     orbit_reports["reduced"] = report
     orbit_notes["reduced"] = note
 
@@ -311,7 +308,7 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
              stepping[f"local_{patch + 1}"]) = _run_trajectory(
                 local_step, x0[patch::2], config.horizon, tail)
             report, note = detect_orbit(local_step, local_tails[patch][-1],
-                                        _cycle_seed(*local[patch]))
+                                        _cycle_seed(local[patch]))
             orbit_reports[f"local_{patch + 1}"] = report
             orbit_notes[f"local_{patch + 1}"] = note
         if same:
@@ -333,7 +330,7 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
         local_tails=local_tails,
         orbit_reports=orbit_reports,
         orbit_notes=orbit_notes,
-        scalars=_scalar_table(params, variant, variants, local),
+        scalars=_scalar_table(params, variant, coefficients, local),
         convergence=convergence,
         repeats=repeats,
         stepping=stepping,

@@ -7,6 +7,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _native
 from .errors import ConfigError
 from .metapop import VARIANT_RESCALED, VARIANT_SLOW, VARIANTS
 from .threestage import PATCHES, STAGES, ThreeStageParams
@@ -64,16 +65,17 @@ class ScenarioConfig:
         x0 = np.asarray(self.initial_state, dtype=float)
         if x0.shape != (STAGES * PATCHES,):
             raise ConfigError("init.x", f"need {STAGES * PATCHES} components")
-        if not np.all(np.isfinite(x0)) or np.any(x0 < 0.0):
-            raise ConfigError("init.x", "components must be finite and >= 0")
+        # NaN fails both comparisons, so this also rejects every non-finite value
+        if not np.all((x0 >= 0.0) & (x0 <= _native.BOX_BOUND)):
+            raise ConfigError("init.x", f"components must lie in [0, {_native.BOX_BOUND:g}]")
         object.__setattr__(self, "initial_state", x0)
 
     def with_overrides(self, fast: bool = False, tail: Optional[int] = None,
                        seed: Optional[int] = None) -> "ScenarioConfig":
         tail = self.tail if tail is None else tail
         horizon = self.horizon
-        if fast:  # keep the horizon above the tail the run will use
-            horizon = max(horizon // FAST_DIVISOR, tail + 1, 10)
+        if fast:  # keep the horizon above the tail the run will use, never lengthen it
+            horizon = min(max(horizon // FAST_DIVISOR, tail + 1, 10), horizon)
         return replace(
             self,
             horizon=horizon,

@@ -392,7 +392,8 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
 
 @dataclass(frozen=True)
 class ReducedCoefficients:
-    """Aggregated rates and density responses of the 3-dimensional map."""
+    """Aggregated rates, density responses and bifurcation scalars of the
+    3-dimensional map."""
 
     variant: str
     s1: float
@@ -404,6 +405,13 @@ class ReducedCoefficients:
     h2_terms: tuple[float, float, float, float]
     h1_prime0: float
     h2_prime0: float
+    # branch stability just above R0 = b s1 / (1 - s2 s3) = 1: a± = c_w ± c_b,
+    # and a_minus's sign separates equilibrium from synchronous-cycle stability
+    r0: float
+    c_w: float
+    c_b: float
+    a_plus: float
+    a_minus: float
 
     def h1(self, y2: float) -> float:
         return _response_sum(self.h1_terms, y2)
@@ -461,8 +469,12 @@ def coefficients_from_fractions(survivals, fertilities, crowding_c, crowding_d,
     h2 = _h_terms(h2_w, h2_slopes, h2_scale)
     h1p = -float((birth_w * h1_slopes).sum()) / b
     h2p = -float((h2_w * h2_slopes).sum()) / h2_scale
+    c_w = (1.0 - s2 * s3) * s1 * h1p
+    c_b = s1 * s2 * s3 * (1.0 - s3) * h2p
     return ReducedCoefficients(variant=variant, s1=s1, s2=s2, s3=s3, b=b,
-                               h1_terms=h1, h2_terms=h2, h1_prime0=h1p, h2_prime0=h2p)
+                               h1_terms=h1, h2_terms=h2, h1_prime0=h1p, h2_prime0=h2p,
+                               r0=b * s1 / (1.0 - s2 * s3), c_w=c_w, c_b=c_b,
+                               a_plus=c_w + c_b, a_minus=c_w - c_b)
 
 
 def reduced_coefficients(params: ThreeStageParams, variant: str) -> ReducedCoefficients:
@@ -518,7 +530,7 @@ def reduced_map(params: ThreeStageParams, variant: str,
 
 def inherent_R0(params: ThreeStageParams, variant: str) -> float:
     """Net reproduction number b s1 / (1 - s2 s3) of the reduced map at 0."""
-    return bifurcation_data(params, variant).r0
+    return reduced_coefficients(params, variant).r0
 
 
 def local_rates(params: ThreeStageParams, patch: int) -> tuple[float, ...]:
@@ -560,45 +572,6 @@ def local_coefficients(params: ThreeStageParams, patch: int) -> ReducedCoefficie
     )
 
 
-def local_quantities(params: ThreeStageParams, patch: int) -> tuple[float, float]:
-    """(R0, a_minus) of the isolated patch.
-
-    a_minus = -(1 - s2 s3) s1 c + s1 s2 s3 (1 - s3) d; its sign separates
-    single-patch equilibrium stability from synchronous-cycle stability.
-    """
-    data = bifurcation_from_coefficients(local_coefficients(params, patch))
-    return data.r0, data.a_minus
-
-
-@dataclass(frozen=True)
-class BifurcationData:
-    """Scalar quantities deciding branch stability just above R0 = 1."""
-
-    variant: str
-    r0: float
-    c_w: float
-    c_b: float
-    a_plus: float
-    a_minus: float
-
-
-def bifurcation_from_coefficients(co: ReducedCoefficients) -> BifurcationData:
-    c_w = (1.0 - co.s2 * co.s3) * co.s1 * co.h1_prime0
-    c_b = co.s1 * co.s2 * co.s3 * (1.0 - co.s3) * co.h2_prime0
-    return BifurcationData(
-        variant=co.variant,
-        r0=co.b * co.s1 / (1.0 - co.s2 * co.s3),
-        c_w=c_w,
-        c_b=c_b,
-        a_plus=c_w + c_b,
-        a_minus=c_w - c_b,
-    )
-
-
-def bifurcation_data(params: ThreeStageParams, variant: str) -> BifurcationData:
-    return bifurcation_from_coefficients(reduced_coefficients(params, variant))
-
-
 @dataclass(frozen=True)
 class BranchPrediction:
     """First-order branch points emerging from the extinction equilibrium.
@@ -620,13 +593,12 @@ def branch_prediction(params: ThreeStageParams, variant: str, epsilon: float) ->
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     co = reduced_coefficients(params, variant)
-    data = bifurcation_from_coefficients(co)
     gap = 1.0 - co.s2 * co.s3
     return BranchPrediction(
         epsilon=epsilon,
-        r0_equilibrium=1.0 - data.a_plus * epsilon / gap,
+        r0_equilibrium=1.0 - co.a_plus * epsilon / gap,
         equilibrium=epsilon * np.array([gap, co.s1, co.s1 * co.s2]),
-        r0_cycle=1.0 - data.c_w * epsilon / gap,
+        r0_cycle=1.0 - co.c_w * epsilon / gap,
         cycle_active_phase=epsilon * np.array([0.0, co.s1, 0.0]),
         cycle_rest_phase=epsilon * np.array([gap, 0.0, co.s1 * co.s2]),
     )

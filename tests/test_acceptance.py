@@ -55,9 +55,9 @@ def test_criterion_2_fig10_reproduction():
 def test_criterion_3_fig2_reproduction():
     params = scenarios.fig2_params()
     for patch in (0, 1):
-        _, a_local = threestage.local_quantities(params, patch)
+        a_local = threestage.local_coefficients(params, patch).a_minus
         assert abs(a_local - 0.25) < 1e-12
-    a_bar = threestage.bifurcation_data(params, "slow_survival").a_minus
+    a_bar = threestage.reduced_coefficients(params, "slow_survival").a_minus
     assert abs(a_bar - (-0.15625)) < 1e-12
 
     t0 = time.perf_counter()
@@ -70,9 +70,9 @@ def test_criterion_3_fig2_reproduction():
 def test_criterion_4_fig3_reproduction():
     params = scenarios.fig3_params()
     for patch in (0, 1):
-        _, a_local = threestage.local_quantities(params, patch)
+        a_local = threestage.local_coefficients(params, patch).a_minus
         assert abs(a_local - (-0.03125)) < 1e-12
-    a_bar = threestage.bifurcation_data(params, "slow_survival").a_minus
+    a_bar = threestage.reduced_coefficients(params, "slow_survival").a_minus
     assert abs(a_bar - 0.0048828125) < 1e-12
 
     # closed-form feasibility comparison behind the coupled 2-cycle
@@ -105,21 +105,20 @@ def test_criterion_5_branch_residuals():
         params = threestage.ThreeStageParams.from_fractions(
             np.column_stack([s, s]), (phi, phi), (c, c), (d, d), v)
         variant = VARIANTS[i % 2]
-        data = threestage.bifurcation_data(params, variant)
         co = threestage.reduced_coefficients(params, variant)
         gap = 1.0 - co.s2 * co.s3
 
         eq_ratios, cyc_ratios = [], []
         for eps in eps_grid:
             on_eq = threestage.with_inherent_r0(
-                params, variant, 1.0 - data.a_plus * eps / gap)
+                params, variant, 1.0 - co.a_plus * eps / gap)
             pred = threestage.branch_prediction(on_eq, variant, eps)
             step = threestage.reduced_map(on_eq, variant)
             eq_ratios.append(
                 float(np.linalg.norm(step(pred.equilibrium) - pred.equilibrium)) / eps**2)
 
             on_cycle = threestage.with_inherent_r0(
-                params, variant, 1.0 - data.c_w * eps / gap)
+                params, variant, 1.0 - co.c_w * eps / gap)
             pred = threestage.branch_prediction(on_cycle, variant, eps)
             step = threestage.reduced_map(on_cycle, variant)
             r1 = np.linalg.norm(step(pred.cycle_active_phase) - pred.cycle_rest_phase)

@@ -117,9 +117,8 @@ def test_find_two_cycle_retry_continues_the_first_burn_in(fig10_params):
 def test_find_two_cycle_on_coupled_map(fig3_params):
     # seeding at the predicted branch keeps the solver on the cycle
     co = threestage.reduced_coefficients(fig3_params, "slow_survival")
-    data = threestage.bifurcation_data(fig3_params, "slow_survival")
     gap = 1.0 - co.s2 * co.s3
-    eps = (1.0 - data.r0) * gap / data.c_w
+    eps = (1.0 - co.r0) * gap / co.c_w
     seed = threestage.branch_prediction(fig3_params, "slow_survival", eps).cycle_active_phase
     step = threestage.reduced_map(fig3_params, "slow_survival")
     report = analysis.find_two_cycle(step, seed)

@@ -229,6 +229,14 @@ def test_load_config_rejects_out_of_range_values(tmp_path):
                               "x = [0.02, 0.02]")
     with pytest.raises(ConfigError):
         cli.load_config(write_config(tmp_path, bad))
+    # above the admissible box: every orbit would be skipped as out of it
+    bad = CONFIG_TEXT.replace("x = [0.02, 0.02, 0.05, 0.05, 0.02, 0.02]",
+                              "x = [2e9, 0.02, 0.05, 0.05, 0.02, 0.02]")
+    with pytest.raises(ConfigError) as err:
+        cli.load_config(write_config(tmp_path, bad))
+    assert (err.value.field, err.value.reason) == ("init.x", "components must lie in [0, 1e+09]")
+    assert cli.main(["run", str(write_config(tmp_path, bad)),
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
 
 def test_fmt_uses_twelve_significant_digits():
@@ -403,6 +411,15 @@ def test_fast_keeps_the_horizon_above_the_tail_given(tmp_path, capsys):
     assert cli.main(["run", "fig10", "--fast", "--tail", "200", "--out", str(out)]) != cli.EXIT_CONFIG
     _, rows = read_csv(out / "fig10" / "reduced.csv")
     assert [row[0] for row in rows] == [str(t) for t in range(2, 202)]
+    # a horizon below the fast floor of 10 steps is never lengthened
+    short = CONFIG_TEXT.replace("horizon = 300\ntail = 5", "horizon = 1\ntail = 2")
+    short_path = write_config(tmp_path, short)
+    fast = cli.load_config(short_path).with_overrides(fast=True)
+    assert (fast.horizon, fast.tail) == (1, 2)
+    for flags in ([], ["--fast"]):
+        assert cli.main(["run", str(short_path), "--out", str(out), *flags]) == cli.EXIT_OK
+        _, rows = read_csv(out / "myrun" / "reduced.csv")
+        assert [row[0] for row in rows] == ["0", "1"]
     capsys.readouterr()
 
 
@@ -497,7 +514,7 @@ def test_identical_patches_reuse_patch_one(tmp_path):
     step = threestage.local_map(cfg.params, 1)
     tail, repeat = iterate_tail(step, cfg.initial_state[1::2], cfg.horizon, cfg.tail)
     co = threestage.local_coefficients(cfg.params, 1)
-    seed = cli._cycle_seed(co, threestage.bifurcation_from_coefficients(co))
+    seed = cli._cycle_seed(co)
     report, note = cli.detect_orbit(step, tail[-1], seed)
     assert summary.repeats["local_2"] == repeat
     assert _report_bits(summary.orbit_reports["local_2"]) == _report_bits(report)

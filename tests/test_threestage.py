@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from twoscalepop import _native, metapop, scenarios, threestage
 from twoscalepop.errors import DomainExitError, NegativeDensityError
+from twoscalepop.metapop import VARIANTS
 from twoscalepop.threestage import ThreeStageParams
 
 ORACLE_KS = (1, 2, 5, 10, 50, 200)
@@ -97,18 +98,33 @@ def test_inherent_reproduction_numbers(fig2_params, fig3_params):
 
 
 def test_cycle_coefficients_closed_forms(fig2_params, fig3_params):
-    f2 = threestage.bifurcation_data(fig2_params, "slow_survival")
+    f2 = threestage.reduced_coefficients(fig2_params, "slow_survival")
     assert abs(f2.a_minus - (-0.15625)) < 1e-12
     assert abs(f2.a_plus - (f2.c_w + f2.c_b)) == 0.0
-    f3 = threestage.bifurcation_data(fig3_params, "slow_survival")
+    f3 = threestage.reduced_coefficients(fig3_params, "slow_survival")
     assert abs(f3.a_minus - 0.0048828125) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig10", "extinction_flip"])
+def test_each_record_carries_its_own_bifurcation_scalars(name):
+    params = getattr(scenarios, f"{name}_params")()
+    records = [threestage.reduced_coefficients(params, variant) for variant in VARIANTS]
+    records += [threestage.local_coefficients(params, patch) for patch in (0, 1)]
+    for co in records:
+        s1, s2, s3, b = co.s1, co.s2, co.s3, co.b
+        c_w = (1.0 - s2 * s3) * s1 * co.h1_prime0
+        c_b = s1 * s2 * s3 * (1.0 - s3) * co.h2_prime0
+        assert co.r0 == b * s1 / (1.0 - s2 * s3)
+        assert (co.c_w, co.c_b) == (c_w, c_b)
+        assert (co.a_plus, co.a_minus) == (c_w + c_b, c_w - c_b)
+
+
 def test_local_quantities(fig2_params, fig3_params):
-    r0, a = threestage.local_quantities(fig2_params, 0)
+    co = threestage.local_coefficients(fig2_params, 0)
+    r0, a = co.r0, co.a_minus
     assert r0 == pytest.approx(31 / 30, abs=1e-14)
     assert abs(a - 0.25) < 1e-12
-    _, a3 = threestage.local_quantities(fig3_params, 1)
+    a3 = threestage.local_coefficients(fig3_params, 1).a_minus
     assert abs(a3 - (-0.03125)) < 1e-12
 
 
@@ -262,12 +278,11 @@ def test_reduced_matrix_drives_the_map(fig2_params):
 
 def test_branch_prediction_first_order_structure(fig2_params):
     co = threestage.reduced_coefficients(fig2_params, "slow_survival")
-    data = threestage.bifurcation_data(fig2_params, "slow_survival")
     gap = 1.0 - co.s2 * co.s3
     eps = 0.01
     pred = threestage.branch_prediction(fig2_params, "slow_survival", eps)
-    assert pred.r0_cycle == pytest.approx(1.0 - data.c_w * eps / gap, abs=1e-15)
-    assert pred.r0_equilibrium == pytest.approx(1.0 - data.a_plus * eps / gap, abs=1e-15)
+    assert pred.r0_cycle == pytest.approx(1.0 - co.c_w * eps / gap, abs=1e-15)
+    assert pred.r0_equilibrium == pytest.approx(1.0 - co.a_plus * eps / gap, abs=1e-15)
     assert np.allclose(pred.cycle_active_phase, [0.0, eps * co.s1, 0.0])
     assert np.allclose(pred.equilibrium, eps * np.array([gap, co.s1, co.s1 * co.s2]))
     zero = threestage.branch_prediction(fig2_params, "slow_survival", 0.0)

@@ -12,7 +12,8 @@ checkout holding this script), each tree importing twoscalepop from its own
 - ``twoscalepop run example.toml``, README's example config (taken from
   TREE's README.md and written as ``example.toml`` into each work
   directory), compared the same way, so the config-file path is covered;
-- ``twoscalepop check``, comparing stdout and the exit code.
+- ``twoscalepop check`` and ``twoscalepop list``, comparing stdout and the
+  exit code.
 
 Each is done twice: with the environment as it is (so the compiled loop
 steps orbits when ``cc`` is on PATH) and with ``cc`` off PATH and an empty
@@ -76,7 +77,8 @@ def _compare(trees: dict[str, Path], scratch: Path, with_cc: bool, example: str)
     run = ["-m", "twoscalepop.cli", "run"]
     commands = [(name, [*run, name, "--out", "out"], name) for name in SCENARIOS]
     commands += [(EXAMPLE, [*run, EXAMPLE, "--out", "out"], Path(EXAMPLE).stem),
-                 ("check", ["-m", "twoscalepop.cli", "check"], None)]
+                 ("check", ["-m", "twoscalepop.cli", "check"], None),
+                 ("list", ["-m", "twoscalepop.cli", "list"], None)]
     for name, args, out in commands:
         parent, change = (_run(args, envs[label], dirs[label]) for label in trees)
         same = True
