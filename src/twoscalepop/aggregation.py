@@ -133,14 +133,21 @@ def _as_floats(x) -> tuple:
     return tuple(np.asarray(x, dtype=float).tolist())
 
 
+def _require_steps(steps: int) -> None:
+    """Refuse a step count the compiled loop cannot hold, on either path."""
+    if not 0 <= steps <= _native.MAX_STEPS:
+        raise ValueError(f"steps must lie in [0, {_native.MAX_STEPS}]")
+
+
 def iterate(map_fn: StateMap, x0, steps: int) -> Vector:
     """Orbit segment [X0, map(X0), ..., map^steps(X0)] as a (steps + 1, dim) array.
 
     Raises DomainExitError as soon as an iterate leaves the admissible set
-    (nonnegative orthant, coordinates at most ``_native.BOX_BOUND``, finite).
+    (nonnegative orthant, coordinates at most ``_native.BOX_BOUND``, finite),
+    and ValueError, before any step, for ``steps`` outside
+    [0, ``_native.MAX_STEPS``].
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    _require_steps(steps)
     x = np.asarray(x0, dtype=float)
     _native._require_admissible(x, 0)
     orbit = np.empty((steps + 1, x.size))
@@ -263,9 +270,10 @@ def _stepper(map_fn: StateMap, checked: bool = False):
     one over the map's array form).
 
     Each call binds its own stepper, and the map keeps none, so threads
-    stepping one map at once never share a stepper's buffers.  Binding a
-    compiled stepper takes a few microseconds, next to the milliseconds
-    of the orbits and batches it steps.
+    stepping one map at once never share a stepper's state.  A compiled
+    stepper holds only the map's kind, packed constants, kernel and bound,
+    and passes states to the extension as tuples, so binding one costs
+    well under a microsecond.
     """
     kernel = getattr(map_fn, "kernel", None)
     if kernel is None:
@@ -295,8 +303,10 @@ def images(map_fn: StateMap, starts, m: int,
     ``errors`` holds the package error that call raises.  On the compiled
     loop the whole batch is one call.  ``starts`` that do not form a 2-D
     array raise ValueError on either path, and a batch of no rows comes
-    back as it went in.
+    back as it went in.  An ``m`` outside [0, ``_native.MAX_STEPS``] raises
+    ValueError before any step.
     """
+    _require_steps(m)
     if np.ndim(starts) != 2:
         raise ValueError("starts must form a 2-D (count, dim) array")
     return _stepper(map_fn, checked).many(starts, m)
@@ -353,9 +363,10 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
     float array, when it has none.  All give the same bytes and repeat and raise
     the same errors at the same step.  Only the tail rows become a numpy
     array.  ``map_fn`` must be deterministic and return float arrays.
+    ``steps`` outside [0, ``_native.MAX_STEPS``] raises ValueError on every
+    path, before any step: the compiled loop counts steps in int64.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    _require_steps(steps)
     if not 1 <= keep <= steps + 1:
         raise ValueError("keep must lie in [1, steps + 1]")
     x = _as_floats(x0)

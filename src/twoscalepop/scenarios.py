@@ -59,6 +59,8 @@ class ScenarioConfig:
             raise ConfigError("run.seed", "must be >= 0")
         if self.horizon < 1:
             raise ConfigError("run.horizon", "must be >= 1")
+        if self.horizon > _native.MAX_STEPS:  # the compiled loop counts steps in int64
+            raise ConfigError("run.horizon", f"must be at most {_native.MAX_STEPS}")
         # a horizon of T yields T+1 recorded states (t = 0 .. T)
         if not 1 <= self.tail <= self.horizon + 1:
             raise ConfigError("run.tail", "must lie in [1, horizon + 1]")

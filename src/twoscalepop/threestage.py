@@ -288,13 +288,35 @@ def _fma(a: float, b: float, c: float) -> float:
 def _with_kernel(kernel: Callable,
                  native: Optional[_native.Spec] = None) -> Callable[[Vector], Vector]:
     """The array map over a float kernel; the kernel rides along as
-    ``.kernel``, and its compiled form, when given, as ``.native``."""
-    def step(x) -> Vector:
+    ``.kernel``, and its compiled form, when given, as ``.native``.
+
+    The array form converts its argument to a tuple of floats for the
+    kernel and returns the image as a new float array.  A map with a
+    compiled form takes its one step in ``_native``'s extension instead
+    when the module is loaded and the argument is a 1-D C-contiguous
+    float64 array of exactly the state's length; a step the kernel would
+    refuse is replayed through the kernel, to raise its error.  Every other
+    argument takes the conversion, so every byte and every error is the
+    kernel's.
+    """
+    def converted(x) -> Vector:
         return np.array(kernel(tuple(np.asarray(x, dtype=float).tolist())))
 
-    step.kernel = kernel
-    if native is not None:
+    if native is None:
+        step = converted
+    else:
+        kind, constants, dim = native.kind, native.packed, _native._SHAPES[native.kind][0]
+
+        def step(x) -> Vector:
+            lib = _native._library()[0]
+            if lib is not None:
+                out = np.empty(dim)
+                if lib.step(kind, constants, x, out):
+                    return out
+            return converted(x)
+
         step.native = native
+    step.kernel = kernel
     return step
 
 

@@ -237,6 +237,17 @@ def test_load_config_rejects_out_of_range_values(tmp_path):
     assert (err.value.field, err.value.reason) == ("init.x", "components must lie in [0, 1e+09]")
     assert cli.main(["run", str(write_config(tmp_path, bad)),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    # a horizon past int64: the compiled loop once wrapped it and wrote the
+    # start state as the tail.  2**63 - 1 is the largest horizon loaded
+    bad = CONFIG_TEXT.replace("horizon = 300", "horizon = 9223372036854775808")
+    with pytest.raises(ConfigError) as err:
+        cli.load_config(write_config(tmp_path, bad))
+    assert (err.value.field, err.value.reason) == ("run.horizon",
+                                                   "must be at most 9223372036854775807")
+    assert cli.main(["run", str(write_config(tmp_path, bad)),
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    largest = CONFIG_TEXT.replace("horizon = 300", "horizon = 9223372036854775807")
+    assert cli.load_config(write_config(tmp_path, largest)).horizon == 2 ** 63 - 1
 
 
 def test_fmt_uses_twelve_significant_digits():

@@ -3,12 +3,12 @@
 The Python kernels are the oracle: every test steps the same orbit on both
 paths and compares bytes, exceptions and repeat reports.
 """
-import ctypes
 import dataclasses
 import struct
 import os
 import subprocess
 import sys
+import sysconfig
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -178,10 +178,9 @@ def test_brents_tortoise_wins_when_both_match(native_lib, fig2_params):
     # had one been saved earlier, it would have matched the other's state
     # when that was saved.  At step 1 both hold the fixed start of step 0
     reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
-    x, period, status = (ctypes.c_double * 3)(), ctypes.c_int64(), ctypes.c_int()
-    constants = (ctypes.c_double * 12)(*reduced.native.constants)
-    taken = native_lib.twoscale_orbit(_native.REDUCED, constants, x, 100, period, status)
-    assert (taken, period.value, status.value) == (1, 1, _native._MATCHED_FIRST)
+    state, taken, status, period = native_lib.orbit(_native.REDUCED, reduced.native.packed,
+                                                    (0.0,) * 3, 100)
+    assert (state, taken, period, status) == ((0.0,) * 3, 1, 1, _native._MATCHED_FIRST)
     start = (0.0,) * 3
     for stepper in (_native.Stepper(reduced.native, reduced.kernel),
                     _KernelStepper(reduced.kernel)):
@@ -189,7 +188,7 @@ def test_brents_tortoise_wins_when_both_match(native_lib, fig2_params):
 
 
 class _CountingLibrary:
-    """A loaded library whose functions record each call by name."""
+    """A loaded extension whose functions record each call by name."""
 
     def __init__(self, lib):
         self._lib, self.calls = lib, []
@@ -212,7 +211,7 @@ def test_a_drifting_orbit_runs_its_schedule_in_one_foreign_call(native_lib, monk
     tail, repeat = iterate_tail(hk, _X0, 20_000, 8)
     assert repeat is None
     # the orbit up to the tail, its (empty) final stretch and the tail rows
-    assert spy.calls == ["twoscale_orbit", "twoscale_advance", "twoscale_advance"]
+    assert spy.calls == ["orbit", "advance", "advance"]
     expected, _ = iterate_tail(python_only(hk), _X0, 20_000, 8)
     assert _same_bits(tail, expected)
 
@@ -520,7 +519,7 @@ def test_a_batch_with_signed_zeros_is_one_compiled_call(native_lib, monkeypatch)
     starts[2] = -0.0
     starts[3, 0] = -0.0
     batch = images(reduced, starts, 5)
-    assert spy.calls == ["twoscale_many"]
+    assert spy.calls == ["many"]
     _same_batch(batch, _per_row(python_only(reduced), starts, 5))
     assert np.signbit(batch[0][2]).all()  # the origin is fixed, -0.0 included
 
@@ -580,11 +579,11 @@ def test_each_harness_batch_is_one_compiled_call(native_lib, monkeypatch):
     ks = (1, 2, 3, 5, 10, 50, 100, 200)
     aggregation.trapping_check(system, TrapSpec(centre, aggregation.default_radius(centre),
                                                 period=50, sample_count=64, k_values=ks))
-    assert spy.calls.count("twoscale_many") == len(ks)
+    assert spy.calls.count("many") == len(ks)
     spy.calls.clear()
     samples = np.random.default_rng(3).uniform(0.0, 0.1, (16, 6))
     aggregation.convergence_table(system, samples, m=1, k_values=ks[:5])
-    assert spy.calls == ["twoscale_many"] * (1 + 5)
+    assert spy.calls == ["many"] * (1 + 5)
 
 
 def test_threads_stepping_one_map_get_the_serial_bytes(native_lib, fig3_params):
@@ -612,6 +611,124 @@ def test_threads_stepping_one_map_get_the_serial_bytes(native_lib, fig3_params):
     assert set(vars(hk)) == {"kernel", "native"}  # stepping left nothing on the map
 
 
+def _array_form_inputs(x0):
+    """(label, argument) pairs for a map whose states have ``len(x0)``
+    coordinates: the arguments the compiled step takes and every kind it
+    leaves to the conversion."""
+    dim, x0 = len(x0), np.asarray(x0, dtype=float)
+
+    def with_value(i, value):
+        x = x0.copy()
+        x[i] = value
+        return x
+
+    yield "float64", x0
+    yield "read-only float64", np.frombuffer(x0.tobytes())
+    yield "big-endian float64", x0.astype(">f8")
+    yield "list", x0.tolist()
+    yield "tuple", tuple(x0.tolist())
+    yield "int array", np.arange(dim) % 2
+    yield "float32", x0.astype(np.float32)
+    yield "strided view", np.repeat(x0, 2)[::2]
+    yield "reversed view", x0[::-1]
+    yield "(1, dim)", x0[None, :]
+    yield "(dim, 1)", x0[:, None]
+    yield "too short", x0[:-1]
+    yield "too long", np.append(x0, 0.01)
+    yield "a scalar", np.float64(0.5)
+    for value in (np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7e308):
+        yield f"{value!r} at 1", with_value(1, value)
+    yield "NaN at 0", with_value(0, np.nan)
+    # a density coordinate far below zero puts a response at its pole
+    yield "pole", with_value(2 if dim == 6 else 1, -10.0)
+    yield "past the pole in one step", with_value(0, -10.0)
+
+
+def _outcome(fn):
+    """(dtype, shape, bytes) of what fn() returns, or the exception it raises."""
+    try:
+        value = fn()
+    except Exception as err:
+        return err
+    return value.dtype.str, value.shape, value.tobytes()
+
+
+def _same_outcome(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return isinstance(a, Exception) and isinstance(b, Exception) and _same_error(a, b)
+    return a == b
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("variant", (VARIANT_SLOW, VARIANT_RESCALED))
+@pytest.mark.parametrize("loaded", (True, False))
+def test_array_forms_give_the_kernels_bytes_and_errors(request, monkeypatch, fig3_params,
+                                                      variant, loaded):
+    # the array form takes a float64 state of the right length to the
+    # compiled step and every other argument through the conversion; either
+    # way it must give what the kernel gives on the converted argument
+    if loaded:
+        spy = _CountingLibrary(request.getfixturevalue("native_lib"))
+        monkeypatch.setattr(_native, "_library_state", (spy, _native._library()[1]))
+    else:
+        monkeypatch.setattr(_native, "_library_state", (None, "no compiler"))
+    system = threestage.make_system(fig3_params, variant)
+    maps = [(f"H_{k}", system.complete(k), _X0) for k in (1, 2, 10)]
+    maps += [("limit", system.limit_map, _X0),
+             ("reduced", threestage.reduced_map(fig3_params, variant), _Y0),
+             ("local_2", threestage.local_map(fig3_params, 1), _X0[1::2])]
+    for label, map_fn, x0 in maps:
+        for case, x in _array_form_inputs(x0):
+            expected = _outcome(lambda: np.array(map_fn.kernel(
+                tuple(np.asarray(x, dtype=float).tolist()))))
+            assert _same_outcome(_outcome(lambda: map_fn(x)), expected), (label, case)
+        # chained steps of the array form, against the kernel's orbit
+        orbit, x = np.empty((200, len(x0))), x0
+        for row in orbit:
+            row[:] = x = map_fn(x)
+        expected = np.empty_like(orbit)
+        _KernelStepper(map_fn.kernel).rows(tuple(x0.tolist()), expected)
+        assert _same_bits(orbit, expected), label
+    if loaded:  # the float64 states took the compiled step
+        assert spy.calls and set(spy.calls) == {"step"}
+
+
+@pytest.mark.parametrize("compiled", (True, False))
+def test_step_counts_past_int64_raise_on_both_paths(request, monkeypatch, fig2_params, compiled):
+    # 2**63 + 2 steps once wrapped to negative counts in the compiled loop
+    # and gave the start state as the tail
+    if compiled:
+        request.getfixturevalue("native_lib")
+    else:
+        monkeypatch.setattr(_native, "_library_state", (None, "no compiler"))
+    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
+    assert stepping_path(reduced) == ("native" if compiled else "python: no compiler")
+    message = r"^steps must lie in \[0, 9223372036854775807\]$"
+    for steps in (2 ** 63 + 2, 2 ** 63, -1):
+        with pytest.raises(ValueError, match=message):
+            iterate_tail(reduced, _Y0, steps, 3)
+        with pytest.raises(ValueError, match=message):
+            aggregation.iterate(reduced, _Y0, steps)
+        with pytest.raises(ValueError, match=message):
+            images(reduced, _Y0[None, :], steps)
+    # the largest count steps, and fig2's orbit repeats long before it
+    tail, repeat = iterate_tail(reduced, _Y0, 2 ** 63 - 1, 3)
+    expected, expected_repeat = iterate_tail(python_only(reduced), _Y0, 2 ** 63 - 1, 3)
+    assert _same_bits(tail, expected) and repeat == expected_repeat is not None
+
+
+def test_the_extension_refuses_counts_it_cannot_hold(native_lib, fig2_params):
+    spec = threestage.reduced_map(fig2_params, VARIANT_SLOW).native
+    start = tuple(_Y0.tolist())
+    for n in (2 ** 63, 2 ** 64 + 5, -1):
+        with pytest.raises(ValueError, match=r"^a step count must lie in \[0, 2\*\*63 - 1\]$"):
+            native_lib.orbit(spec.kind, spec.packed, start, n)
+        with pytest.raises(ValueError, match=r"^a step count must lie in \[0, 2\*\*63 - 1\]$"):
+            native_lib.advance(spec.kind, spec.packed, start, n, None, None)
+        with pytest.raises(ValueError, match=r"^a step count must lie in \[0, 2\*\*63 - 1\]$"):
+            native_lib.many(spec.kind, spec.packed, np.zeros((1, 3)), n, None)
+
+
 @pytest.mark.parametrize("variant", (VARIANT_SLOW, VARIANT_RESCALED))
 @pytest.mark.parametrize("name", ("fig2", "fig3", "fig10"))
 def test_the_limit_map_steps_compiled_bit_for_bit(native_lib, name, variant):
@@ -637,17 +754,12 @@ def test_a_long_orbit_call_agrees_on_both_paths(native_lib, name, variant):
 
 
 def _compiled(lib, map_fn, x, n, bound=None, orbit=False):
-    """One compiled call from ``x``: (state written back, steps, status, period)."""
+    """One compiled call from ``x``: (state it hands back, steps, status, period)."""
     spec = map_fn.native
-    constants = (ctypes.c_double * len(spec.constants))(*spec.constants)
-    state = (ctypes.c_double * len(x))(*x)
-    status, period = ctypes.c_int(-1), ctypes.c_int64(-1)
     if orbit:
-        taken = lib.twoscale_orbit(spec.kind, constants, state, n, period, status)
-    else:
-        limit = None if bound is None else (ctypes.c_double * 1)(bound)
-        taken = lib.twoscale_advance(spec.kind, constants, state, n, None, limit, status)
-    return tuple(state), taken, status.value, period.value
+        return lib.orbit(spec.kind, spec.packed, x, n)
+    state, taken, status = lib.advance(spec.kind, spec.packed, x, n, None, bound)
+    return state, taken, status, None
 
 
 def _cycle_onset(kernel, x):
@@ -698,7 +810,8 @@ def test_the_c_source_compiles_without_warnings(tmp_path):
     cc = _native.shutil.which("cc")
     if cc is None:
         pytest.skip("no compiler")
-    proc = subprocess.run([cc, *_native.FLAGS, "-Wall", "-Wextra", "-Werror",
+    include = sysconfig.get_paths()["include"]
+    proc = subprocess.run([cc, *_native.FLAGS, f"-I{include}", "-Wall", "-Wextra", "-Werror",
                            "-o", str(tmp_path / "strict.so"), str(_native.SOURCE), "-lm"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -718,6 +831,7 @@ def test_the_build_flags_keep_every_operation():
     ("flags", "build failed"),
     ("compiler", "no compiler"),
     ("cache", "cache unwritable"),
+    ("headers", "no Python.h"),
 ])
 def test_a_failed_build_steps_in_python(fresh_native, monkeypatch, tmp_path,
                                         fig3_params, breakage, reason):
@@ -725,6 +839,9 @@ def test_a_failed_build_steps_in_python(fresh_native, monkeypatch, tmp_path,
         monkeypatch.setattr(_native, "FLAGS", (*_native.FLAGS, "-fno-such-flag"))
     elif breakage == "compiler":
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+    elif breakage == "headers":  # an include directory without Python.h
+        (tmp_path / "include").mkdir()
+        monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(tmp_path / "include")})
     else:
         # the cache path is a file, and no temporary directory can be made
         (tmp_path / "cache").write_text("")

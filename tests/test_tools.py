@@ -48,11 +48,34 @@ def f(a,
     assert _code_lines_module().count(source) == (13, 2)
 
 
+def test_code_lines_counts_only_c_code():
+    source = r"""/* a block comment
+ * over two lines */
+#include <math.h>
+
+// a line comment
+static const char *text = "a /* string */ with \" an escaped quote";
+static int f(int a, /* an inline comment */ int b)
+{
+    /* a comment */ return a + b;  /* trailing
+    comment over two lines */
+    char c = '"';
+
+}
+"""
+    # the include, the string, the signature, the braces, the return (its
+    # comment's second line is comment only) and the character literal
+    assert _code_lines_module().count_c(source) == 7
+
+
 def test_code_lines_reports_the_checkout():
     proc = subprocess.run([sys.executable, str(CODE_LINES)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    match = re.fullmatch(r"checkout: (\d+) code lines, (\d+) @dataclass \((.+)\)\n", proc.stdout)
+    match = re.fullmatch(r"checkout: Python (\d+) code lines, (\d+) @dataclass; "
+                         r"C (\d+) code lines \((.+)\)\n", proc.stdout)
     assert match, proc.stdout
-    assert Path(match[3]) == ROOT
-    assert (int(match[1]), int(match[2])) == _code_lines_module().count_tree(ROOT)
-    assert int(match[1]) > 0 and int(match[2]) > 0
+    assert Path(match[4]) == ROOT
+    module = _code_lines_module()
+    assert (int(match[1]), int(match[2])) == module.count_tree(ROOT)
+    assert int(match[3]) == module.count_c_tree(ROOT)
+    assert int(match[1]) > 0 and int(match[2]) > 0 and int(match[3]) > 0
