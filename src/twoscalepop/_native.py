@@ -1,24 +1,29 @@
-"""Compiled stepping loop for the threestage maps, built on first use.
+"""The one stepper and its two loops: the compiled extension and Python.
 
-``_native.c`` steps H_k, its limit H, the reduced map and the isolated-patch
-map with the same IEEE operations, in the same order, as their Python
-float kernels, so both give the same bytes.  Every orbit ``aggregation``
-steps -- ``iterate_tail``, ``iterate`` and the ball harnesses (trapping,
-attraction, instability, the convergence table) -- runs through it when
-the map carries a ``.native`` spec (a ``Spec``) and the module loads, and
-so does each call of such a map's array form on a float64 state
-(``threestage._with_kernel``); otherwise, and as the test oracle, the
-Python kernel steps.
+Every orbit ``aggregation`` steps -- ``iterate_tail``, ``iterate`` and the
+ball harnesses (trapping, attraction, instability, the convergence table)
+-- goes through ``Stepper``, which binds one loop per call:
 
-``iterate_tail``'s whole repeat schedule up to the tail is one call to the
-loop (``Stepper.orbit``), as is a batch of starts (``Stepper.many``).
-A checked run stops at the first state outside the admissible set: finite,
-nonnegative, coordinates at most ``BOX_BOUND``.  The C loop tests each
-state after storing it and before the next step, as Python does.  Both
-steppers read the one ``BOX_BOUND`` here, and ``aggregation`` binds a
-stepper for each call that steps a map, keeping none on the map.  Step
-counts lie in [0, ``MAX_STEPS``]: the loop counts in 64-bit integers, and
-the extension refuses a count it cannot hold instead of wrapping it.
+- the extension built from ``_native.c`` when the map carries a compiled
+  form (``.native``, a ``Spec``) and the module loads.  It steps H_k, its
+  limit H, the reduced map and the isolated-patch map with the same IEEE
+  operations, in the same order, as their Python float kernels;
+- otherwise the Python loop, the module-level ``orbit``, ``advance`` and
+  ``many`` below, over the map's float kernel (``.kernel``) or its array
+  form.  It is the compiled loop's oracle and its fallback.
+
+The two loops have the same calls and return the same states, step counts
+and status codes; each Python function takes a kernel where the
+extension's takes ``(kind, constants)``.  ``Stepper._finish`` is the one
+place where a status becomes an error, so both loops raise alike.
+``iterate_tail``'s whole repeat schedule up to the tail is one call
+(``orbit``), as is a batch of starts (``many``).  A checked run stops at
+the first state outside the admissible set: finite, nonnegative,
+coordinates at most ``BOX_BOUND``, tested after each state is stored and
+before the next step.  Step counts lie in [0, ``MAX_STEPS``]: the
+compiled loop counts in 64-bit integers, and the extension refuses a
+count it cannot hold instead of wrapping it.  A map's array form takes
+its one step in the extension too (``threestage._with_kernel``).
 
 Nothing happens at import.  On first use ``_native.c`` is compiled with the
 system ``cc`` and the interpreter's headers (``Python.h``) into the CPython
@@ -30,11 +35,9 @@ It is written to a temporary file and moved into place, then loaded with
 ``importlib.machinery.ExtensionFileLoader``.  When the cache cannot be
 written the module is built in a per-process temporary directory instead.
 With no ``cc``, no ``Python.h``, a failed build, or no writable place,
-every orbit steps in Python, and ``describe`` says why.  The extension
-takes its arguments as Python objects (METH_FASTCALL) and releases the
-GIL around every loop; status codes, the replay of a failing step through
-the Python kernel and the stamping of ``DomainExitError`` stay here, in
-``Stepper``.
+every orbit steps in the Python loop, and ``describe`` says why.  The
+extension takes its arguments as Python objects (METH_FASTCALL) and
+releases the GIL around every loop.
 
 The loop forms H_k's and H's dispersal product as their Python kernels do
 (see ``threestage.make_system``), with C's ``fma`` on rows 4-5, so the
@@ -43,12 +46,14 @@ every start.
 """
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import tempfile
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -206,26 +211,135 @@ def describe() -> str:
     return f"native ({where})" if lib is not None else f"python: {where}"
 
 
-class Stepper:
-    """The stepping primitive on the compiled loop; see ``aggregation._KernelStepper``.
+def advance(kernel: Callable, x: tuple, n: int, rows, bound: Optional[float]) -> tuple:
+    """The extension's ``advance`` in Python, over ``kernel`` instead of
+    ``(kind, constants)``: up to ``n`` steps from ``x``, each new state
+    stored in the next row of ``rows`` unless that is None, and tested
+    against the admissible set under ``bound`` unless that is None.
 
-    ``kernel`` is the map's Python float kernel: when the loop reports that
-    a step fails, the kernel replays that step to raise its exact error.
-    A ``checked`` stepper stops a run at the first state outside the
-    admissible set under the ``BOX_BOUND`` of its binding and raises
-    ``_require_admissible``'s error; an error the kernel's replay raises
+    Returns ``(state, taken, status)`` as the extension does: ``_RAN`` after
+    ``n`` steps; ``_INADMISSIBLE`` with the stored state that left the set
+    and its step; ``_FAILS`` when the kernel refuses the next step, with
+    the state it was applied to and the steps taken before it.  The float
+    test fails exactly when ``_require_admissible`` raises: a finite sum
+    means finite coordinates, and coordinates at most the bound cannot
+    overflow it.  A plain run (no rows, no bound) stores and tests nothing.
+    """
+    t = 0
+    try:
+        if rows is None and bound is None:
+            for t in range(1, n + 1):
+                x = kernel(x)
+            return x, n, _RAN
+        for t in range(1, n + 1):
+            x = kernel(x)
+            if rows is not None:
+                rows[t - 1] = x
+            if bound is not None and not (math.isfinite(sum(x)) and min(x) >= 0.0
+                                          and max(x) <= bound):
+                return x, t, _INADMISSIBLE
+    except TwoScalePopError:
+        return x, t - 1, _FAILS
+    return x, n, _RAN
+
+
+def orbit(kernel: Callable, x: tuple, first: int) -> tuple:
+    """The extension's ``orbit`` in Python: steps from ``x``, the state of
+    step 0, under ``aggregation.iterate_tail``'s repeat schedule and stops
+    at the first match or at step ``first``, unchecked.
+
+    Returns ``(state, taken, status, period)``: ``_MATCHED_FIRST`` (Brent's
+    tortoise) or ``_MATCHED_SECOND`` (the fine one) with the steps since
+    that tortoise's save, else ``_RAN`` or ``_FAILS`` as ``advance`` reports
+    them, with period 0.  No save falls inside the inner loop, so its steps
+    only compare: ``==`` is a cheap filter that every bitwise match passes,
+    except when the saved state holds a NaN, and then the bytes decide
+    every step.
+    """
+    t = mark = fine_mark = 0
+    next_mark = next_fine = 1
+    tortoise = fine = x
+    try:
+        while t < first:
+            tortoise_bits, fine_bits = array("d", tortoise).tobytes(), array("d", fine).tobytes()
+            tortoise_nan, fine_nan = (any(v != v for v in s) for s in (tortoise, fine))
+            for t in range(t + 1, min(next_mark, next_fine, first) + 1):
+                x = kernel(x)
+                if (x == tortoise or tortoise_nan) and array("d", x).tobytes() == tortoise_bits:
+                    return x, t, _MATCHED_FIRST, t - mark
+                if (x == fine or fine_nan) and array("d", x).tobytes() == fine_bits:
+                    return x, t, _MATCHED_SECOND, t - fine_mark
+            if t == next_mark:
+                mark, next_mark, tortoise = t, 2 * t + 1, x
+            if t == next_fine:
+                fine_mark, next_fine, fine = t, t + 1 + t // 16, x
+    except TwoScalePopError:
+        return x, t - 1, _FAILS, 0
+    return x, t, _RAN, 0
+
+
+def many(kernel: Callable, states: np.ndarray, n: int, bound: Optional[float]) -> list[int]:
+    """The extension's ``many`` in Python: ``advance`` by ``n`` steps from
+    each row of the float64 array ``states``, in place; returns the rows
+    whose run did not end ``_RAN``."""
+    failed = []
+    for i, x in enumerate(states.tolist()):
+        states[i], _, status = advance(kernel, tuple(x), n, None, bound)
+        if status != _RAN:
+            failed.append(i)
+    return failed
+
+
+# the Python loop: the extension's calls, each over a kernel
+_PYTHON = SimpleNamespace(advance=advance, orbit=orbit, many=many)
+
+
+class Stepper:
+    """The stepping primitive of one map, on the loop it binds once.
+
+    ``Stepper(map_fn, checked)`` takes the extension when the map carries a
+    compiled form (``.native``) and the module loads, else the Python loop
+    above, over the map's float kernel (``.kernel``) or, without one, over
+    its array form; ``path`` names the choice as ``describe`` does
+    (``"native"`` or ``"python: <reason>"``).  It holds the loop and its
+    leading arguments, ``(kind, packed)`` or ``(kernel,)``, so every call
+    below is one call of either loop, and ``_finish`` is the one place
+    where a status becomes an error:
+
+    - ``_FAILS``: the kernel replays the refused step to raise its exact
+      error;
+    - ``_INADMISSIBLE``: ``_require_admissible`` raises for the state that
+      left the admissible set under the ``BOX_BOUND`` of the binding.
+
+    A ``checked`` stepper tests each state; an error the replay raises
     without a step is stamped with it.  Steps count from the run's start.
-    ``orbit`` runs unchecked.  ``many`` replays each row whose run fails
-    through ``advance``, to raise that row's own error.  States go to the
-    extension as tuples of floats and come back as new tuples, so a stepper
-    holds no buffer.
+
+    ``advance(x, n)`` returns the state ``n`` steps after ``x``.
+    ``rows(x, out)`` writes the next ``len(out)`` states into ``out``, which
+    must be a C-contiguous float64 ``(n, len(x))`` array.  ``orbit(x,
+    first)`` steps unchecked under ``iterate_tail``'s repeat schedule and
+    returns the state reached, its step and the ``(step, period)`` of the
+    match, else None.  ``many(xs, n)`` steps each row of the (count, dim)
+    array ``xs`` ``n`` times and returns ``(images, errors)``: ``errors``
+    maps a row to the package error its own ``advance`` raises, on a
+    replay from its start, and that row of ``images`` holds no image.  A
+    stepper holds no buffer and the map keeps no stepper, so threads may
+    step one map at once.
     """
 
-    def __init__(self, spec: Spec, kernel: Callable, checked: bool = False):
-        self._lib = _library()[0]
-        self._kind, self._constants = spec.kind, spec.packed
-        self._dim = _SHAPES[spec.kind][0]
-        self._kernel = kernel
+    __slots__ = ("path", "_loop", "_lead", "_kernel", "_bound", "_spec")
+
+    def __init__(self, map_fn: Callable, checked: bool = False):
+        kernel = getattr(map_fn, "kernel", None)
+        if kernel is None:
+            kernel = lambda x: tuple(np.asarray(map_fn(np.array(x)), dtype=float).tolist())
+        spec = getattr(map_fn, "native", None)
+        lib, where = (None, "no compiled form") if spec is None else _library()
+        if lib is None:
+            self.path, self._loop, self._lead = f"python: {where}", _PYTHON, (kernel,)
+        else:
+            self.path, self._loop, self._lead = NATIVE, lib, (spec.kind, spec.packed)
+        self._kernel, self._spec = kernel, spec
         self._bound = BOX_BOUND if checked else None
 
     def _finish(self, x: tuple, taken: int, status: int) -> tuple:
@@ -245,27 +359,28 @@ class Stepper:
         return x
 
     def orbit(self, x: tuple, first: int) -> tuple[tuple, int, Optional[tuple[int, int]]]:
-        x, t, status, period = self._lib.orbit(self._kind, self._constants, x, first)
+        x, t, status, period = self._loop.orbit(*self._lead, x, first)
         return self._finish(x, t, status), t, None if status == _RAN else (t, period)
 
     def advance(self, x: tuple, n: int) -> tuple:
-        return self._finish(*self._lib.advance(self._kind, self._constants, x, n, None,
-                                               self._bound))
+        return self._finish(*self._loop.advance(*self._lead, x, n, None, self._bound))
 
     def rows(self, x: tuple, out: np.ndarray) -> None:
-        if out.dtype != np.float64 or not out.flags.c_contiguous or out.shape[1:] != (self._dim,):
-            raise ValueError(f"rows need a C-contiguous float64 (n, {self._dim}) array")
+        if out.dtype != np.float64 or not out.flags.c_contiguous or out.shape[1:] != (len(x),):
+            raise ValueError(f"rows need a C-contiguous float64 (n, {len(x)}) array")
         if len(out):
-            self._finish(*self._lib.advance(self._kind, self._constants, x, len(out), out,
-                                            self._bound))
+            self._finish(*self._loop.advance(*self._lead, x, len(out), out, self._bound))
 
-    def many(self, xs: np.ndarray, n: int) -> tuple[np.ndarray, dict[int, TwoScalePopError]]:
+    def many(self, xs, n: int) -> tuple[np.ndarray, dict[int, TwoScalePopError]]:
         starts = np.asarray(xs, dtype=np.float64)
         images = starts.copy(order="C")
-        if images.ndim != 2 or images.shape[1] != self._dim:
-            raise ValueError(f"starts must form a (count, {self._dim}) array")
+        if images.ndim != 2:
+            raise ValueError("starts must form a 2-D (count, dim) array")
+        # a map's compiled form fixes its width; one without is held to none
+        if self._spec is not None and images.shape[1] != (dim := _SHAPES[self._spec.kind][0]):
+            raise ValueError(f"starts must form a (count, {dim}) array")
         errors = {}
-        for i in self._lib.many(self._kind, self._constants, images, n, self._bound):
+        for i in self._loop.many(*self._lead, images, n, self._bound):
             try:
                 self.advance(tuple(starts[i].tolist()), n)
             except TwoScalePopError as err:

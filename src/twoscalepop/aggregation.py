@@ -14,7 +14,6 @@ balls, and lifted repellers push boundary points out.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -152,141 +151,19 @@ def iterate(map_fn: StateMap, x0, steps: int) -> Vector:
     _native._require_admissible(x, 0)
     orbit = np.empty((steps + 1, x.size))
     orbit[0] = x
-    _stepper(map_fn, checked=True).rows(_as_floats(x), orbit[1:])
+    _native.Stepper(map_fn, checked=True).rows(_as_floats(x), orbit[1:])
     return orbit
 
 
-class _KernelStepper:
-    """The stepping primitive on a Python float kernel.
-
-    ``advance(x, n)`` returns the state ``n`` steps after ``x``, and
-    ``rows(x, out)`` writes the next ``len(out)`` states into the float
-    array ``out``, one per row.  ``orbit(x, first)`` steps from ``x``, the
-    state of step 0, under ``iterate_tail``'s repeat schedule and stops at
-    the first match or at step ``first``; it returns the state reached, its
-    step and the ``(step, period)`` of the match, else None.  ``many(xs,
-    n)`` steps each row of the (count, dim) array ``xs`` ``n`` times and
-    returns ``(images, errors)``: ``errors`` maps a row to the package error
-    its own ``advance`` raises, and that row of ``images`` holds no image;
-    any other exception propagates at once.  Given the state's ``dim`` (a
-    map's compiled form fixes it), ``many`` rejects a batch of another
-    width with ``_native.Stepper``'s ValueError.
-
-    A ``checked`` stepper's ``advance`` and ``rows`` raise
-    ``DomainExitError`` at the first state outside the admissible set
-    (finite, nonnegative, coordinates at most ``_native.BOX_BOUND``).  The
-    float test fails exactly when ``_native._require_admissible`` raises --
-    a finite sum means finite coordinates, and coordinates at most the
-    bound cannot overflow it -- so the array check runs only then, to raise
-    its message.  An error the kernel raises without a step is stamped with
-    it.  Steps count from the run's start.  ``orbit`` runs unchecked.
-
-    ``_native.Stepper`` is the same primitive on the compiled loop, and
-    this one is its oracle and fallback.
-    """
-
-    def __init__(self, step: Callable[[tuple], tuple], checked: bool = False,
-                 dim: Optional[int] = None):
-        self.step = step
-        self.checked = checked
-        self.dim = dim
-
-    def advance(self, x: tuple, n: int) -> tuple:
-        if self.checked:
-            return self._run(x, n, None)
-        step = self.step
-        for _ in range(n):
-            x = step(x)
-        return x
-
-    def rows(self, x: tuple, out: Vector) -> None:
-        self._run(x, len(out), out)
-
-    def many(self, xs: Vector, n: int) -> tuple[Vector, dict[int, TwoScalePopError]]:
-        images, errors = np.array(xs, dtype=float), {}
-        if self.dim is not None and images.shape[1:] != (self.dim,):
-            raise ValueError(f"starts must form a (count, {self.dim}) array")
-        for i, x in enumerate(images.tolist()):
-            try:
-                images[i] = self.advance(tuple(x), n)
-            except TwoScalePopError as err:
-                errors[i] = err
-        return images, errors
-
-    def _run(self, x: tuple, n: int, out: Optional[Vector]) -> tuple:
-        step, checked, bound = self.step, self.checked, _native.BOX_BOUND
-        t = 0
-        try:
-            for t in range(1, n + 1):
-                x = step(x)
-                if out is not None:
-                    out[t - 1] = x
-                if checked and not (math.isfinite(sum(x)) and min(x) >= 0.0
-                                    and max(x) <= bound):
-                    _native._require_admissible(x, t)
-        except DomainExitError as err:
-            if checked and err.step is None:
-                err.step = t
-            raise
-        return x
-
-    def orbit(self, x: tuple, first: int) -> tuple[tuple, int, Optional[tuple[int, int]]]:
-        step = self.step
-        t = mark = fine_mark = 0
-        next_mark = next_fine = 1
-        tortoise = fine = x
-        while t < first:
-            # no save falls inside a run, so its steps only compare.  == is
-            # a cheap filter that every bitwise match passes, except when
-            # the saved state holds a NaN: then the bytes decide every step
-            tortoise_bits, fine_bits = array("d", tortoise).tobytes(), array("d", fine).tobytes()
-            tortoise_nan, fine_nan = (any(v != v for v in s) for s in (tortoise, fine))
-            for t in range(t + 1, min(next_mark, next_fine, first) + 1):
-                x = step(x)
-                if (x == tortoise or tortoise_nan) and array("d", x).tobytes() == tortoise_bits:
-                    return x, t, (t, t - mark)
-                if (x == fine or fine_nan) and array("d", x).tobytes() == fine_bits:
-                    return x, t, (t, t - fine_mark)
-            if t == next_mark:
-                mark, next_mark, tortoise = t, 2 * t + 1, x
-            if t == next_fine:
-                fine_mark, next_fine, fine = t, t + 1 + t // 16, x
-        return x, t, None
-
-
 def stepping_path(map_fn: StateMap) -> str:
-    """How ``iterate_tail`` steps ``map_fn``: ``"native"`` for the compiled
-    loop, else ``"python: <reason>"``."""
-    if getattr(map_fn, "native", None) is None:
-        return "python: no compiled form"
-    lib, reason = _native._library()
-    return _native.NATIVE if lib is not None else f"python: {reason}"
-
-
-def _stepper(map_fn: StateMap, checked: bool = False):
-    """A new stepping primitive for ``map_fn``: ``_native.Stepper`` when the
-    map has a compiled form (``.native``) and the compiled loop is
-    available, else ``_KernelStepper`` on its float kernel (``.kernel``, or
-    one over the map's array form).
-
-    Each call binds its own stepper, and the map keeps none, so threads
-    stepping one map at once never share a stepper's state.  A compiled
-    stepper holds only the map's kind, packed constants, kernel and bound,
-    and passes states to the extension as tuples, so binding one costs
-    well under a microsecond.
-    """
-    kernel = getattr(map_fn, "kernel", None)
-    if kernel is None:
-        kernel = lambda x: tuple(np.asarray(map_fn(np.array(x)), dtype=float).tolist())
-    spec = getattr(map_fn, "native", None)
-    if spec is not None and _native._library()[0] is not None:
-        return _native.Stepper(spec, kernel, checked)
-    return _KernelStepper(kernel, checked, None if spec is None else _native._SHAPES[spec.kind][0])
+    """How ``iterate_tail`` steps ``map_fn``: the ``path`` of the stepper it
+    binds, ``"native"`` for the compiled loop, else ``"python: <reason>"``."""
+    return _native.Stepper(map_fn).path
 
 
 def _power(map_fn: StateMap, m: int) -> Callable[[Vector], Vector]:
     """x -> map^m(x) as an array, unchecked, through one stepper bound here."""
-    stepper = _stepper(map_fn)
+    stepper = _native.Stepper(map_fn)
 
     def apply(x) -> Vector:
         return np.array(stepper.advance(_as_floats(x), m))
@@ -298,18 +175,16 @@ def images(map_fn: StateMap, starts, m: int,
            checked: bool = False) -> tuple[Vector, dict[int, TwoScalePopError]]:
     """Each row of ``starts`` stepped ``m`` times by ``map_fn``, as one batch.
 
-    Returns ``(images, errors)`` as ``_KernelStepper.many`` does: each row
-    equals ``_stepper(map_fn, checked).advance(start, m)`` bit for bit, or
-    ``errors`` holds the package error that call raises.  On the compiled
-    loop the whole batch is one call.  ``starts`` that do not form a 2-D
-    array raise ValueError on either path, and a batch of no rows comes
-    back as it went in.  An ``m`` outside [0, ``_native.MAX_STEPS``] raises
-    ValueError before any step.
+    Returns ``(images, errors)`` as ``_native.Stepper.many`` does: each row
+    equals ``_native.Stepper(map_fn, checked).advance(start, m)`` bit for
+    bit, or ``errors`` holds the package error that call raises.  On the
+    compiled loop the whole batch is one call.  ``starts`` that do not form
+    a 2-D array raise ValueError on either loop, and a batch of no rows
+    comes back as it went in.  An ``m`` outside [0, ``_native.MAX_STEPS``]
+    raises ValueError before any step.
     """
     _require_steps(m)
-    if np.ndim(starts) != 2:
-        raise ValueError("starts must form a 2-D (count, dim) array")
-    return _stepper(map_fn, checked).many(starts, m)
+    return _native.Stepper(map_fn, checked).many(starts, m)
 
 
 def _stepped(map_fn: StateMap, starts, m: int) -> Vector:
@@ -354,15 +229,15 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
     c + period + c // 16.  Whichever tortoise matches first decides, so
     the catch is never later than Brent's.
 
-    The orbit runs on tuples of floats.  A map carrying a compiled form
-    (``.native``, as the ``threestage`` maps do) steps in ``_native``'s C
-    loop when the loop is available (``stepping_path``), and the whole
-    schedule up to the tail is then one compiled call; otherwise the same
-    schedule runs in Python, through its float kernel ``map_fn.kernel``, or
-    through ``map_fn`` itself, called once per computed step on a fresh
-    float array, when it has none.  All give the same bytes and repeat and raise
-    the same errors at the same step.  Only the tail rows become a numpy
-    array.  ``map_fn`` must be deterministic and return float arrays.
+    The orbit runs on tuples of floats, through one ``_native.Stepper``:
+    the whole schedule up to the tail is one call of its ``orbit``, in the
+    compiled loop when the map carries a compiled form (``.native``, as
+    the ``threestage`` maps do) and the loop is available
+    (``stepping_path``), else in the Python loop, through the map's float
+    kernel ``map_fn.kernel``, or through ``map_fn`` itself, called once per
+    computed step on a fresh float array, when it has none.  All give the
+    same bytes and repeat and raise the same errors at the same step.
+    Only the tail rows become a numpy array.  ``map_fn`` must be deterministic and return float arrays.
     ``steps`` outside [0, ``_native.MAX_STEPS``] raises ValueError on every
     path, before any step: the compiled loop counts steps in int64.
     """
@@ -370,7 +245,7 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
     if not 1 <= keep <= steps + 1:
         raise ValueError("keep must lie in [1, steps + 1]")
     x = _as_floats(x0)
-    stepper = _stepper(map_fn)
+    stepper = _native.Stepper(map_fn)
     first = steps + 1 - keep  # step of the tail's first row
     x, t, repeat = stepper.orbit(x, first)
     if repeat is not None:

@@ -51,6 +51,8 @@ class ScenarioConfig:
         ks = tuple(int(k) for k in self.k_list)
         if len(ks) == 0 or any(k < 1 for k in ks):
             raise ConfigError("run.k_list", "need a nonempty list of integers >= 1")
+        if len(set(ks)) != len(ks):  # each k is one series, one CSV block, one gap row
+            raise ConfigError("run.k_list", "each k may appear only once")
         object.__setattr__(self, "k_list", ks)
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "tail", int(self.tail))

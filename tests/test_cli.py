@@ -250,6 +250,23 @@ def test_load_config_rejects_out_of_range_values(tmp_path):
     assert cli.load_config(write_config(tmp_path, largest)).horizon == 2 ** 63 - 1
 
 
+def test_a_repeated_k_is_a_config_error(tmp_path, capsys):
+    # a repeated k was stepped twice, written as two blocks of complete.csv
+    # and listed twice in summary.txt's gap table
+    for ks in ("[5, 5]", "[1, 3, 1]"):
+        bad = CONFIG_TEXT.replace("k_list = [1, 3]", f"k_list = {ks}")
+        with pytest.raises(ConfigError) as err:
+            cli.load_config(write_config(tmp_path, bad))
+        assert (err.value.field, err.value.reason) == ("run.k_list", "each k may appear only once")
+        out = tmp_path / "o"
+        assert cli.main(["run", str(write_config(tmp_path, bad)), "--fast",
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert "run.k_list" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="each k may appear only once"):
+        dataclasses.replace(scenarios.builtin("fig2").configs[0], k_list=(10, 10))
+
+
 def test_fmt_uses_twelve_significant_digits():
     assert cli._fmt(1 / 3) == "0.333333333333"
     assert cli._fmt(0.05) == "0.05"

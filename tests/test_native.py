@@ -17,8 +17,8 @@ import pytest
 
 import twoscalepop
 from twoscalepop import _native, aggregation, analysis, cli, metapop, scenarios, threestage
-from twoscalepop.aggregation import (TrapSpec, _KernelStepper, _power, _stepper, images,
-                                     iterate_tail, stepping_path)
+from twoscalepop._native import Stepper
+from twoscalepop.aggregation import TrapSpec, _power, images, iterate_tail, stepping_path
 from twoscalepop.errors import DomainExitError, NegativeDensityError
 from twoscalepop.metapop import VARIANT_RESCALED, VARIANT_SLOW
 from twoscalepop.solvers import newton_fixed_point
@@ -72,8 +72,10 @@ def test_compiled_steps_match_python_kernels_bit_for_bit(native_lib, name, varia
     for label, map_fn, x0 in _series(name, variant):
         x = tuple(x0.tolist())
         native, python = np.empty((20_000, len(x))), np.empty((20_000, len(x)))
-        _native.Stepper(map_fn.native, map_fn.kernel).rows(x, native)
-        _KernelStepper(map_fn.kernel).rows(x, python)
+        compiled = Stepper(map_fn)
+        assert compiled.path == _native.NATIVE, label
+        compiled.rows(x, native)
+        Stepper(python_only(map_fn)).rows(x, python)
         assert _same_bits(native, python), label
 
 
@@ -182,8 +184,7 @@ def test_brents_tortoise_wins_when_both_match(native_lib, fig2_params):
                                                     (0.0,) * 3, 100)
     assert (state, taken, period, status) == ((0.0,) * 3, 1, 1, _native._MATCHED_FIRST)
     start = (0.0,) * 3
-    for stepper in (_native.Stepper(reduced.native, reduced.kernel),
-                    _KernelStepper(reduced.kernel)):
+    for stepper in (Stepper(reduced), Stepper(python_only(reduced))):
         assert stepper.orbit(start, 100) == (start, 1, (1, 1))
 
 
@@ -229,14 +230,14 @@ def test_an_overflowing_h_k_step_raises_alike(native_lib, fig3_params):
 def test_a_checked_run_stamps_the_kernel_error_with_its_step(native_lib, fig3_params):
     hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
     start = (1.7e308,) * 6
-    native = _stepper(hk, checked=True)
-    assert isinstance(native, _native.Stepper)
+    native = Stepper(hk, checked=True)
+    assert native.path == _native.NATIVE
     err = _raised(lambda: native.advance(start, 10))
     assert str(err) == "step produced a non-finite state" and err.step == 1
     assert _same_error(err, _raised(
-        lambda: _stepper(python_only(hk), checked=True).advance(start, 10)))
+        lambda: Stepper(python_only(hk), checked=True).advance(start, 10)))
     # an unchecked run's steps count from no fixed origin, so it stamps nothing
-    assert _raised(lambda: _stepper(hk).advance(start, 10)).step is None
+    assert _raised(lambda: Stepper(hk).advance(start, 10)).step is None
 
 
 def _box_exit_bound(hk, x0, steps=40):
@@ -266,19 +267,21 @@ def test_a_domain_exit_one_step_before_a_pole_wins(native_lib, fig2_params):
     # meets the pole
     reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
     start = (-10.0, 0.1, 0.0)
-    native = _stepper(reduced, checked=True)
-    assert isinstance(native, _native.Stepper)
+    native = Stepper(reduced, checked=True)
+    assert native.path == _native.NATIVE
     err = _raised(lambda: native.advance(start, 5))
     assert isinstance(err, DomainExitError) and err.step == 1
     assert _same_error(err, _raised(
-        lambda: _stepper(python_only(reduced), checked=True).advance(start, 5)))
-    assert isinstance(_raised(lambda: _stepper(reduced).advance(start, 5)),
+        lambda: Stepper(python_only(reduced), checked=True).advance(start, 5)))
+    assert isinstance(_raised(lambda: Stepper(reduced).advance(start, 5)),
                       NegativeDensityError)
 
 
 def test_the_replay_must_raise(native_lib, fig2_params):
     reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
-    stepper = _native.Stepper(reduced.native, lambda x: x)  # a kernel that never fails
+    # a kernel that never fails, with the reduced map's compiled form
+    stepper = Stepper(threestage._with_kernel(lambda x: x, reduced.native))
+    assert stepper.path == _native.NATIVE
     with pytest.raises(RuntimeError, match="compiled step failed"):
         stepper.advance((-10.0, 0.1, 0.0), 5)
 
@@ -288,10 +291,10 @@ def test_maps_sharing_a_compiled_form_replay_their_own_kernels(native_lib, fig2_
     lenient = threestage._with_kernel(lambda y: y, reduced.native)  # it never fails
     start = (-10.0, 0.1, 0.0)  # the second step meets the pole
     for _ in range(2):
-        assert isinstance(_raised(lambda: _stepper(reduced).advance(start, 5)),
+        assert isinstance(_raised(lambda: Stepper(reduced).advance(start, 5)),
                           NegativeDensityError)
         with pytest.raises(RuntimeError, match="compiled step failed"):
-            _stepper(lenient).advance(start, 5)
+            Stepper(lenient).advance(start, 5)
 
 
 def _unusual_starts(value):
@@ -334,8 +337,8 @@ def test_unusual_starts_step_natively_alike(native_lib, value):
         x = tuple(x0.tolist())
         for checked in (False, True):
             native, python = np.empty((20, len(x))), np.empty((20, len(x)))
-            err = _error_of(lambda: _stepper(map_fn, checked).rows(x, native))
-            expected = _error_of(lambda: _KernelStepper(map_fn.kernel, checked).rows(x, python))
+            err = _error_of(lambda: Stepper(map_fn, checked).rows(x, native))
+            expected = _error_of(lambda: Stepper(python_only(map_fn), checked).rows(x, python))
             if expected is None:
                 assert err is None and _same_bits(native, python), (label, checked)
             else:
@@ -343,6 +346,28 @@ def test_unusual_starts_step_natively_alike(native_lib, value):
             starts = np.array([x0, x0 * 0.5, np.abs(x0)])
             _same_batch(images(map_fn, starts, 7, checked),
                         _per_row(python_only(map_fn), starts, 7, checked))
+
+
+@pytest.mark.parametrize("checked", (False, True))
+def test_rows_check_the_buffer_alike_on_both_loops(native_lib, fig2_params, checked):
+    # the Python loop once took a float32 buffer, rounding every row, and a
+    # strided view, and refused a buffer of the wrong width with numpy's
+    # broadcast error instead of the compiled loop's
+    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
+    limit = metapop.make_system(threestage.make_model(fig2_params), VARIANT_SLOW).limit_map
+    buffers = {"float32": lambda d: np.zeros((4, d), dtype=np.float32),
+               "strided": lambda d: np.zeros((4, 2 * d))[:, :d],
+               "too wide": lambda d: np.zeros((4, d + 1))}
+    for map_fn, x0 in ((reduced, _Y0), (python_only(reduced), _Y0), (limit, _X0)):
+        stepper, dim = Stepper(map_fn, checked), len(x0)
+        for label, buffer in buffers.items():
+            out = buffer(dim)
+            with pytest.raises(ValueError, match=rf"^rows need a C-contiguous float64 "
+                                                 rf"\(n, {dim}\) array$"):
+                stepper.rows(tuple(x0.tolist()), out)
+            assert not out.any(), label  # refused before any step
+    assert [Stepper(m).path for m in (reduced, python_only(reduced), limit)] == [
+        _native.NATIVE, "python: no compiled form", "python: no compiled form"]
 
 
 def _python_system(system):
@@ -434,7 +459,7 @@ def test_ball_samples_around_the_origin_step_natively_alike(native_lib, fig2_par
 
 def _per_row(map_fn, starts, m, checked=False):
     """(images, errors) of ``m`` steps from each start alone."""
-    stepper, out, errors = _stepper(map_fn, checked), {}, {}
+    stepper, out, errors = Stepper(map_fn, checked), {}, {}
     for i, x in enumerate(starts):
         try:
             out[i] = stepper.advance(aggregation._as_floats(x), m)
@@ -511,6 +536,34 @@ def test_images_check_the_batch_width_alike_on_both_paths(fig2_params, monkeypat
                     images(map_fn, np.zeros((2, width)), 1, checked)
 
 
+@pytest.mark.parametrize("case", ("compiled", "no compiler", "no compiled form"))
+def test_stepping_path_names_the_loop_that_steps(native_lib, monkeypatch, fig2_params, case):
+    # the path is the bound stepper's own, so it names the loop every
+    # stepping call then takes: the extension's, or none of its calls
+    spy = _CountingLibrary(native_lib)
+    monkeypatch.setattr(_native, "_library_state", (spy, _native._library()[1]))
+    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
+    if case == "compiled":
+        map_fn, x0, path = reduced, _Y0, _native.NATIVE
+    elif case == "no compiler":
+        monkeypatch.setattr(_native, "_library_state", (None, "no compiler"))
+        map_fn, x0, path = reduced, _Y0, "python: no compiler"
+    else:
+        model = threestage.make_model(fig2_params)
+        map_fn = metapop.make_system(model, VARIANT_SLOW).limit_map
+        x0, path = _X0, "python: no compiled form"
+    assert stepping_path(map_fn) == path
+    assert Stepper(map_fn).path == Stepper(map_fn, checked=True).path == path
+    assert spy.calls == []  # binding calls nothing
+    iterate_tail(map_fn, x0, 300, 4)
+    aggregation.iterate(map_fn, x0, 20)
+    images(map_fn, np.array([x0, 0.5 * x0]), 3, checked=True)
+    if case == "compiled":
+        assert spy.calls == ["orbit", "advance", "advance", "advance", "many"]
+    else:
+        assert spy.calls == []
+
+
 def test_a_batch_with_signed_zeros_is_one_compiled_call(native_lib, monkeypatch):
     reduced = threestage.reduced_map(scenarios.fig2_params(), VARIANT_SLOW)
     spy = _CountingLibrary(native_lib)
@@ -544,9 +597,10 @@ def test_a_batch_raises_each_rows_own_error(native_lib, fig2_params, fig3_params
             assert isinstance(expected[1][3], NegativeDensityError)
         _same_batch(images(reduced, starts, step + 2, checked), expected)
         # the compiled batch replays rows 1 and 3 to raise their errors
-        compiled = _native.Stepper(reduced.native, reduced.kernel, checked)
+        compiled = Stepper(reduced, checked)
+        assert compiled.path == _native.NATIVE
         _same_batch(compiled.many(starts, step + 2), expected)
-        _same_batch(_KernelStepper(reduced.kernel, checked).many(starts, step + 2), expected)
+        _same_batch(Stepper(python_only(reduced), checked).many(starts, step + 2), expected)
     # H_5 in the compiled loop: a box exit at step 1 and an overflow
     monkeypatch.undo()  # the shipped bound again
     hk = threestage.make_system(fig3_params, VARIANT_SLOW).complete(5)
@@ -687,7 +741,7 @@ def test_array_forms_give_the_kernels_bytes_and_errors(request, monkeypatch, fig
         for row in orbit:
             row[:] = x = map_fn(x)
         expected = np.empty_like(orbit)
-        _KernelStepper(map_fn.kernel).rows(tuple(x0.tolist()), expected)
+        Stepper(python_only(map_fn)).rows(tuple(x0.tolist()), expected)
         assert _same_bits(orbit, expected), label
     if loaded:  # the float64 states took the compiled step
         assert spy.calls and set(spy.calls) == {"step"}
@@ -747,8 +801,10 @@ def test_a_long_orbit_call_agrees_on_both_paths(native_lib, name, variant):
     limit = threestage.make_system(getattr(scenarios, f"{name}_params")(), variant).limit_map
     for label, map_fn, x0 in (("limit", limit, _X0), *_series(name, variant, (1, 10, 100))):
         x = tuple(x0.tolist())
-        state, taken, repeat = _native.Stepper(map_fn.native, map_fn.kernel).orbit(x, 20_000)
-        expected, expected_taken, expected_repeat = _KernelStepper(map_fn.kernel).orbit(x, 20_000)
+        compiled = Stepper(map_fn)
+        assert compiled.path == _native.NATIVE, label
+        state, taken, repeat = compiled.orbit(x, 20_000)
+        expected, expected_taken, expected_repeat = Stepper(python_only(map_fn)).orbit(x, 20_000)
         assert _same_bits(state, expected), label
         assert (taken, repeat) == (expected_taken, expected_repeat), label
 
@@ -790,7 +846,7 @@ def test_every_exit_writes_back_its_state(native_lib, fig2_params, label):
     # it, only the fine one (saved at steps 16 and 18) can match first
     for begin, status in ((onset, _native._MATCHED_FIRST), (onset - 16, _native._MATCHED_SECOND)):
         state, taken, got, period = _compiled(lib, map_fn, orbit[begin], 100, orbit=True)
-        expected, expected_taken, repeat = _KernelStepper(kernel).orbit(orbit[begin], 100)
+        expected, expected_taken, repeat = Stepper(python_only(map_fn)).orbit(orbit[begin], 100)
         assert (got, taken, (taken, period)) == (status, expected_taken, repeat), label
         assert _same_bits(state, expected) and not _same_bits(state, orbit[begin]), label
     # FAILS: the state the refused second step would be applied to
@@ -966,7 +1022,8 @@ import hashlib
 import numpy as np
 import blas_rounding
 from twoscalepop import _native, scenarios, threestage
-from twoscalepop.aggregation import _KernelStepper, iterate_tail
+from twoscalepop._native import Stepper
+from twoscalepop.aggregation import iterate_tail
 
 x0 = np.array(scenarios.DEFAULT_INITIAL_STATE)
 digest = hashlib.sha256()
@@ -976,7 +1033,8 @@ for name, variant in (("fig2", "slow_survival"), ("fig3", "slow_survival"),
     for map_fn in (system.complete(1), system.limit_map):
         orbit = iterate_tail(map_fn, x0, 2_000, 2_001)[0]
         python = np.empty((200, 6))
-        _KernelStepper(map_fn.kernel).rows(tuple(x0.tolist()), python)
+        # the Python loop: the kernel alone, with no compiled form
+        Stepper(threestage._with_kernel(map_fn.kernel)).rows(tuple(x0.tolist()), python)
         lifts = [system.lift.kernel(tuple(system.projection(x).tolist())) for x in orbit[:200]]
         digest.update(orbit.tobytes() + python.tobytes() + np.array(lifts).tobytes())
 print(_native.describe())

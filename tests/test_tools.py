@@ -71,11 +71,46 @@ static int f(int a, /* an inline comment */ int b)
 def test_code_lines_reports_the_checkout():
     proc = subprocess.run([sys.executable, str(CODE_LINES)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    first, header, *rows = proc.stdout.splitlines()
     match = re.fullmatch(r"checkout: Python (\d+) code lines, (\d+) @dataclass; "
-                         r"C (\d+) code lines \((.+)\)\n", proc.stdout)
+                         r"C (\d+) code lines \((.+)\)", first)
     assert match, proc.stdout
     assert Path(match[4]) == ROOT
     module = _code_lines_module()
     assert (int(match[1]), int(match[2])) == module.count_tree(ROOT)
     assert int(match[3]) == module.count_c_tree(ROOT)
     assert int(match[1]) > 0 and int(match[2]) > 0 and int(match[3]) > 0
+    # one row per module, whose lines sum to the total
+    assert header.split() == ["module", "checkout"]
+    table = dict(row.split() for row in rows)
+    assert sorted(table) == sorted(p.name for p in (ROOT / "src" / "twoscalepop").glob("*.py"))
+    assert sum(map(int, table.values())) == int(match[1])
+
+
+def test_code_lines_shows_code_moved_between_modules(tmp_path):
+    # three code lines move from a.py to b.py, c.py goes and d.py comes
+    trees = {"checkout": {"a.py": "x = 1\n", "b.py": "y = 2\nz = 3\nw = 4\nv = 5\n",
+                          "d.py": "u = 6\n"},
+             "parent": {"a.py": "x = 1\ny = 2\nz = 3\nw = 4\n", "b.py": "v = 5\n",
+                        "c.py": "t = 0\n"}}
+    for label, files in trees.items():
+        package = tmp_path / label / "src" / "twoscalepop"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+    (tmp_path / "checkout" / "tools").mkdir()
+    script = tmp_path / "checkout" / "tools" / "code_lines.py"
+    script.write_text(CODE_LINES.read_text())
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path / "parent")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("checkout: Python 6 code lines, 0 @dataclass; C 0 code lines")
+    assert lines[1].startswith("parent: Python 6 code lines, 0 @dataclass; C 0 code lines")
+    assert [row.split() for row in lines[2:]] == [
+        ["module", "checkout", "parent", "change"],
+        ["a.py", "1", "4", "-3"],
+        ["b.py", "4", "1", "+3"],
+        ["c.py", "-", "1", "-1"],
+        ["d.py", "1", "-", "+1"],
+    ]

@@ -5,10 +5,14 @@
 For the checkout holding this script (and for PARENT_TREE, if given) it
 prints, apart, the number of Python code lines in ``src/twoscalepop/*.py``
 with the number of ``@dataclass`` decorators there, and the number of C
-code lines in ``src/twoscalepop/*.c``.  A Python code line holds a token
-other than a comment or a docstring of a module, class or function:
-``tokenize`` finds the tokens and ``ast`` the docstrings; a token spanning
-several lines, such as a multi-line string, puts each of them in the count.
+code lines in ``src/twoscalepop/*.c``.  A table follows with the Python
+code lines of each module in each tree ("-" where a tree lacks the
+module) and, given PARENT_TREE, the change, so that code moved from one
+module to another shows as moved, not as removed.  A Python code line
+holds a token other than a comment or a docstring of a module, class or
+function: ``tokenize`` finds the tokens and ``ast`` the docstrings; a token
+spanning several lines, such as a multi-line string, puts each of them in
+the count.
 A C code line holds a character other than white space outside ``/* */``
 and ``//`` comments (string and character literals are code); blank and
 comment-only lines do not count.
@@ -81,9 +85,15 @@ def count_c(source: str) -> int:
     return len(lines)
 
 
+def count_modules(tree: Path) -> dict[str, tuple[int, int]]:
+    """(Python code lines, ``@dataclass`` decorators) per module, by file name."""
+    return {path.name: count(path.read_text())
+            for path in sorted((tree / "src" / "twoscalepop").glob("*.py"))}
+
+
 def count_tree(tree: Path) -> tuple[int, int]:
     """(Python code lines, ``@dataclass`` decorators) summed over the package."""
-    totals = [count(path.read_text()) for path in sorted((tree / "src" / "twoscalepop").glob("*.py"))]
+    totals = count_modules(tree).values()
     return sum(t[0] for t in totals), sum(t[1] for t in totals)
 
 
@@ -103,6 +113,18 @@ def main(argv=None) -> int:
         lines, dataclasses = count_tree(tree)
         print(f"{label}: Python {lines} code lines, {dataclasses} @dataclass; "
               f"C {count_c_tree(tree)} code lines ({tree})")
+    # per module, so that code moved between modules shows as moved
+    modules = {label: count_modules(tree) for label, tree in trees.items()}
+    names = sorted(set().union(*modules.values()))
+    width = max(len("module"), *map(len, names))
+    header = ["module".ljust(width), *(f"{label:>9}" for label in trees)]
+    print(" ".join(header + ([f"{'change':>9}"] if len(trees) == 2 else [])))
+    for name in names:
+        counts = [modules[label].get(name, (None,))[0] for label in trees]
+        row = [name.ljust(width), *(f"{'-' if c is None else c:>9}" for c in counts)]
+        if len(counts) == 2:
+            row.append(f"{(counts[0] or 0) - (counts[1] or 0):>+9}")
+        print(" ".join(row))
     return 0
 
 
