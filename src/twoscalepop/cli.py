@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import aggregation, analysis, metapop, scenarios, spectral, threestage
+from . import _pcg64, aggregation, analysis, metapop, scenarios, spectral, threestage
 from .aggregation import (ConvergenceTable, _stepped, convergence_table, iterate_tail,
                           stepping_path)
 from .analysis import OrbitReport
@@ -317,9 +317,8 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
             for results in (repeats, stepping, orbit_reports, orbit_notes):
                 results["local_2"] = results["local_1"]
 
-    rng = np.random.default_rng(config.seed)
     high = max(0.1, 2.0 * float(np.max(x0)))
-    samples = rng.uniform(0.0, high, size=(16, x0.size))
+    samples = _pcg64.uniform(config.seed, high, 16, x0.size)
     convergence = convergence_table(system, samples, m=1, k_values=config.k_list)
 
     return RunSummary(

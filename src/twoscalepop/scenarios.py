@@ -57,7 +57,7 @@ class ScenarioConfig:
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "tail", int(self.tail))
         object.__setattr__(self, "seed", int(self.seed))
-        if self.seed < 0:  # np.random.default_rng takes no negative seed
+        if self.seed < 0:  # _pcg64 seeds the sample stream from the seed's 32-bit words
             raise ConfigError("run.seed", "must be >= 0")
         if self.horizon < 1:
             raise ConfigError("run.horizon", "must be >= 1")

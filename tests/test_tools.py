@@ -1,11 +1,13 @@
 import importlib.util
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CODE_LINES = ROOT / "tools" / "code_lines.py"
+PAIRED_CLI = ROOT / "tools" / "paired_cli.py"
 
 
 def _code_lines_module():
@@ -114,3 +116,47 @@ def test_code_lines_shows_code_moved_between_modules(tmp_path):
         ["c.py", "-", "1", "-1"],
         ["d.py", "1", "-", "+1"],
     ]
+
+
+def _package_copies(tmp_path, labels):
+    for label in labels:
+        shutil.copytree(ROOT / "src" / "twoscalepop", tmp_path / label / "src" / "twoscalepop",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    return [tmp_path / label for label in labels]
+
+
+def test_paired_cli_times_two_copies_of_one_tree(tmp_path):
+    parent, change = _package_copies(tmp_path, ("parent", "change"))
+    proc = subprocess.run([sys.executable, str(PAIRED_CLI), str(parent), "--tree", str(change),
+                           "--pairs", "3", "--", "run", "fig2", "--fast"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    title, *sides, wall, peak, verdict = proc.stdout.splitlines()
+    assert title == "twoscalepop run fig2 --fast: 3 fresh-process pairs after 2 warm-up pairs"
+    number = r"([0-9.]+)"
+    for line, label, root in zip(sides, ("parent", "change"), (parent, change)):
+        match = re.fullmatch(rf"  {label} +wall median {number} ms IQR {number}  "
+                             rf"peak RSS median {number} MB IQR {number}  \((.+)\)", line)
+        assert match, line
+        assert float(match[1]) > 0.0 and float(match[3]) > 0.0
+        assert Path(match[5]) == root.resolve()
+    assert re.fullmatch(r"  wall: paired median [+-][0-9.]+ ms, change faster in [0-3]/3 pairs",
+                        wall), wall
+    assert re.fullmatch(r"  peak RSS: paired median [+-][0-9.]+ MB, change lower in [0-3]/3 "
+                        r"pairs", peak), peak
+    assert verdict == "every run matches its tree's first run"
+
+
+def test_paired_cli_fails_when_a_run_differs_from_its_first(tmp_path):
+    parent, change = _package_copies(tmp_path, ("parent", "change"))
+    init = change / "src" / "twoscalepop" / "__init__.py"
+    init.write_text(init.read_text() + "\nimport os\nprint(os.getpid())\n")
+    proc = subprocess.run([sys.executable, str(PAIRED_CLI), str(parent), "--tree", str(change),
+                           "--pairs", "2", "--", "list"], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    # the change tree's three later runs print another pid; the parent's do not
+    assert [line for line in lines if "DIFFERENT" in line] == [
+        f"  DIFFERENT change run {run}: exit code, stdout or files differ from run 0"
+        for run in (1, 2, 3)]
+    assert lines[-1] == "3 run(s) differ from their tree's first run"

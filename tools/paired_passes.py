@@ -77,7 +77,7 @@ class Tree:
         return wall
 
 
-def _spread(values: list[float]) -> tuple[float, float]:
+def spread(values: list[float]) -> tuple[float, float]:
     """Median and interquartile range (exclusive quartiles)."""
     q1, _, q3 = statistics.quantiles(values, n=4)
     return statistics.median(values), q3 - q1
@@ -113,7 +113,7 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}, {args.passes} pairs after "
           f"{WARMUP_PAIRS} warm-up pairs (ms per pass)")
     for label, root in zip(LABELS, roots):
-        median, iqr = _spread(walls[label])
+        median, iqr = spread(walls[label])
         print(f"  {label:<6} median {median * 1e3:.3f}  IQR {iqr * 1e3:.3f}  ({root})")
     gaps = [c - p for p, c in zip(walls["parent"], walls["change"])]
     wins = sum(gap < 0.0 for gap in gaps)
