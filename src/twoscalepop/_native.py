@@ -14,10 +14,14 @@ ball harnesses (trapping, attraction, instability, the convergence table)
 
 The two loops have the same calls and return the same states, step counts
 and status codes; each Python function takes a kernel where the
-extension's takes ``(kind, constants)``.  ``Stepper._finish`` is the one
-place where a status becomes an error, so both loops raise alike.
-``iterate_tail``'s whole repeat schedule up to the tail is one call
-(``orbit``), as is a batch of starts (``many``).  A checked run stops at
+extension's takes ``(kind, constants)``, and the Python ``orbit`` runs one
+series of the extension's ``orbits``.  ``Stepper._finish`` is the one
+place where a status becomes an error, so both loops raise alike.  The
+repeat schedule up to the tail of every series of a run is one call
+(``orbits``, through ``orbits`` below), as is a batch of starts
+(``many``).  On a CPU with AVX2 and FMA the extension steps two or more
+series together: H_k series four to a vector, the others alongside
+(``describe`` names the lanes).  A checked run stops at
 the first state outside the admissible set: finite, nonnegative,
 coordinates at most ``BOX_BOUND``, tested after each state is stored and
 before the next step.  Step counts lie in [0, ``MAX_STEPS``]: the
@@ -54,7 +58,7 @@ from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -206,9 +210,11 @@ def _library() -> tuple:
 
 
 def describe() -> str:
-    """Which path this process steps orbits on, and why."""
+    """Which path this process steps orbits on, and why; on the compiled
+    path also how ``orbits`` steps a run's series: in ``AVX2`` lanes or
+    one after another (``serial``)."""
     lib, where = _library()
-    return f"native ({where})" if lib is not None else f"python: {where}"
+    return f"native ({where}; {lib.LANES} lanes)" if lib is not None else f"python: {where}"
 
 
 def advance(kernel: Callable, x: tuple, n: int, rows, bound: Optional[float]) -> tuple:
@@ -244,9 +250,9 @@ def advance(kernel: Callable, x: tuple, n: int, rows, bound: Optional[float]) ->
 
 
 def orbit(kernel: Callable, x: tuple, first: int) -> tuple:
-    """The extension's ``orbit`` in Python: steps from ``x``, the state of
-    step 0, under ``aggregation.iterate_tail``'s repeat schedule and stops
-    at the first match or at step ``first``, unchecked.
+    """One series of the extension's ``orbits`` in Python: steps from
+    ``x``, the state of step 0, under ``aggregation.iterate_tail``'s repeat
+    schedule and stops at the first match or at step ``first``, unchecked.
 
     Returns ``(state, taken, status, period)``: ``_MATCHED_FIRST`` (Brent's
     tortoise) or ``_MATCHED_SECOND`` (the fine one) with the steps since
@@ -278,15 +284,16 @@ def orbit(kernel: Callable, x: tuple, first: int) -> tuple:
     return x, t, _RAN, 0
 
 
-def many(kernel: Callable, states: np.ndarray, n: int, bound: Optional[float]) -> list[int]:
+def many(kernel: Callable, states: np.ndarray, n: int, bound: Optional[float]) -> list[tuple]:
     """The extension's ``many`` in Python: ``advance`` by ``n`` steps from
-    each row of the float64 array ``states``, in place; returns the rows
-    whose run did not end ``_RAN``."""
+    each row of the float64 array ``states``, in place; returns ``(row,
+    taken, status)`` for each row whose run did not end ``_RAN``, whose
+    state then stays in ``states`` as ``advance`` left it."""
     failed = []
     for i, x in enumerate(states.tolist()):
-        states[i], _, status = advance(kernel, tuple(x), n, None, bound)
+        states[i], taken, status = advance(kernel, tuple(x), n, None, bound)
         if status != _RAN:
-            failed.append(i)
+            failed.append((i, taken, status))
     return failed
 
 
@@ -316,15 +323,14 @@ class Stepper:
 
     ``advance(x, n)`` returns the state ``n`` steps after ``x``.
     ``rows(x, out)`` writes the next ``len(out)`` states into ``out``, which
-    must be a C-contiguous float64 ``(n, len(x))`` array.  ``orbit(x,
-    first)`` steps unchecked under ``iterate_tail``'s repeat schedule and
-    returns the state reached, its step and the ``(step, period)`` of the
-    match, else None.  ``many(xs, n)`` steps each row of the (count, dim)
-    array ``xs`` ``n`` times and returns ``(images, errors)``: ``errors``
-    maps a row to the package error its own ``advance`` raises, on a
-    replay from its start, and that row of ``images`` holds no image.  A
-    stepper holds no buffer and the map keeps no stepper, so threads may
-    step one map at once.
+    must be a C-contiguous float64 ``(n, len(x))`` array.  ``many(xs, n)``
+    steps each row of the (count, dim) array ``xs`` ``n`` times and returns
+    ``(images, errors)``: ``errors`` maps a row to the package error its
+    own ``advance`` raises, which ``_finish`` raises from the state and step
+    at which the batch left that row, and that row of ``images`` holds no
+    image.  The module-level ``orbits`` runs the repeat schedule of several
+    steppers at once.  A stepper holds no buffer and the map keeps no
+    stepper, so threads may step one map at once.
     """
 
     __slots__ = ("path", "_loop", "_lead", "_kernel", "_bound", "_spec")
@@ -358,10 +364,6 @@ class Stepper:
                                "which the Python check admits")
         return x
 
-    def orbit(self, x: tuple, first: int) -> tuple[tuple, int, Optional[tuple[int, int]]]:
-        x, t, status, period = self._loop.orbit(*self._lead, x, first)
-        return self._finish(x, t, status), t, None if status == _RAN else (t, period)
-
     def advance(self, x: tuple, n: int) -> tuple:
         return self._finish(*self._loop.advance(*self._lead, x, n, None, self._bound))
 
@@ -380,9 +382,31 @@ class Stepper:
         if self._spec is not None and images.shape[1] != (dim := _SHAPES[self._spec.kind][0]):
             raise ValueError(f"starts must form a (count, {dim}) array")
         errors = {}
-        for i in self._loop.many(*self._lead, images, n, self._bound):
+        for i, taken, status in self._loop.many(*self._lead, images, n, self._bound):
             try:
-                self.advance(tuple(starts[i].tolist()), n)
+                self._finish(tuple(images[i].tolist()), taken, status)
             except TwoScalePopError as err:
                 errors[i] = err
         return images, errors
+
+
+def orbits(pairs: Sequence[tuple[Stepper, tuple]], first: int) -> Iterator[tuple]:
+    """Each ``(stepper, start)`` of ``pairs`` stepped unchecked from its
+    start, the state of step 0, under ``iterate_tail``'s repeat schedule up
+    to the first match or step ``first``.
+
+    Yields, in the order of ``pairs``, ``(state, step, repeat)``: the state
+    reached, its step and the ``(step, period)`` of the match, else None.
+    Every compiled stepper's series is one series of a single call of the
+    extension's ``orbits``, made before the first yield; each of the others
+    steps in the Python loop when its turn comes.  Each result passes
+    through its stepper's ``_finish``, so the first series that fails
+    raises its error there and no later series steps in Python.
+    """
+    compiled = [(stepper, x) for stepper, x in pairs if stepper.path == NATIVE]
+    ran = iter(compiled[0][0]._loop.orbits([(*stepper._lead, x) for stepper, x in compiled],
+                                           first) if compiled else ())
+    for stepper, x in pairs:
+        x, t, status, period = (next(ran) if stepper.path == NATIVE
+                                else stepper._loop.orbit(*stepper._lead, x, first))
+        yield stepper._finish(x, t, status), t, None if status == _RAN else (t, period)

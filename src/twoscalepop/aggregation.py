@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -230,33 +230,53 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
     the catch is never later than Brent's.
 
     The orbit runs on tuples of floats, through one ``_native.Stepper``:
-    the whole schedule up to the tail is one call of its ``orbit``, in the
-    compiled loop when the map carries a compiled form (``.native``, as
-    the ``threestage`` maps do) and the loop is available
-    (``stepping_path``), else in the Python loop, through the map's float
-    kernel ``map_fn.kernel``, or through ``map_fn`` itself, called once per
+    the whole schedule up to the tail is one call, in the compiled loop
+    when the map carries a compiled form (``.native``, as the
+    ``threestage`` maps do) and the loop is available (``stepping_path``),
+    else in the Python loop, through the map's float kernel
+    ``map_fn.kernel``, or through ``map_fn`` itself, called once per
     computed step on a fresh float array, when it has none.  All give the
     same bytes and repeat and raise the same errors at the same step.
-    Only the tail rows become a numpy array.  ``map_fn`` must be deterministic and return float arrays.
-    ``steps`` outside [0, ``_native.MAX_STEPS``] raises ValueError on every
-    path, before any step: the compiled loop counts steps in int64.
+    Only the tail rows become a numpy array.  ``map_fn`` must be
+    deterministic and return float arrays.  ``steps`` outside [0,
+    ``_native.MAX_STEPS``] raises ValueError on every path, before any
+    step: the compiled loop counts steps in int64.
+    """
+    return next(iterate_tails([(map_fn, x0)], steps, keep))
+
+
+def iterate_tails(series, steps: int,
+                  keep: int = 1) -> Iterator[tuple[Vector, Optional[tuple[int, int]]]]:
+    """``iterate_tail(map_fn, x0, steps, keep)`` of each ``(map_fn, x0)`` of
+    ``series``, yielded in order, with the same bytes, repeats and errors.
+
+    The repeat schedules of all compiled series run in one call of the
+    extension (``_native.orbits``), where a CPU with AVX2 and FMA steps
+    them side by side, made when the first result is taken; the rest of
+    each series, and every series in the Python loop, steps when its turn
+    comes.  The first series that fails raises its error then, so no later
+    series steps in Python.  ``steps`` and ``keep`` are checked here,
+    before any step.
     """
     _require_steps(steps)
     if not 1 <= keep <= steps + 1:
         raise ValueError("keep must lie in [1, steps + 1]")
-    x = _as_floats(x0)
-    stepper = _native.Stepper(map_fn)
-    first = steps + 1 - keep  # step of the tail's first row
-    x, t, repeat = stepper.orbit(x, first)
-    if repeat is not None:
-        # the state of step t recurs every period: resume from its last
-        # recurrence at or before the tail's first row
-        period = repeat[1]
-        t += (first - t) // period * period
-    tail = np.empty((keep, len(x)))
-    tail[0] = x = stepper.advance(x, first - t)
-    stepper.rows(x, tail[1:])
-    return tail, repeat
+    pairs = [(_native.Stepper(map_fn), _as_floats(x0)) for map_fn, x0 in series]
+    return _tails(pairs, steps + 1 - keep, keep)
+
+
+def _tails(pairs, first: int, keep: int) -> Iterator[tuple[Vector, Optional[tuple[int, int]]]]:
+    """``iterate_tails`` from the tail's first row, step ``first``, on."""
+    for (stepper, _), (x, t, repeat) in zip(pairs, _native.orbits(pairs, first)):
+        if repeat is not None:
+            # the state of step t recurs every period: resume from its last
+            # recurrence at or before the tail's first row
+            period = repeat[1]
+            t += (first - t) // period * period
+        tail = np.empty((keep, len(x)))
+        tail[0] = x = stepper.advance(x, first - t)
+        stepper.rows(x, tail[1:])
+        yield tail, repeat
 
 
 def reduced_map(sys: TwoScaleSystem) -> StateMap:

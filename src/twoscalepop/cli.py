@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _pcg64, aggregation, analysis, metapop, scenarios, spectral, threestage
 from .aggregation import (ConvergenceTable, _stepped, convergence_table, iterate_tail,
-                          stepping_path)
+                          iterate_tails, stepping_path)
 from .analysis import OrbitReport
 from .errors import (
     CollapsedToEquilibriumError,
@@ -182,23 +182,13 @@ class RunSummary:
     stepping: dict[str, str]
 
 
-def _run_trajectory(step: Callable, x0, horizon: int,
-                    keep: int) -> tuple[np.ndarray, Optional[tuple[int, int]], str]:
-    """Last ``keep`` states of a ``horizon``-step run, its exact repeat and
-    the path that stepped it.
-
-    Returns ``(tail, repeat)`` as ``aggregation.iterate_tail`` does: the
-    tail is bit-identical to the end of the full trajectory, and a run whose
-    state repeats bit for bit stops computing where the repeat is caught,
-    so its cost is set by the repeat step, not by the horizon.  Then
-    ``aggregation.stepping_path`` of the run.
-    """
-    path = stepping_path(step)
-    tail, repeat = iterate_tail(step, x0, horizon, keep)
+def _finite(run: tuple, horizon: int) -> tuple:
+    """A ``(tail, repeat)`` of ``aggregation.iterate_tails``, once its last
+    state is known to be finite."""
+    tail = run[0]
     if not np.all(np.isfinite(tail[-1])):
-        raise DomainExitError("trajectory left the admissible box",
-                              step=horizon, state=tail[-1])
-    return tail, repeat, path
+        raise DomainExitError("trajectory left the admissible box", step=horizon, state=tail[-1])
+    return run
 
 
 def _cycle_seed(co: ReducedCoefficients):
@@ -284,14 +274,21 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
     y0 = metapop.aggregate(x0, threestage.PATCHES)
     tail = config.tail
 
+    # every series of the run steps in one call (aggregation.iterate_tails);
+    # each tail is read, and any error raised, in the order listed here
+    patches = () if not include_local else (0,) if _same_isolated_patches(params, x0) else (0, 1)
+    series = {"reduced": (reduced_step, y0)}
+    series.update({f"k={k}": (system.complete(k), x0) for k in config.k_list})
+    series.update({f"local_{patch + 1}": (threestage.local_map(params, patch), x0[patch::2])
+                   for patch in patches})
+    runs = iterate_tails(series.values(), config.horizon, tail)
+    stepping = {name: stepping_path(map_fn) for name, (map_fn, _) in series.items()}
     repeats: dict[str, Optional[tuple[int, int]]] = {}
-    stepping: dict[str, str] = {}
-    reduced_tail, repeats["reduced"], stepping["reduced"] = _run_trajectory(
-        reduced_step, y0, config.horizon, tail)
+
+    reduced_tail, repeats["reduced"] = _finite(next(runs), config.horizon)
     complete_tails = {}
     for k in config.k_list:
-        complete_tails[k], repeats[f"k={k}"], stepping[f"k={k}"] = _run_trajectory(
-            system.complete(k), x0, config.horizon, tail)
+        complete_tails[k], repeats[f"k={k}"] = _finite(next(runs), config.horizon)
 
     orbit_reports: dict[str, Optional[OrbitReport]] = {}
     orbit_notes: dict[str, str] = {}
@@ -300,22 +297,18 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
     orbit_notes["reduced"] = note
 
     local_tails = {}
-    if include_local:
-        same = _same_isolated_patches(params, x0)
-        for patch in (0,) if same else (0, 1):
-            local_step = threestage.local_map(params, patch)
-            (local_tails[patch], repeats[f"local_{patch + 1}"],
-             stepping[f"local_{patch + 1}"]) = _run_trajectory(
-                local_step, x0[patch::2], config.horizon, tail)
-            report, note = detect_orbit(local_step, local_tails[patch][-1],
-                                        _cycle_seed(local[patch]))
-            orbit_reports[f"local_{patch + 1}"] = report
-            orbit_notes[f"local_{patch + 1}"] = note
-        if same:
-            # patch 2 would repeat patch 1's run and orbit search bit for bit
-            local_tails[1] = local_tails[0]
-            for results in (repeats, stepping, orbit_reports, orbit_notes):
-                results["local_2"] = results["local_1"]
+    for patch in patches:
+        name = f"local_{patch + 1}"
+        local_tails[patch], repeats[name] = _finite(next(runs), config.horizon)
+        report, note = detect_orbit(series[name][0], local_tails[patch][-1],
+                                    _cycle_seed(local[patch]))
+        orbit_reports[name] = report
+        orbit_notes[name] = note
+    if patches == (0,):
+        # patch 2 would repeat patch 1's run and orbit search bit for bit
+        local_tails[1] = local_tails[0]
+        for results in (repeats, stepping, orbit_reports, orbit_notes):
+            results["local_2"] = results["local_1"]
 
     high = max(0.1, 2.0 * float(np.max(x0)))
     samples = _pcg64.uniform(config.seed, high, 16, x0.size)

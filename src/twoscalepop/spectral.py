@@ -126,7 +126,12 @@ def times(a, x) -> NDArray[np.float64]:
 
 def power_limit(matrix) -> NDArray[np.float64]:
     """lim M^k for primitive stochastic M: the rank-one matrix v * 1^T."""
-    v = _perron(ensure_primitive(matrix))
+    return _power_limit(ensure_primitive(matrix))
+
+
+def _power_limit(m) -> NDArray[np.float64]:
+    """``power_limit`` of validated entries."""
+    v = _perron(m)
     return np.outer(v, np.ones(v.size))
 
 
@@ -178,7 +183,12 @@ def rescaled_power_limit(survivals, matrix) -> NDArray[np.float64]:
     survival rates.
     """
     s = _survival_entries(survivals)
-    v = _perron(ensure_primitive(matrix))
+    return _rescaled_power_limit(s, ensure_primitive(matrix))
+
+
+def _rescaled_power_limit(s, m) -> NDArray[np.float64]:
+    """``rescaled_power_limit`` of validated survivals and entries."""
+    v = _perron(m)
     gamma = float(np.exp(np.log(s) @ v))
     return gamma * np.outer(v, np.ones(v.size))
 

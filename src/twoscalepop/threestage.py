@@ -326,9 +326,11 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     Everything constant is built once here: the dispersal blocks, the
     powered dispersal matrix per k (on first use), the limit dispersal
     operator and the Perron spread vectors (times gamma_i when rescaled).
-    ``ThreeStageParams`` bounds every migration rate inside (0, 1), and
-    ``spectral.power_limit``/``rescaled_power_limit`` test each block once
-    more as they form its limit block.
+    ``ThreeStageParams`` bounds every migration rate and survival inside
+    (0, 1), so each dispersal block [[1-p, q], [p, 1-q]] is positive, hence
+    primitive, with columns summing to 1, and the limit blocks are formed
+    from it without the tests of ``spectral.power_limit`` and
+    ``rescaled_power_limit``.
     H_k and H have one form, built by one constructor over their dispersal
     operator: one dispersal product followed by the closed-form demography
     over its ten structural nonzeros; no 6x6 demography matrix is built.
@@ -357,9 +359,9 @@ def make_system(params: ThreeStageParams, variant: str) -> TwoScaleSystem:
     base = spectral.block_diag(*mats)
     survivals = params.survivals.ravel()  # (stage, patch) matches the state order
     if variant == VARIANT_SLOW:
-        limit_blocks = [spectral.power_limit(m) for m in mats]
+        limit_blocks = [spectral._power_limit(m) for m in mats]
     else:
-        limit_blocks = [spectral.rescaled_power_limit(params.survivals[i], m)
+        limit_blocks = [spectral._rescaled_power_limit(params.survivals[i], m)
                         for i, m in enumerate(mats)]
     # each column of a limit block is v_i (gamma_i v_i when rescaled)
     sp1a, sp1b, sp2a, sp2b, sp3a, sp3b = np.concatenate(

@@ -362,7 +362,8 @@ def test_a_run_derives_each_constant_once_per_call(monkeypatch, name):
             cli.run_scenario(cfg, include_local=scenario.include_local)
             assert sorted(counts["builds"]) == expected, cfg.variant
             assert counts["systems"] == 1
-            assert counts["primitivity"] == 3, cfg.variant
+            # the parameters already make every dispersal block primitive
+            assert counts["primitivity"] == 0, cfg.variant
 
 
 # --- run command ------------------------------------------------------------

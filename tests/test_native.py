@@ -180,12 +180,18 @@ def test_brents_tortoise_wins_when_both_match(native_lib, fig2_params):
     # had one been saved earlier, it would have matched the other's state
     # when that was saved.  At step 1 both hold the fixed start of step 0
     reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
-    state, taken, status, period = native_lib.orbit(_native.REDUCED, reduced.native.packed,
-                                                    (0.0,) * 3, 100)
-    assert (state, taken, period, status) == ((0.0,) * 3, 1, 1, _native._MATCHED_FIRST)
     start = (0.0,) * 3
+    # alone (the serial loop) and beside a second series (the lanes)
+    for count in (1, 2):
+        ran = native_lib.orbits([(_native.REDUCED, reduced.native.packed, start)] * count, 100)
+        assert ran == [(start, 1, _native._MATCHED_FIRST, 1)] * count
     for stepper in (Stepper(reduced), Stepper(python_only(reduced))):
-        assert stepper.orbit(start, 100) == (start, 1, (1, 1))
+        assert _orbit(stepper, start, 100) == (start, 1, (1, 1))
+
+
+def _orbit(stepper, x, first):
+    """(state, step, repeat) of ``stepper``'s repeat schedule from ``x`` alone."""
+    return next(_native.orbits([(stepper, x)], first))
 
 
 class _CountingLibrary:
@@ -212,7 +218,7 @@ def test_a_drifting_orbit_runs_its_schedule_in_one_foreign_call(native_lib, monk
     tail, repeat = iterate_tail(hk, _X0, 20_000, 8)
     assert repeat is None
     # the orbit up to the tail, its (empty) final stretch and the tail rows
-    assert spy.calls == ["orbit", "advance", "advance"]
+    assert spy.calls == ["orbits", "advance", "advance"]
     expected, _ = iterate_tail(python_only(hk), _X0, 20_000, 8)
     assert _same_bits(tail, expected)
 
@@ -559,9 +565,26 @@ def test_stepping_path_names_the_loop_that_steps(native_lib, monkeypatch, fig2_p
     aggregation.iterate(map_fn, x0, 20)
     images(map_fn, np.array([x0, 0.5 * x0]), 3, checked=True)
     if case == "compiled":
-        assert spy.calls == ["orbit", "advance", "advance", "advance", "many"]
+        assert spy.calls == ["orbits", "advance", "advance", "advance", "many"]
     else:
         assert spy.calls == []
+
+
+def test_a_python_batch_steps_each_row_once(fig2_params, monkeypatch):
+    # rows 1 and 2 leave a lowered box at step 1: one pass per row makes
+    # 200 + 1 + 1 kernel calls, and the errors come from where they left,
+    # not from a replay of each failing row from its start
+    reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
+    calls = []
+    counted = python_only(reduced)
+    counted.kernel = lambda y: calls.append(y) or reduced.kernel(y)
+    monkeypatch.setattr(_native, "BOX_BOUND", 0.5)
+    starts = np.array([_Y0, np.ones(3), np.ones(3)])
+    out, errors = images(counted, starts, 200, checked=True)
+    assert len(calls) == 202
+    assert [(i, str(err), err.step) for i, err in sorted(errors.items())] == [
+        (1, "state exceeded the box bound", 1), (2, "state exceeded the box bound", 1)]
+    _same_batch((out, errors), _per_row(python_only(reduced), starts, 200, checked=True))
 
 
 def test_a_batch_with_signed_zeros_is_one_compiled_call(native_lib, monkeypatch):
@@ -776,7 +799,7 @@ def test_the_extension_refuses_counts_it_cannot_hold(native_lib, fig2_params):
     start = tuple(_Y0.tolist())
     for n in (2 ** 63, 2 ** 64 + 5, -1):
         with pytest.raises(ValueError, match=r"^a step count must lie in \[0, 2\*\*63 - 1\]$"):
-            native_lib.orbit(spec.kind, spec.packed, start, n)
+            native_lib.orbits([(spec.kind, spec.packed, start)], n)
         with pytest.raises(ValueError, match=r"^a step count must lie in \[0, 2\*\*63 - 1\]$"):
             native_lib.advance(spec.kind, spec.packed, start, n, None, None)
         with pytest.raises(ValueError, match=r"^a step count must lie in \[0, 2\*\*63 - 1\]$"):
@@ -803,8 +826,8 @@ def test_a_long_orbit_call_agrees_on_both_paths(native_lib, name, variant):
         x = tuple(x0.tolist())
         compiled = Stepper(map_fn)
         assert compiled.path == _native.NATIVE, label
-        state, taken, repeat = compiled.orbit(x, 20_000)
-        expected, expected_taken, expected_repeat = Stepper(python_only(map_fn)).orbit(x, 20_000)
+        state, taken, repeat = _orbit(compiled, x, 20_000)
+        expected, expected_taken, expected_repeat = _orbit(Stepper(python_only(map_fn)), x, 20_000)
         assert _same_bits(state, expected), label
         assert (taken, repeat) == (expected_taken, expected_repeat), label
 
@@ -813,7 +836,7 @@ def _compiled(lib, map_fn, x, n, bound=None, orbit=False):
     """One compiled call from ``x``: (state it hands back, steps, status, period)."""
     spec = map_fn.native
     if orbit:
-        return lib.orbit(spec.kind, spec.packed, x, n)
+        return lib.orbits([(spec.kind, spec.packed, x)], n)[0]
     state, taken, status = lib.advance(spec.kind, spec.packed, x, n, None, bound)
     return state, taken, status, None
 
@@ -846,7 +869,7 @@ def test_every_exit_writes_back_its_state(native_lib, fig2_params, label):
     # it, only the fine one (saved at steps 16 and 18) can match first
     for begin, status in ((onset, _native._MATCHED_FIRST), (onset - 16, _native._MATCHED_SECOND)):
         state, taken, got, period = _compiled(lib, map_fn, orbit[begin], 100, orbit=True)
-        expected, expected_taken, repeat = Stepper(python_only(map_fn)).orbit(orbit[begin], 100)
+        expected, expected_taken, repeat = _orbit(Stepper(python_only(map_fn)), orbit[begin], 100)
         assert (got, taken, (taken, period)) == (status, expected_taken, repeat), label
         assert _same_bits(state, expected) and not _same_bits(state, orbit[begin]), label
     # FAILS: the state the refused second step would be applied to

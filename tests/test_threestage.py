@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoscalepop import _native, metapop, scenarios, threestage
+from twoscalepop import _native, metapop, scenarios, spectral, threestage
 from twoscalepop.errors import DomainExitError, NegativeDensityError
 from twoscalepop.metapop import VARIANTS
 from twoscalepop.threestage import ThreeStageParams
@@ -498,3 +498,29 @@ def test_fma_matches_libm():
     fma.restype, fma.argtypes = ctypes.c_double, (ctypes.c_double,) * 3
     for a, b, c in _fma_triples(40_000):
         assert _same_float(threestage._fma(a, b, c), fma(a, b, c)), (a, b, c)
+
+
+_OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(migration=st.lists(_OPEN_UNIT, min_size=6, max_size=6),
+       survivals=st.lists(_OPEN_UNIT, min_size=6, max_size=6),
+       variant=st.sampled_from(("slow_survival", "rescaled")))
+def test_valid_rates_give_primitive_blocks_and_the_checked_limits(migration, survivals,
+                                                                  variant):
+    # make_system forms its limit blocks without testing the dispersal
+    # blocks: rates strictly inside (0, 1) make every block positive, so
+    # the tests it skips always pass and the checked limits are the same
+    params = ThreeStageParams(np.reshape(survivals, (3, 2)), (3.0, 3.0), (1.0, 1.0),
+                              (10.0, 10.0), np.reshape(migration, (3, 2)))
+    blocks = threestage.dispersal_matrices(params)
+    assert all(spectral.is_primitive_stochastic(m) == spectral.DIAGNOSIS_OK for m in blocks)
+    if variant == "slow_survival":
+        checked = [spectral.power_limit(m) for m in blocks]
+    else:
+        checked = [spectral.rescaled_power_limit(params.survivals[i], m)
+                   for i, m in enumerate(blocks)]
+    limit = threestage.make_system(params, variant).limit_map
+    entries = _native.dispersal_entries(spectral.block_diag(*checked))
+    assert np.array(limit.native.constants[:12]).tobytes() == np.array(entries).tobytes()

@@ -160,3 +160,29 @@ def test_paired_cli_fails_when_a_run_differs_from_its_first(tmp_path):
         f"  DIFFERENT change run {run}: exit code, stdout or files differ from run 0"
         for run in (1, 2, 3)]
     assert lines[-1] == "3 run(s) differ from their tree's first run"
+
+
+def _paired_passes_module():
+    spec = importlib.util.spec_from_file_location("paired_passes", ROOT / "tools" / "paired_passes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_paired_passes_states_the_claim_verdict():
+    verdict = _paired_passes_module().verdict
+    parent = [0.010 + 0.0001 * (i % 4) for i in range(10)]  # IQR 0.225 ms
+    faster = [p - 0.001 for p in parent]
+    met = verdict(parent, faster)
+    assert met.startswith("claim met: 10 pairs") and "FAILS" not in met, met
+    assert "change faster in 10/10" in met and "paired median -1.000 ms" in met, met
+    # too few pairs, a lost pair too many, a gap inside the parent's IQR,
+    # and a slower change each fail the rule, and say which part failed
+    lost_two = faster[:8] + [p + 0.001 for p in parent[8:]]
+    for label, (p, c), failed in (
+            ("pairs", (parent[:9], faster[:9]), "9 pairs (at least 10) FAILS"),
+            ("wins", (parent, lost_two), "change faster in 8/10 (at least 90%) FAILS"),
+            ("gap", (parent, [x - 0.0001 for x in parent]), "IQR 0.225 ms FAILS"),
+            ("slower", (parent, [x + 0.001 for x in parent]), "IQR 0.225 ms FAILS")):
+        line = verdict(p, c)
+        assert line.startswith("claim not met: ") and failed in line, (label, line)

@@ -13,9 +13,12 @@ outputs against that tree's ``perfbench/reference.json``.
 
 Prints each tree's median pass time and interquartile range, the median
 of the paired differences (change minus parent) and the number of pairs the
-change won (ties count for neither side).  Exits 1 if any job of any pass
-failed its reference check, else 0.  Two copies of one tree should read a
-paired median near 0 with about half the wins.
+change won (ties count for neither side), then the claim rule's verdict on
+one line (``verdict``): a speed claim is met with at least ``MIN_PAIRS``
+pairs, the change faster in at least ``MIN_WIN_SHARE`` of them and a
+paired median below zero by more than the parent's IQR.  Exits 1 if any
+job of any pass failed its reference check, else 0.  Two copies of one
+tree should read a paired median near 0 with about half the wins.
 """
 from __future__ import annotations
 
@@ -36,6 +39,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 LABELS = ("parent", "change")
 WARMUP_PAIRS = 3
+MIN_PAIRS = 10
+MIN_WIN_SHARE = 0.9
 
 
 def _purge() -> None:
@@ -83,6 +88,22 @@ def spread(values: list[float]) -> tuple[float, float]:
     return statistics.median(values), q3 - q1
 
 
+def verdict(parent: list[float], change: list[float]) -> str:
+    """The claim rule on paired timings (``parent[i]`` with ``change[i]``),
+    as one line that starts with "claim met" or "claim not met"."""
+    gaps = [c - p for p, c in zip(parent, change)]
+    wins = sum(gap < 0.0 for gap in gaps)
+    gap, iqr = statistics.median(gaps), spread(parent)[1]
+    parts = [(len(gaps) >= MIN_PAIRS, f"{len(gaps)} pairs (at least {MIN_PAIRS})"),
+             (wins >= MIN_WIN_SHARE * len(gaps),
+              f"change faster in {wins}/{len(gaps)} (at least {MIN_WIN_SHARE:.0%})"),
+             (-gap > iqr, f"paired median {gap * 1e3:+.3f} ms against the parent's "
+                          f"IQR {iqr * 1e3:.3f} ms")]
+    met = all(ok for ok, _ in parts)
+    return f"claim {'met' if met else 'not met'}: " + "; ".join(
+        text if ok else f"{text} FAILS" for ok, text in parts)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="the parent source tree")
@@ -121,6 +142,7 @@ def main(argv=None) -> int:
     change_pct = 100.0 * (statistics.median(walls["change"]) / parent_median - 1.0)
     print(f"  paired median {statistics.median(gaps) * 1e3:+.3f} ms, medians "
           f"{change_pct:+.1f} %, change faster in {wins}/{len(gaps)} pairs")
+    print(f"  {verdict(walls['parent'], walls['change'])}")
     failures = [(label, job) for label in LABELS for job in trees[label].failed]
     for label, job in failures[:10]:
         print(f"  FAILED {label}: {job}")
