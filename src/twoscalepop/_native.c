@@ -13,13 +13,14 @@
  * orbits runs aggregation.iterate_tail's whole repeat schedule up to the
  * tail for every series of a run in one call; advance runs plain, stored
  * or checked stretches, many one such stretch from each of a batch of
- * starts, and step one step of an array form.  A lone series, and every
- * series on a CPU without AVX2 and FMA, goes through one inlined serial
- * loop, run(), specialised per map kind so that its state has a constant
- * length.  It keeps the state, both saved states of the repeat schedule
- * and the constants in registers: a step hands back its image by value,
- * the saved states are held as bit patterns, and the caller's state is
- * read once at entry and written once at each exit.
+ * starts, and step one step of an array form.  The schedule compares each
+ * state with one saved state, the tortoise, re-saved ever more sparsely.
+ * A lone series, and every series on a CPU without AVX2 and FMA, goes
+ * through one inlined serial loop, run(), specialised per map kind so that
+ * its state has a constant length.  It keeps the state, the tortoise and
+ * the constants in registers: a step hands back its image by value, the
+ * tortoise is held as bit patterns, and the caller's state is read once at
+ * entry and written once at each exit.
  *
  * Two or more series on a CPU with AVX2 and FMA (__builtin_cpu_supports,
  * asked once at load; the target("avx2,fma") function is the only code
@@ -41,7 +42,7 @@
 #include <string.h>
 
 enum { COMPLETE = 0, REDUCED = 1, LOCAL = 2 };
-enum { RAN = 0, MATCHED_FIRST = 1, MATCHED_SECOND = 2, FAILS = 3, INADMISSIBLE = 4 };
+enum { RAN = 0, MATCHED = 1, FAILS = 2, INADMISSIBLE = 3 };
 
 /* a state; a map of three coordinates uses the first three */
 typedef struct { double v[6]; } state;
@@ -155,29 +156,28 @@ leave(double *restrict x, state s, int dim, int *status, int code, int64_t taken
  * once stored, a state that is not finite, nonnegative and at most *bound
  * ends it with status INADMISSIBLE, before any comparison or further step.
  * With `period` non-NULL the run follows iterate_tail's repeat schedule:
- * each new state's bytes are compared with Brent's tortoise, saved at steps
- * 2^n - 1, then with the fine one, re-saved at step t + 1 + t / 16 after
- * each save at step t; both start as x, saved at step 0, and each save
- * follows the step's compares.  A tortoise is held as the bit patterns of
- * its coordinates, so a match is the bytes' match: -0.0 differs from 0.0,
- * and a NaN matches only the same bits.  A match ends the run with status
- * MATCHED_FIRST or MATCHED_SECOND and *period the steps since that save.
- * Returns the number of steps taken, sets *status and leaves in x the last
- * state reached.  FAILS means the next step is one the Python kernel
- * refuses (a pole denominator, a non-finite H_k image); x then holds the
- * state it would be applied to. */
+ * each new state's bytes are compared with the tortoise, a state saved at
+ * step 0 (x) and re-saved at step t + 1 + t / 16 after each save at step t,
+ * each save following the step's compare.  The tortoise is held as the bit
+ * patterns of its coordinates, so a match is the bytes' match: -0.0
+ * differs from 0.0, and a NaN matches only the same bits.  A match ends the
+ * run with status MATCHED and *period the steps since the save.  Returns
+ * the number of steps taken, sets *status and leaves in x the last state
+ * reached.  FAILS means the next step is one the Python kernel refuses (a
+ * pole denominator, a non-finite H_k image); x then holds the state it
+ * would be applied to. */
 static inline __attribute__((always_inline)) int64_t
 run(int kind, int dim, const double *restrict p, double *restrict x, int64_t n,
     double *restrict rows, const double *restrict bound, int64_t *restrict period,
     int *restrict status)
 {
     state s = {{0.0}};
-    uint64_t brent[6] = {0}, fine[6] = {0};
-    int64_t mark = 0, next_mark = 1, fine_mark = 0, next_fine = 1;
+    uint64_t tortoise[6] = {0};
+    int64_t mark = 0, next_mark = 1;
     double most = bound ? *bound : 0.0;
     for (int i = 0; i < dim; i++) {
         s.v[i] = x[i];
-        brent[i] = fine[i] = bits(s.v[i]);
+        tortoise[i] = bits(s.v[i]);
     }
     for (int64_t t = 0; t < n; t++) {
         image next = step_of(kind, p, s);
@@ -196,56 +196,33 @@ run(int kind, int dim, const double *restrict p, double *restrict x, int64_t n,
         }
         if (period) {
             int64_t step = t + 1;
-            uint64_t off_brent = 0, off_fine = 0;
-            for (int i = 0; i < dim; i++) {
-                off_brent |= bits(s.v[i]) ^ brent[i];
-                off_fine |= bits(s.v[i]) ^ fine[i];
-            }
-            if (off_brent == 0) {
+            uint64_t off = 0;
+            for (int i = 0; i < dim; i++)
+                off |= bits(s.v[i]) ^ tortoise[i];
+            if (off == 0) {
                 *period = step - mark;
-                return leave(x, s, dim, status, MATCHED_FIRST, step);
-            }
-            if (off_fine == 0) {
-                *period = step - fine_mark;
-                return leave(x, s, dim, status, MATCHED_SECOND, step);
+                return leave(x, s, dim, status, MATCHED, step);
             }
             if (step == next_mark) {
                 mark = step;
-                next_mark = 2 * step + 1;
+                next_mark = step + 1 + step / 16;
                 for (int i = 0; i < dim; i++)
-                    brent[i] = bits(s.v[i]);
-            }
-            if (step == next_fine) {
-                fine_mark = step;
-                next_fine = step + 1 + step / 16;
-                for (int i = 0; i < dim; i++)
-                    fine[i] = bits(s.v[i]);
+                    tortoise[i] = bits(s.v[i]);
             }
         }
     }
     return leave(x, s, dim, status, RAN, n);
 }
 
-/* Step x by up to n steps, storing and checking as run() says. */
-static int64_t advance(int kind, const double *p, double *x, int64_t n,
-                       double *rows, const double *bound, int *status)
+/* Step x by up to n steps, storing, checking and following the repeat
+ * schedule as run() says. */
+static int64_t advance(int kind, const double *p, double *x, int64_t n, double *rows,
+                       const double *bound, int64_t *period, int *status)
 {
     switch (kind) {
-    case COMPLETE: return run(COMPLETE, 6, p, x, n, rows, bound, NULL, status);
-    case REDUCED: return run(REDUCED, 3, p, x, n, rows, bound, NULL, status);
-    default: return run(LOCAL, 3, p, x, n, rows, bound, NULL, status);
-    }
-}
-
-/* Step x toward step `first`, the tail's first row, under the repeat
- * schedule; stops at the first match or at `first`. */
-static int64_t orbit(int kind, const double *p, double *x, int64_t first,
-                     int64_t *period, int *status)
-{
-    switch (kind) {
-    case COMPLETE: return run(COMPLETE, 6, p, x, first, NULL, NULL, period, status);
-    case REDUCED: return run(REDUCED, 3, p, x, first, NULL, NULL, period, status);
-    default: return run(LOCAL, 3, p, x, first, NULL, NULL, period, status);
+    case COMPLETE: return run(COMPLETE, 6, p, x, n, rows, bound, period, status);
+    case REDUCED: return run(REDUCED, 3, p, x, n, rows, bound, period, status);
+    default: return run(LOCAL, 3, p, x, n, rows, bound, period, status);
     }
 }
 
@@ -260,13 +237,6 @@ typedef struct {
     double p[MAX_CONSTANTS], x[6];
 } series;
 
-/* Each series alone: orbit() one after another. */
-static void serial_orbits(series *s, Py_ssize_t count, int64_t first)
-{
-    for (Py_ssize_t i = 0; i < count; i++)
-        s[i].taken = orbit(s[i].kind, s[i].p, s[i].x, first, &s[i].period, &s[i].status);
-}
-
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 #define HAVE_LANES 1
@@ -277,7 +247,7 @@ static void serial_orbits(series *s, Py_ssize_t count, int64_t first)
  * a copy of lane 0 and never steps. */
 typedef struct {
     double c[30][4], x[6][4];
-    uint64_t brent[6][4], fine[6][4];
+    uint64_t tortoise[6][4];
     series *of[4];
     int live;  /* the lanes still stepping, one bit each */
     int unit;  /* every lane's u2a, u2b, u3a and u3b is exactly 1.0 */
@@ -286,7 +256,7 @@ typedef struct {
 /* A reduced or local series stepped alongside the quads. */
 typedef struct {
     series *of;
-    uint64_t brent[3], fine[3];
+    uint64_t tortoise[3];
     int live;
 } lane;
 
@@ -365,7 +335,7 @@ static inline void quad_leave(quad *q, int l, int status, int64_t taken, int64_t
     q->live &= ~(1 << l);
 }
 
-/* Put series s, its constants, state and tortoises, in lane l of q. */
+/* Put series s, its constants, state and tortoise, in lane l of q. */
 static void quad_put(quad *q, int l, series *s)
 {
     q->of[l] = s;
@@ -373,23 +343,16 @@ static void quad_put(quad *q, int l, series *s)
         q->c[j][l] = s->p[j];
     for (int j = 0; j < 6; j++) {
         q->x[j][l] = s->x[j];
-        q->brent[j][l] = q->fine[j][l] = bits(s->x[j]);
+        q->tortoise[j][l] = bits(s->x[j]);
     }
 }
 
-/* How a state that differs from Brent's tortoise in the bits off_brent and
- * from the fine one in off_fine matches, as run() decides it. */
-static inline int match(uint64_t off_brent, uint64_t off_fine)
-{
-    return off_brent == 0 ? MATCHED_FIRST : off_fine == 0 ? MATCHED_SECOND : RAN;
-}
-
-/* serial_orbits() with the series stepped together: the H_k series four
- * to a vector of quads, the reduced and local ones as scalar lanes of the
- * same loop, so that their dependency chains overlap.  Every series starts
- * at step 0, so run()'s repeat schedule (its save steps) is shared; each
- * lane keeps its own tortoises.  A lane compares coordinate 0's bits with
- * its tortoises first, and all its coordinates only on a hit.  Each lane
+/* run()'s repeat schedule for every series, stepped together: the H_k
+ * series four to a vector of quads, the reduced and local ones as scalar
+ * lanes of the same loop, so that their dependency chains overlap.  Every
+ * series starts at step 0, so the save steps are shared; each lane keeps
+ * its own tortoise.  A quad compares each lane's coordinate-0 bits with
+ * its tortoise first, and all its coordinates only on a hit.  Each lane
  * leaves at its own match, FAILS (keeping the state before the refused
  * step) or `first`, with what run() reports for its series alone.  quads
  * and lanes come zeroed. */
@@ -405,7 +368,7 @@ AVX2 static void lane_orbits(series *s, Py_ssize_t count, int64_t first, quad *q
             lanes[nlanes].of = &s[i];
             lanes[nlanes].live = 1;
             for (int j = 0; j < 3; j++)
-                lanes[nlanes].brent[j] = lanes[nlanes].fine[j] = bits(s[i].x[j]);
+                lanes[nlanes].tortoise[j] = bits(s[i].x[j]);
             nlanes++;
         }
     }
@@ -420,7 +383,7 @@ AVX2 static void lane_orbits(series *s, Py_ssize_t count, int64_t first, quad *q
         }
     }
 
-    int64_t t = 0, mark = 0, next_mark = 1, fine_mark = 0, next_fine = 1;
+    int64_t t = 0, mark = 0, next_mark = 1;
     for (; t < first && live > 0; t++) {
         int64_t step = t + 1;
         for (quad *q = quads; q < quads + nquads; q++) {
@@ -436,20 +399,15 @@ AVX2 static void lane_orbits(series *s, Py_ssize_t count, int64_t first, quad *q
                 _mm256_setzero_si256()));
             for (int i = 0; i < 6; i++)
                 _mm256_storeu_pd(q->x[i], _mm256_blendv_pd(y[i], ld(q->x[i]), keep));
-            __m256i head = _mm256_castpd_si256(y[0]);
-            int hits = q->live & _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_or_si256(
-                _mm256_cmpeq_epi64(head, _mm256_loadu_si256((const __m256i *)q->brent[0])),
-                _mm256_cmpeq_epi64(head, _mm256_loadu_si256((const __m256i *)q->fine[0])))));
+            int hits = q->live & _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(
+                _mm256_castpd_si256(y[0]), _mm256_loadu_si256((const __m256i *)q->tortoise[0]))));
             for (; hits; hits &= hits - 1) {
                 int l = __builtin_ctz(hits);
-                uint64_t off_brent = 0, off_fine = 0;
-                for (int i = 0; i < 6; i++) {
-                    off_brent |= bits(q->x[i][l]) ^ q->brent[i][l];
-                    off_fine |= bits(q->x[i][l]) ^ q->fine[i][l];
-                }
-                int status = match(off_brent, off_fine);
-                if (status != RAN) {
-                    quad_leave(q, l, status, step, step - (status == MATCHED_FIRST ? mark : fine_mark));
+                uint64_t off = 0;
+                for (int i = 0; i < 6; i++)
+                    off |= bits(q->x[i][l]) ^ q->tortoise[i][l];
+                if (off == 0) {
+                    quad_leave(q, l, MATCHED, step, step - mark);
                     live--;
                 }
             }
@@ -467,16 +425,11 @@ AVX2 static void lane_orbits(series *s, Py_ssize_t count, int64_t first, quad *q
                 continue;
             }
             memcpy(sr->x, next.x.v, 3 * sizeof(double));
-            uint64_t head = bits(sr->x[0]), off_brent = 0, off_fine = 0;
-            if (head != ln->brent[0] && head != ln->fine[0])
-                continue;
-            for (int j = 0; j < 3; j++) {
-                off_brent |= bits(sr->x[j]) ^ ln->brent[j];
-                off_fine |= bits(sr->x[j]) ^ ln->fine[j];
-            }
-            int status = match(off_brent, off_fine);
-            if (status != RAN) {
-                settle(sr, sr->x, status, step, step - (status == MATCHED_FIRST ? mark : fine_mark));
+            uint64_t off = 0;
+            for (int j = 0; j < 3; j++)
+                off |= bits(sr->x[j]) ^ ln->tortoise[j];
+            if (off == 0) {
+                settle(sr, sr->x, MATCHED, step, step - mark);
                 ln->live = 0;
                 live--;
             }
@@ -484,19 +437,11 @@ AVX2 static void lane_orbits(series *s, Py_ssize_t count, int64_t first, quad *q
         /* each save follows the step's compares, as in run() */
         if (step == next_mark) {
             mark = step;
-            next_mark = 2 * step + 1;
+            next_mark = step + 1 + step / 16;
             for (quad *q = quads; q < quads + nquads; q++)
-                memcpy(q->brent, q->x, sizeof q->x);
+                memcpy(q->tortoise, q->x, sizeof q->x);
             for (lane *ln = lanes; ln < lanes + nlanes; ln++)
-                memcpy(ln->brent, ln->of->x, sizeof ln->brent);
-        }
-        if (step == next_fine) {
-            fine_mark = step;
-            next_fine = step + 1 + step / 16;
-            for (quad *q = quads; q < quads + nquads; q++)
-                memcpy(q->fine, q->x, sizeof q->x);
-            for (lane *ln = lanes; ln < lanes + nlanes; ln++)
-                memcpy(ln->fine, ln->of->x, sizeof ln->fine);
+                memcpy(ln->tortoise, ln->of->x, sizeof ln->tortoise);
         }
     }
     /* the lanes still stepping ran to `first` */
@@ -512,9 +457,10 @@ AVX2 static void lane_orbits(series *s, Py_ssize_t count, int64_t first, quad *q
 /* set once at module load: whether this CPU steps series in lanes */
 static int has_lanes;
 
-/* Step each series toward step `first` as orbit() steps it alone, taking
- * the lanes when there is more than one series and the CPU has AVX2 and
- * FMA.  quads and lanes hold room for every series. */
+/* Step each series toward step `first`, the tail's first row, under the
+ * repeat schedule, as advance() steps it alone, taking the lanes when there
+ * is more than one series and the CPU has AVX2 and FMA.  quads and lanes
+ * hold room for every series. */
 static void orbits(series *s, Py_ssize_t count, int64_t first, void *quads, void *lanes)
 {
 #ifdef HAVE_LANES
@@ -525,7 +471,9 @@ static void orbits(series *s, Py_ssize_t count, int64_t first, void *quads, void
 #endif
     (void)quads;
     (void)lanes;
-    serial_orbits(s, count, first);
+    for (Py_ssize_t i = 0; i < count; i++)
+        s[i].taken = advance(s[i].kind, s[i].p, s[i].x, first, NULL, NULL, &s[i].period,
+                             &s[i].status);
 }
 
 /* ---- the Python binding: argument parsing, the GIL and results ---- */
@@ -717,7 +665,7 @@ static PyObject *py_advance(PyObject *self, PyObject *const *args, Py_ssize_t na
         rows = view.buf;
     }
     Py_BEGIN_ALLOW_THREADS
-    taken = advance(kind, p, x, n, rows, checked, &status);
+    taken = advance(kind, p, x, n, rows, checked, NULL, &status);
     Py_END_ALLOW_THREADS
     if (rows != NULL)
         PyBuffer_Release(&view);
@@ -751,7 +699,7 @@ static PyObject *py_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs
     double *xs = view.buf;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i = 0; i < count; i++)
-        taken[i] = advance(kind, p, xs + i * dim, n, NULL, checked, &status[i]);
+        taken[i] = advance(kind, p, xs + i * dim, n, NULL, checked, NULL, &status[i]);
     Py_END_ALLOW_THREADS
     PyBuffer_Release(&view);
     PyObject *rows = PyList_New(0);

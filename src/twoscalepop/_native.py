@@ -66,7 +66,7 @@ from .errors import DomainExitError, TwoScalePopError
 
 COMPLETE, REDUCED, LOCAL = 0, 1, 2
 _SHAPES = {COMPLETE: (6, 30), REDUCED: (3, 12), LOCAL: (3, 6)}  # (state, constants)
-_RAN, _MATCHED_FIRST, _MATCHED_SECOND, _FAILS, _INADMISSIBLE = 0, 1, 2, 3, 4
+_RAN, _MATCHED, _FAILS, _INADMISSIBLE = 0, 1, 2, 3
 
 NATIVE = "native"
 BOX_BOUND = 1e9  # the admissible set's bound on every coordinate
@@ -254,31 +254,26 @@ def orbit(kernel: Callable, x: tuple, first: int) -> tuple:
     ``x``, the state of step 0, under ``aggregation.iterate_tail``'s repeat
     schedule and stops at the first match or at step ``first``, unchecked.
 
-    Returns ``(state, taken, status, period)``: ``_MATCHED_FIRST`` (Brent's
-    tortoise) or ``_MATCHED_SECOND`` (the fine one) with the steps since
-    that tortoise's save, else ``_RAN`` or ``_FAILS`` as ``advance`` reports
-    them, with period 0.  No save falls inside the inner loop, so its steps
-    only compare: ``==`` is a cheap filter that every bitwise match passes,
-    except when the saved state holds a NaN, and then the bytes decide
-    every step.
+    Returns ``(state, taken, status, period)``: ``_MATCHED`` with the steps
+    since the tortoise's save, else ``_RAN`` or ``_FAILS`` as ``advance``
+    reports them, with period 0.  No save falls inside the inner loop, so
+    its steps only compare: ``==`` is a cheap filter that every bitwise
+    match passes, except when the tortoise holds a NaN, and then the bytes
+    decide every step.
     """
-    t = mark = fine_mark = 0
-    next_mark = next_fine = 1
-    tortoise = fine = x
+    t = mark = 0
+    next_mark = 1
+    tortoise = x
     try:
         while t < first:
-            tortoise_bits, fine_bits = array("d", tortoise).tobytes(), array("d", fine).tobytes()
-            tortoise_nan, fine_nan = (any(v != v for v in s) for s in (tortoise, fine))
-            for t in range(t + 1, min(next_mark, next_fine, first) + 1):
+            tortoise_bits = array("d", tortoise).tobytes()
+            tortoise_nan = any(v != v for v in tortoise)
+            for t in range(t + 1, min(next_mark, first) + 1):
                 x = kernel(x)
                 if (x == tortoise or tortoise_nan) and array("d", x).tobytes() == tortoise_bits:
-                    return x, t, _MATCHED_FIRST, t - mark
-                if (x == fine or fine_nan) and array("d", x).tobytes() == fine_bits:
-                    return x, t, _MATCHED_SECOND, t - fine_mark
-            if t == next_mark:
-                mark, next_mark, tortoise = t, 2 * t + 1, x
-            if t == next_fine:
-                fine_mark, next_fine, fine = t, t + 1 + t // 16, x
+                    return x, t, _MATCHED, t - mark
+            # the save at step first, if any, is never compared
+            mark, next_mark, tortoise = t, t + 1 + t // 16, x
     except TwoScalePopError:
         return x, t - 1, _FAILS, 0
     return x, t, _RAN, 0

@@ -210,24 +210,20 @@ def iterate_tail(map_fn: StateMap, x0, steps: int,
 
     Returns ``(tail, repeat)``: ``tail`` is a (keep, dim) array equal bit for
     bit to the last ``keep`` rows of the full orbit segment.  Up to the
-    tail's first row, each state is compared with two saved states, or
-    tortoises: Brent's (R. P. Brent, BIT 20, 1980), saved at steps 2**n - 1,
-    and a fine one, re-saved at step t + 1 + t // 16 after each save at
-    step t.  ``repeat`` is the ``(step, period)`` at which the first match
-    was caught, else None.  The period is exact: a saved state is matched
-    first one period after its save.  From a match on, the orbit is
-    periodic, so whole periods are skipped and only the final stretch is
+    tail's first row, each state is compared with one saved state, the
+    tortoise, saved at step 0 and re-saved at step t + 1 + t // 16 after
+    each save at step t.  ``repeat`` is the ``(step, period)`` at which the
+    first match was caught, else None.  The period is exact: a saved state
+    is matched first one period after its save.  From a match on, the orbit
+    is periodic, so whole periods are skipped and only the final stretch is
     computed.  Bytes, not ``==``, decide a match: -0.0 and 0.0 differ, and
     a NaN matches only a NaN with the same bits.
 
     Lag bound: let the orbit's cycle start at step c, so that it first
-    repeats at step c + period.  Brent's tortoise alone catches that repeat
-    at step m + period, with m the first 2**n - 1 that is at least c and
-    at least period - 1: up to about twice as late.  The fine tortoise is
-    saved within c // 16 steps after c and, once c >= 16 * (period - 1),
-    keeps each save for at least a period, so the repeat is caught by step
-    c + period + c // 16.  Whichever tortoise matches first decides, so
-    the catch is never later than Brent's.
+    repeats at step c + period.  The saves come at most t // 16 + 1 steps
+    apart, so the first save at or after m = max(c, 16 * (period - 1)) falls
+    by step m + m // 16 and is kept for at least a period; the repeat is
+    therefore caught by step m + period + m // 16.
 
     The orbit runs on tuples of floats, through one ``_native.Stepper``:
     the whole schedule up to the tail is one call, in the compiled loop

@@ -17,14 +17,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _pcg64, aggregation, analysis, metapop, scenarios, spectral, threestage
+from . import _native, _pcg64, aggregation, analysis, metapop, scenarios, spectral, threestage
 from .aggregation import (ConvergenceTable, _stepped, convergence_table, iterate_tail,
                           iterate_tails, stepping_path)
 from .analysis import OrbitReport
 from .errors import (
     CollapsedToEquilibriumError,
     ConfigError,
-    DomainExitError,
     IOFailureError,
     LeftDomainError,
     NonConvergenceError,
@@ -182,12 +181,15 @@ class RunSummary:
     stepping: dict[str, str]
 
 
-def _finite(run: tuple, horizon: int) -> tuple:
-    """A ``(tail, repeat)`` of ``aggregation.iterate_tails``, once its last
-    state is known to be finite."""
+def _admissible(run: tuple, horizon: int) -> tuple:
+    """A ``(tail, repeat)`` of ``aggregation.iterate_tails``, once every tail
+    row is known to lie in the admissible set; else the first row outside
+    it raises ``DomainExitError`` with its step."""
     tail = run[0]
-    if not np.all(np.isfinite(tail[-1])):
-        raise DomainExitError("trajectory left the admissible box", step=horizon, state=tail[-1])
+    inside = (tail >= 0.0) & (tail <= _native.BOX_BOUND)  # NaN fails both
+    if not inside.all():
+        row = int(np.argmin(inside.all(axis=1)))
+        _native._require_admissible(tail[row], horizon - len(tail) + 1 + row)
     return run
 
 
@@ -285,10 +287,10 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
     stepping = {name: stepping_path(map_fn) for name, (map_fn, _) in series.items()}
     repeats: dict[str, Optional[tuple[int, int]]] = {}
 
-    reduced_tail, repeats["reduced"] = _finite(next(runs), config.horizon)
+    reduced_tail, repeats["reduced"] = _admissible(next(runs), config.horizon)
     complete_tails = {}
     for k in config.k_list:
-        complete_tails[k], repeats[f"k={k}"] = _finite(next(runs), config.horizon)
+        complete_tails[k], repeats[f"k={k}"] = _admissible(next(runs), config.horizon)
 
     orbit_reports: dict[str, Optional[OrbitReport]] = {}
     orbit_notes: dict[str, str] = {}
@@ -299,7 +301,7 @@ def run_scenario(config: ScenarioConfig, include_local: bool = False) -> RunSumm
     local_tails = {}
     for patch in patches:
         name = f"local_{patch + 1}"
-        local_tails[patch], repeats[name] = _finite(next(runs), config.horizon)
+        local_tails[patch], repeats[name] = _admissible(next(runs), config.horizon)
         report, note = detect_orbit(series[name][0], local_tails[patch][-1],
                                     _cycle_seed(local[patch]))
         orbit_reports[name] = report

@@ -103,12 +103,12 @@ def test_iterate_tail_matches_plain_orbit_bit_for_bit(name):
 
 
 def test_iterate_tail_reports_repeat_step_and_period():
-    # Brent's tortoise saves the states of steps 0, 1, 3, 7, ...; the fine
-    # tortoise saves every step up to step 16, so it catches only period 1
-    # there.  The period-3 roll is first caught when step 6 matches the
-    # state Brent's tortoise saved at step 3
+    # the tortoise saves the states of steps 0 to 16, then of every second
+    # step up to 32, then of steps 35, 38, ...: a save at step t is kept for
+    # 1 + t // 16 steps.  The period-3 roll is first caught when step 35
+    # matches the state saved at step 32, the first save kept 3 steps
     _, repeat = aggregation.iterate_tail(*_tail_case("roll"), 100)
-    assert repeat == (6, 3)
+    assert repeat == (35, 3)
     _, repeat = aggregation.iterate_tail(*_tail_case("constant"), 100)
     assert repeat == (2, 1)
     _, repeat = aggregation.iterate_tail(*_tail_case("fig3"), 2000)
@@ -125,14 +125,6 @@ def _first_repeat(kernel, x, limit):
             return t, t - seen[bits]
         seen[bits] = t
     return None
-
-
-def _brent_catch(first, period):
-    """Step at which a tortoise saved at steps 2**n - 1 alone catches it."""
-    mark = 0
-    while mark < first - period or mark + 1 < period:
-        mark = 2 * mark + 1
-    return mark + period
 
 
 def _repeating_series():
@@ -159,29 +151,28 @@ def test_iterate_tail_catches_repeats_near_their_onset():
         first, period = _first_repeat(map_fn.kernel, start, horizon + 1 - tail)
         _, repeat = aggregation.iterate_tail(map_fn, x0, horizon, tail)
         assert repeat is not None and repeat[1] == period, label
-        caught = repeat[0]
-        assert first <= caught <= _brent_catch(first, period), label
-        assert caught <= first + period + (first + period) // 16 + 2 * period, label
-        onset = first - period  # step of the cycle's first state
-        if onset >= 16 * (period - 1):
-            assert caught <= first + onset // 16, label
+        # the cycle's first state is at step first - period; from step m on,
+        # each save is kept at least a period (iterate_tail's lag bound)
+        m = max(first - period, 16 * (period - 1))
+        assert first <= repeat[0] <= m + period + m // 16, label
 
 
 def test_iterate_tail_tells_signed_zeros_apart():
     # flipping the sign of a zero coordinate has bitwise period 2, while ==
-    # sees period 1 and would fast-forward to a state with the wrong sign
+    # sees period 1 and would fast-forward to a state with the wrong sign.
+    # The first save kept two steps is step 16's, matched at step 18
     def flip(x):
         return x * np.array([-1.0, 1.0])
 
     x0 = np.array([0.0, 1.0])
     orbit = _plain_orbit(flip, x0, 1001)
-    for steps in (2, 3, 8, 9, 1000, 1001):
+    for steps in (2, 3, 8, 9, 20, 21, 1000, 1001):
         for keep in (1, 3):
             tail, repeat = aggregation.iterate_tail(flip, x0, steps, keep)
             assert _same_bits(tail, orbit[steps + 1 - keep:steps + 1]), (steps, keep)
-    assert repeat == (3, 2)
+    assert repeat == (18, 2)
     tail, repeat = aggregation.iterate_tail(lambda x: -x, x0, 1001)
-    assert _same_bits(tail[-1], np.array([-0.0, -1.0])) and repeat == (3, 2)
+    assert _same_bits(tail[-1], np.array([-0.0, -1.0])) and repeat == (18, 2)
 
 
 def _quiet_nan(payload):
@@ -215,16 +206,17 @@ def _nan_cases():
 @pytest.mark.parametrize("form", ["array", "kernel"])
 def test_iterate_tail_matches_nan_only_by_bits(form):
     # == never sees a NaN equal to another NaN object, so only the bytes
-    # find these repeats: the payloads alternate with bitwise period 2
+    # find these repeats: the payloads alternate with bitwise period 2 from
+    # step 1, caught when step 18 matches the state saved at step 16
     map_fn = dict(_nan_cases())[form]
     assert np.float64(_NAN_A).tobytes() != np.float64(_NAN_B).tobytes()
     x0 = np.array([0.0, 1.0])
     orbit = _plain_orbit(_nan_swap, x0, 1001)
-    for steps in (2, 3, 8, 9, 1000, 1001):
+    for steps in (2, 3, 8, 9, 20, 21, 1000, 1001):
         for keep in (1, 3):
             tail, repeat = aggregation.iterate_tail(map_fn, x0, steps, keep)
             assert _same_bits(tail, orbit[steps + 1 - keep:steps + 1]), (steps, keep)
-    assert repeat == (3, 2)
+    assert repeat == (18, 2)
     # a constant NaN state repeats with period 1
     const = lambda x: np.array([_NAN_B, 1.0])
     tail, repeat = aggregation.iterate_tail(const, x0, 1000)

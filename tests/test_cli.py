@@ -12,7 +12,7 @@ import pytest
 import twoscalepop
 from twoscalepop import cli, metapop, scenarios, spectral, threestage
 from twoscalepop.aggregation import ConvergenceTable, iterate_tail
-from twoscalepop.errors import ConfigError, IOFailureError
+from twoscalepop.errors import ConfigError, DomainExitError, IOFailureError
 from twoscalepop.metapop import VARIANT_RESCALED, VARIANT_SLOW
 
 CONFIG_TEXT = """\
@@ -216,6 +216,30 @@ def test_load_config_names_the_section_of_an_unknown_key(tmp_path, section, line
         cli.load_config(write_config(tmp_path, text))
     assert err.value.field == section
     assert str(err.value) == f"{section}: unknown keys: ['tial']"
+
+
+def test_a_tail_above_the_box_fails_the_run(tmp_path, capsys):
+    # a huge fertility drives every state far above BOX_BOUND while staying
+    # finite; once only the last tail row's finiteness was checked, so the
+    # run wrote its CSVs and passed
+    text = CONFIG_TEXT.replace("phi_1 = 3.1", "phi_1 = 1e13").replace("phi_2 = 3.1", "phi_2 = 1e13")
+    config = cli.load_config(write_config(tmp_path, text))
+    # the reduced series is read first: its first tail row outside the box
+    reduced = threestage.reduced_map(config.params, config.variant)
+    y0 = metapop.aggregate(config.initial_state, 2)
+    rows, _ = iterate_tail(reduced, y0, config.horizon, config.tail)
+    tail_start = config.horizon - config.tail + 1
+    outside = [t for t, y in enumerate(rows.tolist(), tail_start)
+               if not all(0.0 <= v <= 1e9 for v in y)]
+    assert outside and max(rows.max(axis=1)) < 1e15
+    with pytest.raises(DomainExitError, match="exceeded the box bound") as err:
+        cli.run_scenario(config)
+    assert err.value.step == outside[0]
+    assert err.value.state.tobytes() == rows[outside[0] - tail_start].tobytes()
+    out = tmp_path / "o"
+    assert cli.main(["run", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+    assert "result: PASS" not in capsys.readouterr().out
+    assert not list(out.rglob("*.csv"))
 
 
 def test_load_config_rejects_out_of_range_values(tmp_path):

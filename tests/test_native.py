@@ -175,16 +175,14 @@ def test_the_repeat_schedule_agrees_on_both_paths(native_lib, fig2_params):
     assert isinstance(err, NegativeDensityError)
 
 
-def test_brents_tortoise_wins_when_both_match(native_lib, fig2_params):
-    # both tortoises can match only when both were saved at the same step:
-    # had one been saved earlier, it would have matched the other's state
-    # when that was saved.  At step 1 both hold the fixed start of step 0
+def test_a_fixed_start_is_caught_at_step_1(native_lib, fig2_params):
+    # the tortoise holds the start, saved at step 0, when step 1 is compared
     reduced = threestage.reduced_map(fig2_params, VARIANT_SLOW)
     start = (0.0,) * 3
     # alone (the serial loop) and beside a second series (the lanes)
     for count in (1, 2):
         ran = native_lib.orbits([(_native.REDUCED, reduced.native.packed, start)] * count, 100)
-        assert ran == [(start, 1, _native._MATCHED_FIRST, 1)] * count
+        assert ran == [(start, 1, _native._MATCHED, 1)] * count
     for stepper in (Stepper(reduced), Stepper(python_only(reduced))):
         assert _orbit(stepper, start, 100) == (start, 1, (1, 1))
 
@@ -820,7 +818,7 @@ def test_the_limit_map_steps_compiled_bit_for_bit(native_lib, name, variant):
 @pytest.mark.parametrize("name", ("fig3", "fig10"))
 def test_a_long_orbit_call_agrees_on_both_paths(native_lib, name, variant):
     # 20 000 steps of the repeat schedule in one compiled call: fig3's and
-    # fig10's orbits drift, so nearly every step compares both tortoises
+    # fig10's orbits drift, so every step compares with the tortoise
     limit = threestage.make_system(getattr(scenarios, f"{name}_params")(), variant).limit_map
     for label, map_fn, x0 in (("limit", limit, _X0), *_series(name, variant, (1, 10, 100))):
         x = tuple(x0.tolist())
@@ -864,14 +862,17 @@ def test_every_exit_writes_back_its_state(native_lib, fig2_params, label):
     # RAN: the state after the last step
     state, taken, got, _ = _compiled(lib, map_fn, start, 7)
     assert (taken, got) == (7, _native._RAN) and _same_bits(state, orbit[7])
-    # fig2's orbits end on a 2-cycle.  From its first state, Brent's
-    # tortoise (saved at step 1) matches at step 3; from 16 steps before
-    # it, only the fine one (saved at steps 16 and 18) can match first
-    for begin, status in ((onset, _native._MATCHED_FIRST), (onset - 16, _native._MATCHED_SECOND)):
-        state, taken, got, period = _compiled(lib, map_fn, orbit[begin], 100, orbit=True)
-        expected, expected_taken, repeat = _orbit(Stepper(python_only(map_fn)), orbit[begin], 100)
-        assert (got, taken, (taken, period)) == (status, expected_taken, repeat), label
-        assert _same_bits(state, expected) and not _same_bits(state, orbit[begin]), label
+    # MATCHED: fig2's orbits end on a 2-cycle.  From one step before its
+    # first state, the first save kept two steps is step 16's, matched at
+    # step 18 by the state of onset + 1; alone (the serial loop), beside a
+    # second series (the lanes) and in Python
+    assert len(orbit) - onset == 2 and onset >= 1, label
+    spec, begin = map_fn.native, orbit[onset - 1]
+    for count in (1, 2):
+        for state, taken, got, period in lib.orbits([(spec.kind, spec.packed, begin)] * count, 100):
+            assert (got, taken, period) == (_native._MATCHED, 18, 2), label
+            assert _same_bits(state, orbit[onset + 1]), label
+    assert _orbit(Stepper(python_only(map_fn)), begin, 100) == (orbit[onset + 1], 18, (18, 2))
     # FAILS: the state the refused second step would be applied to
     beyond = (-10.0, -10.0, 0.1, 0.1, 0.0, 0.0) if label == "H_10" else (-10.0, 0.1, 0.0)
     state, taken, got, _ = _compiled(lib, map_fn, beyond, 5)

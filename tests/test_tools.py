@@ -186,3 +186,24 @@ def test_paired_passes_states_the_claim_verdict():
             ("slower", (parent, [x + 0.001 for x in parent]), "IQR 0.225 ms FAILS")):
         line = verdict(p, c)
         assert line.startswith("claim not met: ") and failed in line, (label, line)
+
+
+def test_same_outputs_keeps_each_trees_cache_in_its_work_directory(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "user-cache"))
+    monkeypatch.setenv("PATH", "/usr/bin")
+    for with_cc in (True, False):
+        work = tmp_path / f"work-{with_cc}"
+        work.mkdir()
+        env = module._env(ROOT, work, with_cc)
+        # a fresh, empty cache inside the work directory, never the user's
+        assert env["XDG_CACHE_HOME"] == str(work / "cache")
+        assert not any((work / "cache").iterdir())
+        assert env["PYTHONPATH"] == str(ROOT / "src")
+        if with_cc:
+            assert env["PATH"] == "/usr/bin"
+        else:
+            assert env["PATH"] == str(work / "empty-path")
+            assert not any((work / "empty-path").iterdir())

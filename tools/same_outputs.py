@@ -16,10 +16,12 @@ checkout holding this script), each tree importing twoscalepop from its own
   exit code.
 
 Each is done twice: with the environment as it is (so the compiled loop
-steps orbits when ``cc`` is on PATH) and with ``cc`` off PATH and an empty
-``XDG_CACHE_HOME`` (so every orbit steps in Python).  Prints one line per
-comparison and exits 1 on any difference, else 0.  Work directories are
-temporary and removed at the end.
+steps orbits when ``cc`` is on PATH) and with ``cc`` off PATH (so every
+orbit steps in Python).  Both times each tree's ``XDG_CACHE_HOME`` is an
+empty directory inside its work directory, so every run builds the
+extension afresh when it can, and none leaves a module in the user's
+cache.  Prints one line per comparison and exits 1 on any difference,
+else 0.  Work directories are temporary and removed at the end.
 """
 from __future__ import annotations
 
@@ -37,14 +39,18 @@ DESCRIBE = "from twoscalepop import _native; print(_native.describe())"
 
 
 def _env(tree: Path, work: Path, with_cc: bool) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    # the cache lives and dies with the work directory, and starts empty, so
+    # a run without cc finds no library built earlier
+    cache = work / "cache"
+    cache.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "XDG_CACHE_HOME": str(cache)}
     if not with_cc:
         # python is started by its absolute path, so PATH can name an empty
-        # directory; the empty cache holds no library built earlier
-        empty_path, cache = work / "empty-path", work / "empty-cache"
+        # directory
+        empty_path = work / "empty-path"
         empty_path.mkdir()
-        cache.mkdir()
-        env.update(PATH=str(empty_path), XDG_CACHE_HOME=str(cache))
+        env["PATH"] = str(empty_path)
     return env
 
 
